@@ -34,12 +34,10 @@ from .errors import (
 )
 from .estimator import (
     BetaEstimate,
-    ConcentrationDiagnostic,
     ThetaEstimate,
     beta_from_theta,
     concentrated_loglik,
     concentration_bound,
-    concentration_diagnostic,
     direction_density,
     estimate_confounding,
     estimate_theta,
@@ -74,7 +72,6 @@ from .spectral import (
     UnitDirection,
     empirical_covariance,
     regression_vector,
-    renormalized_trace,
     unit_direction,
 )
 

@@ -40,7 +40,6 @@ class TestResult:
     null_samples: NDArray[np.float64]
     method: str
     null_count: int
-    seed: int
 
 
 def statistic_T(direction: UnitDirection, cov: CovarianceModel) -> float:
@@ -101,7 +100,6 @@ def test_nonconfounding(
     which is valid and never exactly zero.
     """
     _check_count(null_count)
-    seed = rng if isinstance(rng, int) else 0
     g = as_generator(rng)
     cov = empirical_covariance(data)
     direction = unit_direction(regression_vector(cov), cov)
@@ -119,7 +117,6 @@ def test_nonconfounding(
         null_samples=null,
         method=method,
         null_count=null_count,
-        seed=seed,
     )
 
 

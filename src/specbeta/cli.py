@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import cdtest, estimator, harness
+from . import cdtest, harness
 from .errors import (
+    BadDimensionsError,
     DataError,
     SpecbetaError,
     TooFewSamplesError,
@@ -33,54 +34,58 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """Parser whose destinations are ``ExperimentConfig`` field names."""
     parser = _Parser(prog="specbeta", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
 
-    def add_common(p, *, data=False, sim=False):
+    def add_common(p, mode, *, data=False, sim=False):
+        p.set_defaults(mode=mode)
         p.add_argument("--seed", type=int, default=0, metavar="U64")
         p.add_argument("--alpha", type=float, default=0.05, metavar="F")
-        p.add_argument("--null-samples", type=int, default=1000, metavar="N")
         p.add_argument(
-            "--null-method", choices=sorted(_NULL_METHODS), default="sphere"
+            "--null-samples", dest="null_count", type=int, default=1000, metavar="N"
         )
-        p.add_argument("--output", metavar="PATH")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument(
+            "--null-method", dest="method", choices=sorted(_NULL_METHODS), default="sphere"
+        )
+        p.add_argument("--output", dest="output_path", metavar="PATH")
+        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
         if data:
-            p.add_argument("--input", required=True, metavar="PATH")
+            p.add_argument("--input", dest="input_path", required=True, metavar="PATH")
             p.add_argument("--normalize", action="store_true")
         if sim:
-            p.add_argument("--dim", type=int, default=10, metavar="D")
+            p.add_argument("--dim", dest="d", type=int, default=10, metavar="D")
             p.add_argument("--latent", type=int, default=None, metavar="L")
-            p.add_argument("--samples", type=int, default=10000, metavar="N")
+            p.add_argument("--samples", dest="n", type=int, default=10000, metavar="N")
             p.add_argument("--runs", type=int, default=1000, metavar="R")
             p.add_argument("--noise-sd", type=float, default=None, metavar="F")
 
     p = sub.add_parser("estimate", help="estimate confounding strength from a CSV")
-    add_common(p, data=True)
-    p.add_argument("--target", required=True, metavar="NAME|INDEX")
+    add_common(p, "estimate", data=True)
+    p.add_argument("--target", type=_parse_target, required=True, metavar="NAME|INDEX")
 
     p = sub.add_parser("test", help="test the no-confounding null on a CSV")
-    add_common(p, data=True)
-    p.add_argument("--target", required=True, metavar="NAME|INDEX")
+    add_common(p, "test", data=True)
+    p.add_argument("--target", type=_parse_target, required=True, metavar="NAME|INDEX")
 
     p = sub.add_parser("simulate", help="true-vs-estimated beta simulation study")
-    add_common(p, sim=True)
+    add_common(p, "simulate", sim=True)
 
     p = sub.add_parser("rejections", help="rejection fractions per true-beta bin")
-    add_common(p, sim=True)
+    add_common(p, "rejection_study", sim=True)
 
     p = sub.add_parser("overfit", help="p-value distribution on causal-only data")
-    add_common(p, sim=True)
+    add_common(p, "overfit_study", sim=True)
     p.add_argument(
         "--sample-sizes",
         type=int,
         nargs="+",
-        default=list(harness.DEFAULT_SAMPLE_SIZES),
+        default=harness.DEFAULT_SAMPLE_SIZES,
         metavar="N",
     )
 
     p = sub.add_parser("shuffle-target", help="each column in turn as the target")
-    add_common(p, data=True)
+    add_common(p, "shuffle_target", data=True)
     return parser
 
 
@@ -91,93 +96,24 @@ def _parse_target(raw: str) -> str | int:
         return raw
 
 
-def _emit(report: harness.Report, args) -> None:
-    if args.output:
-        harness.emit_report(report, args.output, args.format)
-    else:
-        payload = {
-            "config": report.config,
-            "records": report.records,
-            "summary": report.summary,
-        }
-        print(harness.stable_json(payload))
-
-
-def _config(args, mode: str) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig(
-        mode=mode,
-        d=getattr(args, "dim", 10),
-        latent=getattr(args, "latent", None),
-        n=getattr(args, "samples", 10000),
-        runs=getattr(args, "runs", 1000),
-        seed=args.seed,
-        alpha=args.alpha,
-        null_count=args.null_samples,
-        normalize=getattr(args, "normalize", False),
-        method=_NULL_METHODS[args.null_method],
-        noise_sd=getattr(args, "noise_sd", None),
-        sample_sizes=tuple(getattr(args, "sample_sizes", harness.DEFAULT_SAMPLE_SIZES)),
-        target=_parse_target(args.target) if getattr(args, "target", None) else None,
-        input_path=getattr(args, "input", None),
-        output_path=args.output,
-        fmt=args.format,
-    )
-
-
-def _run(args) -> harness.Report:
-    if args.command == "estimate":
-        config = _config(args, "estimate")
-        data = harness.ingest_csv(args.input, config.target, config.normalize)
-        est = estimator.estimate_confounding(data)
-        record = {
-            "beta_hat": est.beta_hat,
-            "theta_hat": est.theta_hat,
-            "tau_inv": est.tau_inv,
-            "boundary": est.boundary,
-            "d": data.d,
-            "n": data.n,
-        }
-        return harness.Report(
-            harness.config_echo(config), [record], {"beta_hat": est.beta_hat}
-        )
-    if args.command == "test":
-        config = _config(args, "test")
-        data = harness.ingest_csv(args.input, config.target, config.normalize)
-        res = cdtest.test_nonconfounding(
-            data, config.null_count, config.method, config.seed
-        )
-        record = {
-            "t_observed": res.t_observed,
-            "p_value": res.p_value,
-            "method": res.method,
-            "null_count": res.null_count,
-            "reject_at_alpha": res.p_value <= config.alpha,
-        }
-        return harness.Report(
-            harness.config_echo(config), [record], {"p_value": res.p_value}
-        )
-    if args.command == "simulate":
-        return harness.run_simulation_study(_config(args, "simulate"))
-    if args.command == "rejections":
-        return harness.run_rejection_study(_config(args, "rejection_study"))
-    if args.command == "overfit":
-        return harness.run_overfit_study(_config(args, "overfit_study"))
-    if args.command == "shuffle-target":
-        config = _config(args, "shuffle_target")
-        matrix, names = harness.read_numeric_csv(args.input)
-        return harness.shuffle_target_analysis(matrix, config, names)
-    raise AssertionError(f"unhandled command {args.command}")
+def _parse_config(argv: list[str] | None) -> harness.ExperimentConfig:
+    """Config from the command line; an invalid flag value is a usage error."""
+    parser = _build_parser()
+    fields = vars(parser.parse_args(argv))
+    fields["method"] = _NULL_METHODS[fields["method"]]
+    if "sample_sizes" in fields:
+        fields["sample_sizes"] = tuple(fields["sample_sizes"])
+    try:
+        return harness.ExperimentConfig(**fields)
+    except (ValueError, BadDimensionsError) as err:
+        parser.error(str(err))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    config = _parse_config(argv)
     try:
-        report = _run(args)
-        _emit(report, args)
-    except (DataError, TooFewSamplesError, ValueError) as err:
-        print(f"specbeta: data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as err:
+        harness.emit_report(harness.run(config), config.output_path, config.fmt)
+    except (DataError, TooFewSamplesError, ValueError, FileNotFoundError) as err:
         print(f"specbeta: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (SpecbetaError, RuntimeError) as err:

@@ -17,7 +17,7 @@ tau(sigma_xx^{-1}) gives the confounding-strength estimate beta_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,10 +25,6 @@ from numpy.typing import NDArray
 from .errors import NumericOverflowError, SingularMatrixError, SpecbetaError
 from .spectral import CovarianceModel, DataMatrix, UnitDirection
 from .spectral import empirical_covariance, regression_vector, unit_direction
-
-# Ratio of the scale parameter, sigma_c^2 / sigma_a^2.  Dimensionless and
-# nonnegative; kept as a plain float throughout.
-ThetaScale = float
 
 # Scan-grid geometry for the likelihood maximization.  The grid spans
 # [GRID_LO, GRID_HI] times the median eigenvalue, which makes it covariant
@@ -45,7 +41,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class ThetaEstimate:
     """Result of the one-dimensional likelihood maximization."""
 
-    theta: ThetaScale
+    theta: float
     loglik: float
     profile: tuple[tuple[float, float], ...]
     boundary: bool
@@ -60,7 +56,7 @@ class BetaEstimate:
     diagnostics.
     """
 
-    theta_hat: ThetaScale
+    theta_hat: float
     beta_hat: float
     tau_inv: float
     loglik_profile: tuple[tuple[float, float], ...]
@@ -70,29 +66,13 @@ class BetaEstimate:
     boundary: bool
 
 
-@dataclass(frozen=True)
-class ConcentrationDiagnostic:
-    """Concentration prediction for the single-draw log-likelihood."""
-
-    theta: ThetaScale
-    theta_prime: ThetaScale
-    concentrated_value: float
-    epsilon: float
-    probability_lower_bound: float
-
-    @property
-    def probability_clamped(self) -> float:
-        """Bound clamped to [0, 1] for reporting; raw value may be negative."""
-        return min(1.0, max(0.0, self.probability_lower_bound))
-
-
 def _weights_squared(direction: UnitDirection, cov: CovarianceModel) -> NDArray[np.float64]:
     w = direction.coords_in(cov)
     return w * w
 
 
 def log_direction_density(
-    theta: ThetaScale, direction: UnitDirection, cov: CovarianceModel
+    theta: float, direction: UnitDirection, cov: CovarianceModel
 ) -> float:
     """Log density of the direction under scale ratio ``theta``.
 
@@ -211,7 +191,7 @@ def estimate_theta(
     )
 
 
-def beta_from_theta(theta: ThetaScale, cov: CovarianceModel) -> float:
+def beta_from_theta(theta: float, cov: CovarianceModel) -> float:
     """Map the scale ratio to confounding strength via the renormalized trace.
 
     beta = tau(sigma_xx^{-1}) * theta / (tau(sigma_xx^{-1}) * theta + 1);
@@ -256,8 +236,8 @@ def _staged(stage: str, fn, *args):
 
 
 def concentrated_loglik(
-    theta: ThetaScale,
-    theta_prime: ThetaScale,
+    theta: float,
+    theta_prime: float,
     cov: CovarianceModel,
     *,
     corrected: bool = False,
@@ -290,8 +270,8 @@ def concentrated_loglik(
 
 
 def concentration_bound(
-    theta: ThetaScale,
-    theta_prime: ThetaScale,
+    theta: float,
+    theta_prime: float,
     cov: CovarianceModel,
     epsilon: float,
     *,
@@ -324,23 +304,3 @@ def concentration_bound(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return 1.0 - factor / (cov.d * epsilon**2) * (first + second)
-
-
-def concentration_diagnostic(
-    theta: ThetaScale,
-    theta_prime: ThetaScale,
-    cov: CovarianceModel,
-    epsilon: float,
-    *,
-    variant: str = "default",
-) -> ConcentrationDiagnostic:
-    """Bundle the concentrated value and probability bound for reporting."""
-    return ConcentrationDiagnostic(
-        theta=theta,
-        theta_prime=theta_prime,
-        concentrated_value=concentrated_loglik(theta, theta_prime, cov),
-        epsilon=epsilon,
-        probability_lower_bound=concentration_bound(
-            theta, theta_prime, cov, epsilon, variant=variant
-        ),
-    )

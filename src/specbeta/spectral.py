@@ -7,14 +7,12 @@ the regression direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
-    NumericOverflowError,
     RankDeficientError,
     TooFewSamplesError,
     ZeroSignalError,
@@ -204,18 +202,3 @@ def unit_direction(v: NDArray[np.float64], cov: CovarianceModel) -> UnitDirectio
         raise ZeroSignalError("cannot normalize the zero vector")
     unit = v / norm
     return UnitDirection(v=unit, basis_coords=cov.eigenvectors.T @ unit)
-
-
-def renormalized_trace(
-    f_of_spectrum: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-    cov: CovarianceModel,
-) -> float:
-    """Dimension-normalized trace (1/d) sum_j f(lambda_j).
-
-    ``f_of_spectrum`` is applied elementwise to the eigenvalue array.
-    """
-    vals = np.asarray(f_of_spectrum(cov.eigenvalues), dtype=np.float64)
-    out = float(np.sum(vals) / cov.d)
-    if not np.isfinite(out):
-        raise NumericOverflowError("renormalized trace is not finite")
-    return out

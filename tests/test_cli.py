@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from specbeta.cli import main
+from specbeta.cli import EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -104,6 +104,20 @@ class TestUsageErrors:
                 ]
             )
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "2"],
+            ["simulate", "--runs", "0"],
+            ["simulate", "--dim", "5", "--latent", "3"],
+        ],
+    )
+    def test_invalid_flag_values(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestTest:

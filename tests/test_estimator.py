@@ -15,7 +15,6 @@ from specbeta import (
     beta_from_theta,
     concentrated_loglik,
     concentration_bound,
-    concentration_diagnostic,
     direction_density,
     empirical_covariance,
     estimate_confounding,
@@ -269,12 +268,6 @@ class TestConcentration:
         cov = cov_from_spectrum([1.0, 2.0])
         with pytest.raises(ValueError):
             concentration_bound(1.0, 1.0, cov, 0.5, variant="nope")
-
-    def test_diagnostic_clamps_for_reporting(self):
-        cov = cov_from_spectrum([1.0, 2.0])
-        diag = concentration_diagnostic(1.0, 1.0, cov, 1e-6)
-        assert diag.probability_lower_bound < 0.0
-        assert diag.probability_clamped == 0.0
 
 
 class TestInvariance:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from specbeta import (
     BadDimensionsError,
     ConstantColumnError,
+    DegenerateModelError,
     ExperimentConfig,
     MissingColumnError,
     NonNumericError,
@@ -24,6 +25,7 @@ from specbeta import (
     run_simulation_study,
     shuffle_target_analysis,
 )
+from specbeta import genmodel
 from specbeta.harness import run_rng, stable_json
 
 
@@ -178,6 +180,24 @@ class TestStudies:
         cfg = ExperimentConfig(mode="simulate", d=5, n=3, runs=5, seed=0)
         with pytest.raises(RuntimeError):
             run_simulation_study(cfg)
+
+    def test_early_failure_does_not_abort(self, monkeypatch):
+        # the failure bound applies to the planned runs, not the runs so far
+        original = genmodel.sample_ground_truth
+        calls = []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise DegenerateModelError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(genmodel, "sample_ground_truth", fail_first)
+        cfg = ExperimentConfig(mode="simulate", d=3, n=300, runs=20, seed=0)
+        rep = run_simulation_study(cfg)
+        assert rep.summary["failures"] == 1
+        assert len(rep.records) == 20
+        assert [r for r in rep.records if "error" in r] == [{"run": 0, "error": "injected"}]
 
 
 class TestShuffleTarget:

@@ -13,7 +13,6 @@ from specbeta import (
     ZeroSignalError,
     empirical_covariance,
     regression_vector,
-    renormalized_trace,
     unit_direction,
 )
 
@@ -156,20 +155,6 @@ class TestUnitDirection:
 
         with pytest.raises(ValueError):
             UnitDirection(v=np.array([1.0, 1.0]))
-
-
-class TestRenormalizedTrace:
-    def test_identity_function(self):
-        cov = cov_from_spectrum([1.0, 4.0])
-        assert renormalized_trace(lambda lam: lam, cov) == pytest.approx(2.5)
-
-    def test_inverse(self):
-        cov = cov_from_spectrum([1.0, 4.0])
-        assert renormalized_trace(lambda lam: 1.0 / lam, cov) == pytest.approx(0.625)
-
-    def test_constant_one(self, rng):
-        cov = cov_from_spectrum(rng.uniform(0.5, 5.0, size=7))
-        assert renormalized_trace(lambda lam: np.ones_like(lam), cov) == pytest.approx(1.0)
 
 
 class TestEquivariance:

@@ -43,37 +43,26 @@ class ThetaEstimate:
 
     theta: float
     loglik: float
-    profile: tuple[tuple[float, float], ...]
     boundary: bool
 
 
 @dataclass(frozen=True)
 class BetaEstimate:
-    """Full output of the confounding-strength estimator.
+    """Output of the confounding-strength estimator.
 
     ``beta_hat`` equals ``tau_inv * theta_hat / (tau_inv * theta_hat + 1)``
-    exactly as stored.  All intermediate artifacts are retained for
-    diagnostics.
+    exactly as stored.
     """
 
     theta_hat: float
     beta_hat: float
     tau_inv: float
-    loglik_profile: tuple[tuple[float, float], ...]
-    direction: UnitDirection
-    cov: CovarianceModel
-    aprime: NDArray[np.float64]
     boundary: bool
 
 
-def _weights_squared(direction: UnitDirection, cov: CovarianceModel) -> NDArray[np.float64]:
-    w = direction.coords_in(cov)
-    return w * w
-
-
 def log_direction_density(
-    theta: float, direction: UnitDirection, cov: CovarianceModel
-) -> float:
+    theta: float | NDArray[np.float64], direction: UnitDirection, cov: CovarianceModel
+) -> float | NDArray[np.float64]:
     """Log density of the direction under scale ratio ``theta``.
 
     Evaluated in the eigenbasis: with w the eigenbasis coordinates of the
@@ -81,23 +70,26 @@ def log_direction_density(
 
         -1/2 [ sum_j log r_j + d * log sum_j w_j^2 / r_j ].
 
-    Exactly 0.0 at theta = 0 (the density is uniform there).
+    A scalar ``theta`` gives a float; an array gives an array of its shape,
+    each element equal to the scalar call.  Exactly 0.0 where theta = 0 (the
+    density is uniform there).
 
     Raises
     ------
     NumericOverflowError
         If theta / lambda_min is not finite.
     """
-    if theta < 0:
+    t = np.asarray(theta, dtype=np.float64)
+    if np.any(t < 0):
         raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 0.0
-    lam = cov.eigenvalues
-    r = 1.0 + theta / lam
+    r = 1.0 + t[..., None] / cov.eigenvalues
     if not np.all(np.isfinite(r)):
         raise NumericOverflowError("theta / lambda_min overflowed")
-    w2 = _weights_squared(direction, cov)
-    return -0.5 * (float(np.sum(np.log(r))) + cov.d * math.log(float(np.sum(w2 / r))))
+    w = direction.coords_in(cov)
+    log_det = np.sum(np.log(r), axis=-1)
+    val = -0.5 * (log_det + cov.d * np.log(np.sum(w * w / r, axis=-1)))
+    val = np.where(t == 0.0, 0.0, val)
+    return float(val) if val.ndim == 0 else val
 
 
 def direction_density(
@@ -125,17 +117,18 @@ def direction_density(
     return 1.0 / (det * float(np.linalg.norm(inv_v)) ** d)
 
 
-def _golden_section_max(f, lo: float, hi: float, rel_tol: float):
+def _golden_section_max(f, lo: float, hi: float):
     """Golden-section search for the maximum of a unimodal f on [lo, hi].
 
-    Returns (x, f(x)); evaluations are reported through f itself (the caller
-    passes a recording wrapper).  Ties prefer the smaller abscissa.
+    Returns (x, f(x)), the best point evaluated: each step drops only a
+    point no better than one it keeps, so the best is one of the last two.
+    Ties prefer the smaller abscissa.
     """
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc = f(c)
     fd = f(d)
-    while (hi - lo) > rel_tol * max(abs(hi), 1e-300):
+    while (hi - lo) > GOLDEN_REL_TOL * max(abs(hi), 1e-300):
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
@@ -147,48 +140,33 @@ def _golden_section_max(f, lo: float, hi: float, rel_tol: float):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def estimate_theta(
-    direction: UnitDirection,
-    cov: CovarianceModel,
-    *,
-    grid_points: int = GRID_POINTS,
-    rel_tol: float = GOLDEN_REL_TOL,
-) -> ThetaEstimate:
+def estimate_theta(direction: UnitDirection, cov: CovarianceModel) -> ThetaEstimate:
     """Maximize the direction log-likelihood over theta >= 0.
 
     Coarse scan over {0} union a logarithmic grid spanning
-    [1e-6, 1e6] x median(lambda), then golden-section refinement on the
-    bracketing interval.  Every evaluated (theta, loglik) pair is recorded
-    in the profile.  Ties are broken toward smaller theta, and theta = 0 is
-    always a candidate.  ``boundary`` is set when the maximum sits at the
-    upper end of the scan range.
+    [1e-6, 1e6] x median(lambda), scored in one call, then golden-section
+    refinement on the bracketing interval.  The answer is the better of the
+    best grid point and the golden result, ties toward smaller theta, so
+    theta = 0 is always a candidate.  ``boundary`` is set when the maximum
+    sits at the upper end of the scan range.
     """
     lam_med = float(np.median(cov.eigenvalues))
     grid = np.concatenate(
-        [[0.0], np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, grid_points)]
+        [[0.0], np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, GRID_POINTS)]
     )
-    profile: list[tuple[float, float]] = []
-
-    def f(theta: float) -> float:
-        val = log_direction_density(theta, direction, cov)
-        profile.append((theta, val))
-        return val
-
-    vals = np.array([f(t) for t in grid])
+    vals = log_direction_density(grid, direction, cov)
     best = int(np.argmax(vals))  # first index on ties -> smaller theta
+    candidates = [(grid[best], vals[best])]
     lo = grid[best - 1] if best > 0 else 0.0
     hi = grid[best + 1] if best < len(grid) - 1 else grid[-1]
     if hi > lo:
-        _golden_section_max(f, lo, hi, rel_tol)
-    # The answer is the best evaluation overall, ties toward smaller theta.
-    theta_hat, loglik = min(profile, key=lambda p: (-p[1], p[0]))
+        refined = _golden_section_max(
+            lambda theta: log_direction_density(theta, direction, cov), lo, hi
+        )
+        candidates.append(refined)
+    theta_hat, loglik = min(candidates, key=lambda p: (-p[1], p[0]))
     boundary = bool(theta_hat >= grid[-1] * (1.0 - 1e-9))
-    return ThetaEstimate(
-        theta=float(theta_hat),
-        loglik=float(loglik),
-        profile=tuple(profile),
-        boundary=boundary,
-    )
+    return ThetaEstimate(theta=float(theta_hat), loglik=float(loglik), boundary=boundary)
 
 
 def beta_from_theta(theta: float, cov: CovarianceModel) -> float:
@@ -213,16 +191,10 @@ def estimate_confounding(data: DataMatrix) -> BetaEstimate:
     aprime = _staged("regression_vector", regression_vector, cov)
     direction = _staged("unit_direction", unit_direction, aprime, cov)
     theta_est = _staged("estimate_theta", estimate_theta, direction, cov)
-    tau_inv = float(np.mean(1.0 / cov.eigenvalues))
-    beta = tau_inv * theta_est.theta / (tau_inv * theta_est.theta + 1.0)
     return BetaEstimate(
         theta_hat=theta_est.theta,
-        beta_hat=beta,
-        tau_inv=tau_inv,
-        loglik_profile=theta_est.profile,
-        direction=direction,
-        cov=cov,
-        aprime=aprime,
+        beta_hat=beta_from_theta(theta_est.theta, cov),
+        tau_inv=float(np.mean(1.0 / cov.eigenvalues)),
         boundary=theta_est.boundary,
     )
 

@@ -78,7 +78,6 @@ class SyntheticDataset:
     data: DataMatrix
     truth: GroundTruth
     true_beta: float
-    seed: int
 
 
 def sample_ground_truth(
@@ -110,16 +109,11 @@ def generate_samples(
 
     ``noise_sd`` = 0 reproduces the noise-free structural model; a positive
     value adds independent N(0, noise_sd^2) observation noise on Y.
-
-    Passing an integer seed records it in the dataset so the samples are
-    bit-exactly reproducible from (truth, seed, n); passing a live generator
-    records seed 0.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
-    seed = rng if isinstance(rng, int) else 0
     g = as_generator(rng)
     z = g.standard_normal((truth.ell, n))
     x = (truth.m @ z).T
@@ -132,7 +126,7 @@ def generate_samples(
     except DegenerateModelError:
         # a = 0, c = 0 still yields valid (all-zero target) samples
         beta = float("nan")
-    return SyntheticDataset(data=data, truth=truth, true_beta=beta, seed=seed)
+    return SyntheticDataset(data=data, truth=truth, true_beta=beta)
 
 
 def true_beta(truth: GroundTruth) -> float:
@@ -202,7 +196,6 @@ def overfit_dataset(
     """
     if n <= d + 1:
         raise ValueError(f"need n > d + 1, got n={n}, d={d}")
-    seed = rng if isinstance(rng, int) else 0
     g = as_generator(rng)
     m = g.standard_normal((d, d))
     z = g.standard_normal((d, n))
@@ -211,9 +204,7 @@ def overfit_dataset(
     truth = GroundTruth(
         m=m, a=np.zeros(d), c=np.zeros(d), sigma_a=1.0, sigma_c=1.0
     )
-    return SyntheticDataset(
-        data=DataMatrix(x=x, y=y), truth=truth, true_beta=0.0, seed=seed
-    )
+    return SyntheticDataset(data=DataMatrix(x=x, y=y), truth=truth, true_beta=0.0)
 
 
 def causal_dataset(
@@ -228,10 +219,9 @@ def causal_dataset(
     the recorded true confounding strength is 0; at small n the regression
     vector nevertheless looks confounded.
     """
-    seed = rng if isinstance(rng, int) else 0
     g = as_generator(rng)
     m = g.standard_normal((d, d))
     a = g.standard_normal(d)
     truth = GroundTruth(m=m, a=a, c=np.zeros(d), sigma_a=1.0, sigma_c=0.0)
     ds = generate_samples(truth, n, noise_sd=noise_sd, rng=g)
-    return SyntheticDataset(data=ds.data, truth=truth, true_beta=0.0, seed=seed)
+    return SyntheticDataset(data=ds.data, truth=truth, true_beta=0.0)

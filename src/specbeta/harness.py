@@ -133,29 +133,30 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        # (line in the file, cells); blank lines are skipped but still counted
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ParseError(f"{path}: empty file")
-    ncols = len(rows[0])
+    ncols = len(rows[0][1])
     header: list[str] | None = None
-    if not all(_is_number(cell) for cell in rows[0]):
-        header = [cell.strip() for cell in rows[0]]
+    if not all(_is_number(cell) for cell in rows[0][1]):
+        header = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
     data = np.empty((len(rows), ncols), dtype=np.float64)
-    offset = 2 if header is not None else 1
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         if len(row) != ncols:
             raise ParseError(
-                f"{path}: row {i + offset} has {len(row)} cells, expected {ncols}"
+                f"{path}: row {line} has {len(row)} cells, expected {ncols}"
             )
         for j, cell in enumerate(row):
             try:
                 data[i, j] = float(cell)
             except ValueError:
                 raise NonNumericError(
-                    f"{path}: non-numeric cell {cell!r} at row {i + offset}, "
+                    f"{path}: non-numeric cell {cell!r} at row {line}, "
                     f"column {j + 1}"
                 ) from None
     names = header if header is not None else [f"col{j}" for j in range(ncols)]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from specbeta import (
     DataMatrix,
+    NumericOverflowError,
     RankDeficientError,
     SingularMatrixError,
     UnitDirection,
@@ -24,6 +25,7 @@ from specbeta import (
     sample_ground_truth,
     unit_direction,
 )
+from specbeta.estimator import GRID_HI, GRID_LO, GRID_POINTS
 from specbeta.genmodel import GroundTruth
 
 from conftest import cov_from_spectrum, eigvec_for, random_orthogonal
@@ -33,6 +35,14 @@ def sqrt_r_theta(theta, cov):
     """Dense square root of I + theta * sigma_xx^{-1}, for oracle checks."""
     r = np.sqrt(1.0 + theta / cov.eigenvalues)
     return cov.eigenvectors @ np.diag(r) @ cov.eigenvectors.T
+
+
+def scan_grid(cov, points=GRID_POINTS):
+    """{0} plus the logarithmic scan range of ``estimate_theta`` with ``points`` points."""
+    lam_med = float(np.median(cov.eigenvalues))
+    return np.concatenate(
+        [[0.0], np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, points)]
+    )
 
 
 class TestLogDirectionDensity:
@@ -75,6 +85,33 @@ class TestLogDirectionDensity:
         with pytest.raises(ValueError):
             log_direction_density(-1.0, v, cov)
 
+    def test_array_matches_scalar_calls(self, rng):
+        # one call over an array of theta gives exactly the scalar values,
+        # in the shape of the input, with an exact 0.0 at theta = 0
+        for _ in range(100):
+            d = int(rng.integers(2, 40))
+            cov = cov_from_spectrum(10.0 ** rng.uniform(-3, 3, size=d))
+            v = unit_direction(rng.standard_normal(d), cov)
+            thetas = np.concatenate([scan_grid(cov), 10.0 ** rng.uniform(-8, 8, 39)])
+            vals = log_direction_density(thetas, v, cov)
+            assert vals.shape == thetas.shape
+            assert vals[0] == 0.0
+            for theta, val in zip(thetas, vals):
+                assert val == log_direction_density(float(theta), v, cov)
+            square = log_direction_density(thetas.reshape(16, 15), v, cov)
+            np.testing.assert_array_equal(square, vals.reshape(16, 15))
+
+    def test_array_errors_match_scalar(self):
+        cov = cov_from_spectrum([0.5, 2.0])
+        v = eigvec_for(cov, 2.0)
+        with pytest.raises(ValueError):
+            log_direction_density(np.array([0.0, 1.0, -1.0]), v, cov)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericOverflowError):
+                log_direction_density(1.5e308, v, cov)
+            with pytest.raises(NumericOverflowError):
+                log_direction_density(np.array([0.0, 1.5e308]), v, cov)
+
 
 class TestDirectionDensity:
     def test_identity_matrix(self, rng):
@@ -111,9 +148,38 @@ class TestEstimateTheta:
         cov = cov_from_spectrum(rng.uniform(0.3, 3.0, size=6))
         v = unit_direction(rng.standard_normal(6), cov)
         est = estimate_theta(v, cov)
-        best = max(val for _, val in est.profile)
-        assert est.loglik == best
         assert est.loglik == log_direction_density(est.theta, v, cov)
+        assert est.loglik >= log_direction_density(scan_grid(cov), v, cov).max()
+
+    def test_upper_grid_boundary(self):
+        # mass on the lowest eigenvector: the likelihood rises in theta over
+        # the whole scan range, so the estimate is the top grid point
+        cov = cov_from_spectrum([1.0, 4.0, 9.0])
+        est = estimate_theta(eigvec_for(cov, 1.0), cov)
+        assert est.boundary
+        assert est.theta == GRID_HI * float(np.median(cov.eigenvalues))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        log_theta=st.one_of(st.none(), st.floats(-4.0, 4.0)),
+    )
+    def test_matches_dense_grid_maximum(self, d, seed, log_theta):
+        # the coarse scan plus golden refinement reaches the maximum of a
+        # 20,001-point grid on the same range; directions are uniform
+        # (log_theta None) or drawn from the theta' = 10**log_theta law
+        g = np.random.default_rng(seed)
+        lam = 10.0 ** g.uniform(-3.0, 3.0, size=d)
+        lam[:2] = 1e-3, 1e3  # the spectrum spans 6 decades
+        cov = cov_from_spectrum(lam)
+        coords = g.standard_normal(d)
+        if log_theta is not None:
+            coords *= np.sqrt(1.0 + 10.0**log_theta / cov.eigenvalues)
+        v = unit_direction(cov.eigenvectors @ coords, cov)
+        est = estimate_theta(v, cov)
+        dense_max = float(log_direction_density(scan_grid(cov, 20_001), v, cov).max())
+        assert est.loglik >= dense_max - 1e-9 * (1.0 + abs(dense_max))
 
     @settings(max_examples=25, deadline=None)
     @given(angle=st.floats(0.0, 2 * math.pi, allow_nan=False))

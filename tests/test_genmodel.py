@@ -105,7 +105,6 @@ class TestGenerateSamples:
         d2 = generate_samples(t, 30, rng=9)
         np.testing.assert_array_equal(d1.data.x, d2.data.x)
         np.testing.assert_array_equal(d1.data.y, d2.data.y)
-        assert d1.seed == 9
 
     def test_rejects_tiny_n(self):
         t = sample_ground_truth(2, 2, 0)

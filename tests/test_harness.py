@@ -67,6 +67,17 @@ class TestReadNumericCsv:
         with pytest.raises(NonNumericError, match="row 2.*column 2"):
             read_numeric_csv(p)
 
+    # rows are numbered by their line in the file, skipped blank lines included
+    def test_text_cell_position_counts_blank_lines(self, tmp_path):
+        p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n\n\n3,x\n")
+        with pytest.raises(NonNumericError, match="row 5, column 2"):
+            read_numeric_csv(p)
+
+    def test_ragged_row_position_counts_blank_lines(self, tmp_path):
+        p = write_csv(tmp_path / "f.csv", "\na,b\n1,2\n\n3\n")
+        with pytest.raises(ParseError, match="row 5 has 1 cells"):
+            read_numeric_csv(p)
+
 
 class TestIngestCsv:
     def test_target_by_name_preserves_order(self, tmp_path):

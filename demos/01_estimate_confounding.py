@@ -9,6 +9,7 @@ recovered from the samples alone.
 import numpy as np
 
 from specbeta import (
+    empirical_covariance,
     estimate_confounding,
     generate_samples,
     sample_ground_truth,
@@ -21,7 +22,7 @@ def main():
     for seed in range(8):
         truth = sample_ground_truth(d=10, ell=10, rng=np.random.default_rng(seed))
         dataset = generate_samples(truth, n=10000, rng=np.random.default_rng(seed))
-        est = estimate_confounding(dataset.data)
+        est = estimate_confounding(empirical_covariance(dataset.data))
         flag = "  (boundary)" if est.boundary else ""
         print(f"{dataset.true_beta:9.3f}  {est.beta_hat:14.3f}  {est.theta_hat:9.4g}{flag}")
 
@@ -36,7 +37,7 @@ def main():
                              sigma_a=0.0, sigma_c=max(truth.sigma_c, 0.3))
     for label, t in [("purely causal", causal), ("purely confounded", confounded)]:
         ds = generate_samples(t, n=10000, rng=rng)
-        est = estimate_confounding(ds.data)
+        est = estimate_confounding(empirical_covariance(ds.data))
         print(f"{label:>18}: beta_hat = {est.beta_hat:.3f}")
 
 

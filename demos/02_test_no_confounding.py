@@ -8,7 +8,12 @@ collapse toward zero.
 
 import numpy as np
 
-from specbeta import generate_samples, sample_ground_truth, test_nonconfounding
+from specbeta import (
+    empirical_covariance,
+    generate_samples,
+    sample_ground_truth,
+    test_nonconfounding,
+)
 from specbeta.genmodel import GroundTruth
 
 
@@ -18,7 +23,7 @@ def main():
         g = np.random.default_rng(seed)
         truth = sample_ground_truth(d=10, ell=10, rng=g)
         ds = generate_samples(truth, n=10000, rng=g)
-        res = test_nonconfounding(ds.data, null_count=1000, rng=g)
+        res = test_nonconfounding(empirical_covariance(ds.data), null_count=1000, rng=g)
         print(f"{seed:4d}  {ds.true_beta:9.3f}  {res.t_observed:10.4f}  {res.p_value:.4f}")
 
     print()
@@ -29,7 +34,8 @@ def main():
         t = sample_ground_truth(10, 10, g)
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
         ds = generate_samples(t, n=10000, rng=g)
-        pvals.append(test_nonconfounding(ds.data, 1000, rng=g).p_value)
+        res = test_nonconfounding(empirical_covariance(ds.data), 1000, rng=g)
+        pvals.append(res.p_value)
     print(f"fraction below 0.05: {np.mean(np.asarray(pvals) <= 0.05):.3f} (nominal 0.05)")
 
 

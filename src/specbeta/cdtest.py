@@ -15,14 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .genmodel import as_generator
-from .spectral import (
-    CovarianceModel,
-    DataMatrix,
-    UnitDirection,
-    empirical_covariance,
-    regression_vector,
-    unit_direction,
-)
+from .spectral import CovarianceModel, UnitDirection, regression_vector, unit_direction
 
 SPHERE_MONTE_CARLO = "sphere_monte_carlo"
 MIXED_CHI2 = "mixed_chi2"
@@ -48,9 +41,8 @@ def statistic_T(direction: UnitDirection, cov: CovarianceModel) -> float:
     Zero in expectation for a uniformly random direction; positive when the
     direction overpopulates small-eigenvalue eigenspaces.
     """
-    lam = cov.eigenvalues
     w = direction.coords_in(cov)
-    return float((np.sum(w * w / lam) - np.mean(1.0 / lam)) / np.sqrt(cov.d))
+    return float((np.sum(w * w / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d))
 
 
 def null_samples_sphere(
@@ -64,8 +56,7 @@ def null_samples_sphere(
     b = g.standard_normal((count, cov.d))
     w2 = b * b
     w2 /= w2.sum(axis=1, keepdims=True)
-    inv = 1.0 / cov.eigenvalues
-    return (w2 @ inv - np.mean(inv)) / np.sqrt(cov.d)
+    return (w2 @ (1.0 / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d)
 
 
 def null_samples_mixed_chi2(
@@ -82,26 +73,23 @@ def null_samples_mixed_chi2(
     _check_count(count)
     g = as_generator(rng)
     a2 = g.standard_normal((count, cov.d)) ** 2 / cov.d
-    inv = 1.0 / cov.eigenvalues
-    return (a2 @ inv - np.mean(inv)) / np.sqrt(cov.d)
+    return (a2 @ (1.0 / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d)
 
 
 def test_nonconfounding(
-    data: DataMatrix,
+    cov: CovarianceModel,
     null_count: int = DEFAULT_NULL_COUNT,
     method: str = SPHERE_MONTE_CARLO,
     rng: int | np.random.Generator = 0,
 ) -> TestResult:
-    """One-sided Monte-Carlo test of no confounding on raw samples.
+    """One-sided Monte-Carlo test of no confounding on a fitted covariance model.
 
     Computes the regression direction, evaluates the statistic, draws
     ``null_count`` null samples with the chosen method and returns the
     add-one upper-tail p-value (1 + #{null >= observed}) / (1 + count),
     which is valid and never exactly zero.
     """
-    _check_count(null_count)
     g = as_generator(rng)
-    cov = empirical_covariance(data)
     direction = unit_direction(regression_vector(cov), cov)
     t_obs = statistic_T(direction, cov)
     if method == SPHERE_MONTE_CARLO:

@@ -19,7 +19,7 @@ class RankDeficientError(SpecbetaError):
 
 
 class ZeroSignalError(SpecbetaError):
-    """Cross-covariance (or the input vector) is exactly zero; no direction exists."""
+    """Cross-covariance (or the input vector) is zero; no direction exists."""
 
 
 class NumericOverflowError(SpecbetaError):

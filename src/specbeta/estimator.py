@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericOverflowError, SingularMatrixError, SpecbetaError
-from .spectral import CovarianceModel, DataMatrix, UnitDirection
-from .spectral import empirical_covariance, regression_vector, unit_direction
+from .errors import NumericOverflowError, SingularMatrixError
+from .spectral import CovarianceModel, UnitDirection, regression_vector, unit_direction
 
 # Scan-grid geometry for the likelihood maximization.  The grid spans
 # [GRID_LO, GRID_HI] times the median eigenvalue, which makes it covariant
@@ -177,34 +176,22 @@ def beta_from_theta(theta: float, cov: CovarianceModel) -> float:
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    tau_inv = float(np.mean(1.0 / cov.eigenvalues))
-    return tau_inv * theta / (tau_inv * theta + 1.0)
+    return cov.tau_inv * theta / (cov.tau_inv * theta + 1.0)
 
 
-def estimate_confounding(data: DataMatrix) -> BetaEstimate:
-    """Full pipeline: covariance -> regression direction -> theta -> beta.
+def estimate_confounding(cov: CovarianceModel) -> BetaEstimate:
+    """Regression direction -> theta -> beta on a fitted covariance model.
 
-    Upstream errors propagate with the failing stage recorded on the
-    exception's ``stage`` attribute.
+    Raises ZeroSignalError (no direction) or NumericOverflowError (theta).
     """
-    cov = _staged("empirical_covariance", empirical_covariance, data)
-    aprime = _staged("regression_vector", regression_vector, cov)
-    direction = _staged("unit_direction", unit_direction, aprime, cov)
-    theta_est = _staged("estimate_theta", estimate_theta, direction, cov)
+    direction = unit_direction(regression_vector(cov), cov)
+    theta_est = estimate_theta(direction, cov)
     return BetaEstimate(
         theta_hat=theta_est.theta,
         beta_hat=beta_from_theta(theta_est.theta, cov),
-        tau_inv=float(np.mean(1.0 / cov.eigenvalues)),
+        tau_inv=cov.tau_inv,
         boundary=theta_est.boundary,
     )
-
-
-def _staged(stage: str, fn, *args):
-    try:
-        return fn(*args)
-    except SpecbetaError as err:
-        err.stage = stage  # type: ignore[attr-defined]
-        raise
 
 
 def concentrated_loglik(

@@ -26,7 +26,7 @@ from .errors import (
     SpecbetaError,
     ZeroSignalError,
 )
-from .spectral import DataMatrix
+from .spectral import DataMatrix, empirical_covariance
 
 MODES = (
     "estimate",
@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("counts must be positive")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
+        if self.null_count < cdtest.MIN_NULL_COUNT:
+            raise ValueError(f"null sample count must be >= {cdtest.MIN_NULL_COUNT}")
+        if self.noise_sd is not None and self.noise_sd < 0:
+            raise ValueError("noise_sd must be nonnegative")
         if self.mode == "simulate" and self.ell < self.d:
             raise BadDimensionsError("latent dimension must be >= d when simulating")
 
@@ -236,23 +240,23 @@ def run(config: ExperimentConfig) -> Report:
 
 def run_estimate(config: ExperimentConfig) -> Report:
     """Estimate confounding strength of the CSV target named by ``config``."""
-    data = ingest_csv(config.input_path, config.target, config.normalize)
-    est = estimator.estimate_confounding(data)
+    cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
+    est = estimator.estimate_confounding(cov)
     record = {
         "beta_hat": est.beta_hat,
         "theta_hat": est.theta_hat,
         "tau_inv": est.tau_inv,
         "boundary": est.boundary,
-        "d": data.d,
-        "n": data.n,
+        "d": cov.d,
+        "n": cov.n,
     }
     return Report(config_echo(config), [record], {"beta_hat": est.beta_hat})
 
 
 def run_test(config: ExperimentConfig) -> Report:
     """Test the no-confounding null on the CSV target named by ``config``."""
-    data = ingest_csv(config.input_path, config.target, config.normalize)
-    res = cdtest.test_nonconfounding(data, config.null_count, config.method, config.seed)
+    cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
+    res = cdtest.test_nonconfounding(cov, config.null_count, config.method, config.seed)
     record = {
         "t_observed": res.t_observed,
         "p_value": res.p_value,
@@ -310,7 +314,7 @@ def run_simulation_study(config: ExperimentConfig) -> Report:
             ds = genmodel.generate_samples(
                 truth, config.n, noise_sd=config.noise_sd or 0.0, rng=rng
             )
-            est = estimator.estimate_confounding(ds.data)
+            est = estimator.estimate_confounding(empirical_covariance(ds.data))
             record.update(
                 true_beta=ds.true_beta,
                 beta_hat=est.beta_hat,
@@ -341,7 +345,7 @@ def run_rejection_study(config: ExperimentConfig) -> Report:
                 truth, config.n, noise_sd=config.noise_sd or 0.0, rng=rng
             )
             res = cdtest.test_nonconfounding(
-                ds.data, config.null_count, config.method, rng
+                empirical_covariance(ds.data), config.null_count, config.method, rng
             )
             record.update(
                 true_beta=ds.true_beta, t_observed=res.t_observed, p_value=res.p_value
@@ -393,7 +397,7 @@ def run_overfit_study(config: ExperimentConfig) -> Report:
             with study.run(n=n, run=i) as (record, rng):
                 ds = genmodel.causal_dataset(config.d, n, noise_sd=noise_sd, rng=rng)
                 res = cdtest.test_nonconfounding(
-                    ds.data, config.null_count, config.method, rng
+                    empirical_covariance(ds.data), config.null_count, config.method, rng
                 )
                 record["p_value"] = res.p_value
     ok = study.ok()
@@ -445,14 +449,14 @@ def shuffle_target_analysis(
         x = np.delete(matrix, j, axis=1)
         record: dict = {"column": j, "name": names[j]}
         try:
-            data = DataMatrix(x=x, y=y)
-            est = estimator.estimate_confounding(data)
+            cov = empirical_covariance(DataMatrix(x=x, y=y))
+            est = estimator.estimate_confounding(cov)
             record.update(
                 beta_hat=est.beta_hat,
                 theta_hat=est.theta_hat,
                 boundary=est.boundary,
             )
-            res = cdtest.test_nonconfounding(data, config.null_count, config.method, rng)
+            res = cdtest.test_nonconfounding(cov, config.null_count, config.method, rng)
             record.update(t_observed=res.t_observed, p_value=res.p_value)
         except ZeroSignalError:
             record["zero_signal"] = True

@@ -22,6 +22,7 @@ from .errors import (
 # rank deficient.  Below this the inverse-covariance terms of the likelihood
 # are numerically meaningless.
 RANK_EPS = 1e-10
+ZERO_SIGNAL_EPS = 1e-12  # relative cross-covariance norm of a signal-free target
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,15 @@ class DataMatrix:
 class CovarianceModel:
     """Predictor covariance, cross-covariance and the spectral decomposition.
 
-    Eigenvalues are sorted descending and paired with the eigenvector
-    columns.  ``n`` records the sample count the covariances were computed
-    from (0 for analytically given models).
+    Eigenvalues are sorted descending, paired with the eigenvector columns;
+    ``tau_inv`` = mean(1/eigenvalues); ``n`` = sample count (0 if analytic).
     """
 
     sigma_xx: NDArray[np.float64]
     sigma_xy: NDArray[np.float64]
     eigenvalues: NDArray[np.float64]
     eigenvectors: NDArray[np.float64]
+    tau_inv: float
     d: int
     n: int = 0
 
@@ -127,6 +128,7 @@ class CovarianceModel:
             sigma_xy=sxy,
             eigenvalues=lam,
             eigenvectors=vec,
+            tau_inv=float(np.mean(1.0 / lam)),
             d=d,
             n=n,
         )
@@ -155,6 +157,9 @@ class UnitDirection:
 def empirical_covariance(data: DataMatrix) -> CovarianceModel:
     """Column-mean-centered empirical covariances, normalized by 1/n.
 
+    A cross-covariance of norm <= ZERO_SIGNAL_EPS * sd(y) * sqrt(tr sigma_xx)
+    is stored as exact zeros: the target is constant up to rounding.
+
     Raises
     ------
     TooFewSamplesError
@@ -169,6 +174,9 @@ def empirical_covariance(data: DataMatrix) -> CovarianceModel:
     yc = data.y - data.y.mean()
     sigma_xx = (xc.T @ xc) / n
     sigma_xy = (xc.T @ yc) / n
+    scale = np.sqrt(yc @ yc / n * np.trace(sigma_xx))
+    if np.linalg.norm(sigma_xy) <= ZERO_SIGNAL_EPS * scale:
+        sigma_xy = np.zeros(d)
     return CovarianceModel.from_matrices(sigma_xx, sigma_xy, n=n)
 
 
@@ -183,7 +191,7 @@ def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
         If the cross-covariance is exactly zero.
     """
     if np.linalg.norm(cov.sigma_xy) == 0.0:
-        raise ZeroSignalError("sigma_xy is exactly zero; no regression direction exists")
+        raise ZeroSignalError("sigma_xy is zero; the target carries no signal")
     w = cov.eigenvectors.T @ cov.sigma_xy
     return cov.eigenvectors @ (w / cov.eigenvalues)
 

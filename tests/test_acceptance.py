@@ -192,7 +192,8 @@ def test_c06_overfit_pvalues_small_n_and_uniform_large_n():
     for i in range(500):
         g = run_rng(0, 20, i)
         ds = overfit_dataset(10, 20, rng=g)
-        independent.append(run_nonconfounding_test(ds.data, 1000, rng=g).p_value)
+        res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=g)
+        independent.append(res.p_value)
     assert np.mean(np.asarray(independent) <= cfg.alpha) > 0.5
 
 
@@ -207,7 +208,8 @@ def test_c07_test_level_calibration():
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
         ds = generate_samples(t, 10000, rng=g)
         try:
-            pvals.append(run_nonconfounding_test(ds.data, 1000, rng=g).p_value)
+            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=g)
+            pvals.append(res.p_value)
         except RankDeficientError:
             # a nearly singular random mixing matrix does not yield a
             # usable dataset; draw a replacement
@@ -223,12 +225,16 @@ def test_c08_invariance_under_scaling_and_rotation():
         g = np.random.default_rng(seed)
         t = sample_ground_truth(5, 5, g)
         ds = generate_samples(t, 800, rng=g)
-        base = estimate_confounding(ds.data).beta_hat
+        base = estimate_confounding(empirical_covariance(ds.data)).beta_hat
         c = float(g.uniform(0.1, 10.0))
         q, r = np.linalg.qr(g.standard_normal((5, 5)))
         u = q * np.sign(np.diag(r))
-        scaled = estimate_confounding(DataMatrix(x=c * ds.data.x, y=ds.data.y)).beta_hat
-        rotated = estimate_confounding(DataMatrix(x=ds.data.x @ u.T, y=ds.data.y)).beta_hat
+        scaled = estimate_confounding(
+            empirical_covariance(DataMatrix(x=c * ds.data.x, y=ds.data.y))
+        ).beta_hat
+        rotated = estimate_confounding(
+            empirical_covariance(DataMatrix(x=ds.data.x @ u.T, y=ds.data.y))
+        ).beta_hat
         assert abs(scaled - base) <= 1e-6
         assert abs(rotated - base) <= 1e-6
 
@@ -293,15 +299,15 @@ def test_c11_real_data_checks():
         data = ingest_csv(optical_conf, target_column=-1 + len(
             open(optical_conf).readline().split(",")
         ))
-        assert 0.70 <= estimate_confounding(data).beta_hat <= 0.85
+        assert 0.70 <= estimate_confounding(empirical_covariance(data)).beta_hat <= 0.85
     if optical_unconf.exists():
         data = ingest_csv(optical_unconf, target_column=-1 + len(
             open(optical_unconf).readline().split(",")
         ))
-        assert estimate_confounding(data).beta_hat <= 0.05
+        assert estimate_confounding(empirical_covariance(data)).beta_hat <= 0.05
     if wine.exists():
         data = ingest_csv(wine, "quality", normalize=True)
-        assert estimate_confounding(data).beta_hat <= 0.05
+        assert estimate_confounding(empirical_covariance(data)).beta_hat <= 0.05
         names = list(data.column_names)
         keep = [j for j, nm in enumerate(names) if nm != "alcohol"]
         reduced = DataMatrix(
@@ -309,4 +315,4 @@ def test_c11_real_data_checks():
             y=data.y,
             column_names=tuple(names[j] for j in keep),
         )
-        assert 0.5 <= estimate_confounding(reduced).beta_hat <= 0.75
+        assert 0.5 <= estimate_confounding(empirical_covariance(reduced)).beta_hat <= 0.75

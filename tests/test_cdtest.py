@@ -11,6 +11,7 @@ from specbeta import (
     DataMatrix,
     UnitDirection,
     ZeroSignalError,
+    empirical_covariance,
     generate_samples,
     null_samples_mixed_chi2,
     null_samples_sphere,
@@ -116,8 +117,8 @@ class TestNonconfoundingTest:
     def test_deterministic(self):
         t = sample_ground_truth(5, 5, 3)
         ds = generate_samples(t, 2000, rng=3)
-        r1 = run_nonconfounding_test(ds.data, 1000, rng=42)
-        r2 = run_nonconfounding_test(ds.data, 1000, rng=42)
+        r1 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=42)
+        r2 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=42)
         assert r1.t_observed == r2.t_observed
         assert r1.p_value == r2.p_value
         np.testing.assert_array_equal(r1.null_samples, r2.null_samples)
@@ -125,7 +126,7 @@ class TestNonconfoundingTest:
     def test_p_value_formula_and_range(self):
         t = sample_ground_truth(6, 6, 1)
         ds = generate_samples(t, 3000, rng=1)
-        res = run_nonconfounding_test(ds.data, 500, rng=0)
+        res = run_nonconfounding_test(empirical_covariance(ds.data), 500, rng=0)
         recomputed = (1 + int(np.sum(res.null_samples >= res.t_observed))) / 501
         assert res.p_value == recomputed
         assert 0.0 < res.p_value <= 1.0
@@ -137,14 +138,17 @@ class TestNonconfoundingTest:
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c, sigma_a=0.0, sigma_c=max(t.sigma_c, 0.2))
             ds = generate_samples(t, 10000, rng=g)
-            rejections += run_nonconfounding_test(ds.data, 1000, rng=g).p_value < 0.05
+            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=g)
+            rejections += res.p_value < 0.05
         # observed rate is about 0.75 over these seeds; a clear majority
         assert rejections >= 130
 
     def test_mixed_chi2_method_runs(self):
         t = sample_ground_truth(10, 10, 2)
         ds = generate_samples(t, 2000, rng=2)
-        res = run_nonconfounding_test(ds.data, 200, method="mixed_chi2", rng=1)
+        res = run_nonconfounding_test(
+            empirical_covariance(ds.data), 200, method="mixed_chi2", rng=1
+        )
         assert res.method == "mixed_chi2"
         assert res.null_count == 200
 
@@ -152,7 +156,7 @@ class TestNonconfoundingTest:
         t = sample_ground_truth(3, 3, 0)
         ds = generate_samples(t, 500, rng=0)
         with pytest.raises(ValueError):
-            run_nonconfounding_test(ds.data, 200, method="bootstrap", rng=0)
+            run_nonconfounding_test(empirical_covariance(ds.data), 200, method="bootstrap", rng=0)
 
     def test_zero_signal_propagates(self):
         x = np.array(
@@ -160,4 +164,10 @@ class TestNonconfoundingTest:
         )
         y = np.array([1.0, -1.0, -1.0, 1.0])
         with pytest.raises(ZeroSignalError):
-            run_nonconfounding_test(DataMatrix(x=x, y=y), 200, rng=0)
+            run_nonconfounding_test(empirical_covariance(DataMatrix(x=x, y=y)), 200, rng=0)
+
+    @pytest.mark.parametrize("value", [0.1, 1e5 / 3])
+    def test_constant_target_is_zero_signal(self, rng, value):
+        data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
+        with pytest.raises(ZeroSignalError):
+            run_nonconfounding_test(empirical_covariance(data), 200, rng=0)

@@ -111,6 +111,10 @@ class TestUsageErrors:
             ["simulate", "--alpha", "2"],
             ["simulate", "--runs", "0"],
             ["simulate", "--dim", "5", "--latent", "3"],
+            ["simulate", "--noise-sd", "-1"],
+            ["rejections", "--null-samples", "50"],
+            ["shuffle-target", "--input", "data.csv", "--null-samples", "50"],
+            ["test", "--input", "data.csv", "--target", "y", "--null-samples", "50"],
         ],
     )
     def test_invalid_flag_values(self, capsys, argv):

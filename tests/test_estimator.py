@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from specbeta import (
     DataMatrix,
     NumericOverflowError,
-    RankDeficientError,
     SingularMatrixError,
     UnitDirection,
+    ZeroSignalError,
     beta_from_theta,
     concentrated_loglik,
     concentration_bound,
@@ -239,7 +239,7 @@ class TestEstimateConfounding:
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
             ds = generate_samples(t, 10000, rng=g)
-            hits += estimate_confounding(ds.data).beta_hat < 0.2
+            hits += estimate_confounding(empirical_covariance(ds.data)).beta_hat < 0.2
         assert hits >= 80
 
     def test_purely_confounded_estimates_high(self):
@@ -251,24 +251,23 @@ class TestEstimateConfounding:
             if not np.any(t.c):
                 continue
             ds = generate_samples(t, 10000, rng=g)
-            hits += estimate_confounding(ds.data).beta_hat > 0.75
+            hits += estimate_confounding(empirical_covariance(ds.data)).beta_hat > 0.75
         assert hits >= 80
 
     def test_beta_theta_identity_as_stored(self, rng):
         t = sample_ground_truth(5, 5, 2)
         ds = generate_samples(t, 2000, rng=2)
-        est = estimate_confounding(ds.data)
+        est = estimate_confounding(empirical_covariance(ds.data))
         assert est.beta_hat == est.tau_inv * est.theta_hat / (
             est.tau_inv * est.theta_hat + 1.0
         )
         assert 0.0 <= est.beta_hat <= 1.0
 
-    def test_failing_stage_is_identified(self, rng):
-        col = rng.standard_normal((50, 1))
-        data = DataMatrix(x=np.hstack([col, col]), y=rng.standard_normal(50))
-        with pytest.raises(RankDeficientError) as exc:
-            estimate_confounding(data)
-        assert exc.value.stage == "empirical_covariance"
+    @pytest.mark.parametrize("value", [0.1, 1e5 / 3])
+    def test_constant_target_is_zero_signal(self, rng, value):
+        data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
+        with pytest.raises(ZeroSignalError):
+            estimate_confounding(empirical_covariance(data))
 
 
 class TestConcentration:
@@ -342,14 +341,14 @@ class TestInvariance:
             g = np.random.default_rng(seed)
             t = sample_ground_truth(5, 5, g)
             ds = generate_samples(t, 1500, rng=g)
-            base = estimate_confounding(ds.data).beta_hat
+            base = estimate_confounding(empirical_covariance(ds.data)).beta_hat
             c = float(g.uniform(0.1, 10.0))
             scaled = estimate_confounding(
-                DataMatrix(x=c * ds.data.x, y=ds.data.y)
+                empirical_covariance(DataMatrix(x=c * ds.data.x, y=ds.data.y))
             ).beta_hat
             u = random_orthogonal(5, g)
             rotated = estimate_confounding(
-                DataMatrix(x=ds.data.x @ u.T, y=ds.data.y)
+                empirical_covariance(DataMatrix(x=ds.data.x @ u.T, y=ds.data.y))
             ).beta_hat
             assert abs(scaled - base) <= 1e-6
             assert abs(rotated - base) <= 1e-6

@@ -240,6 +240,13 @@ class TestShuffleTarget:
         rep = shuffle_target_analysis(x, cfg)
         assert all(rec.get("zero_signal") for rec in rep.records)
 
+    def test_constant_column_flagged_as_zero_signal(self):
+        g = np.random.default_rng(4)
+        matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
+        cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
+        rep = shuffle_target_analysis(matrix, cfg)
+        assert rep.records[3] == {"column": 3, "name": "col3", "zero_signal": True}
+
 
 class TestEmitReport:
     def _report(self):

@@ -75,6 +75,26 @@ class TestEmpiricalCovariance:
         data = DataMatrix(x=rng.standard_normal((40, 3)), y=rng.standard_normal(40))
         assert empirical_covariance(data).n == 40
 
+    @pytest.mark.parametrize("value", [0.1, 1e5 / 3, -7.3e-8])
+    def test_constant_target_has_exactly_zero_cross_covariance(self, rng, value):
+        x = rng.standard_normal((300, 4)) * np.array([1.0, 30.0, 0.03, 5.0])
+        cov = empirical_covariance(DataMatrix(x=x, y=np.full(300, value)))
+        assert np.all(cov.sigma_xy == 0.0)
+        with pytest.raises(ZeroSignalError):
+            regression_vector(cov)
+
+    @pytest.mark.parametrize("n", [20, 10000])
+    def test_weak_or_offset_signal_is_kept(self, rng, n):
+        x = rng.standard_normal((n, 3))
+        for y in (rng.standard_normal(n), 1e6 + 1e-3 * rng.standard_normal(n)):
+            assert np.all(empirical_covariance(DataMatrix(x=x, y=y)).sigma_xy != 0.0)
+
+    def test_tau_inv_is_mean_inverse_eigenvalue(self, rng):
+        cov = empirical_covariance(
+            DataMatrix(x=rng.standard_normal((200, 5)), y=rng.standard_normal(200))
+        )
+        assert cov.tau_inv == float(np.mean(1.0 / cov.eigenvalues))
+
 
 class TestCovarianceModel:
     def test_eigen_reconstruction(self, rng):

@@ -16,6 +16,7 @@ from .errors import (
     DataError,
     SpecbetaError,
     TooFewSamplesError,
+    ZeroSignalError,
 )
 
 EXIT_OK = 0
@@ -113,7 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     config = _parse_config(argv)
     try:
         harness.emit_report(harness.run(config), config.output_path, config.fmt)
-    except (DataError, TooFewSamplesError, ValueError, FileNotFoundError) as err:
+    except (
+        DataError, TooFewSamplesError, ZeroSignalError, ValueError, FileNotFoundError
+    ) as err:
         print(f"specbeta: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (SpecbetaError, RuntimeError) as err:

@@ -25,15 +25,15 @@ from numpy.typing import NDArray
 from .errors import NumericOverflowError, SingularMatrixError
 from .spectral import CovarianceModel, UnitDirection, regression_vector, unit_direction
 
-# Scan-grid geometry for the likelihood maximization.  The grid spans
-# [GRID_LO, GRID_HI] times the median eigenvalue, which makes it covariant
-# under global rescaling of the predictors.
+# Likelihood maximization.  The scan grid spans [GRID_LO, GRID_HI] times the
+# median eigenvalue, which makes it covariant under global rescaling of the
+# predictors; bisection on the sign of the slope then narrows the bracket
+# around the best grid point to a width of BISECT_REL_TOL relative to its
+# upper end.
 GRID_LO = 1e-6
 GRID_HI = 1e6
 GRID_POINTS = 200
-GOLDEN_REL_TOL = 1e-6
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+BISECT_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -116,53 +116,50 @@ def direction_density(
     return 1.0 / (det * float(np.linalg.norm(inv_v)) ** d)
 
 
-def _golden_section_max(f, lo: float, hi: float):
-    """Golden-section search for the maximum of a unimodal f on [lo, hi].
+def _rising(theta: float, w2: NDArray[np.float64], lam: NDArray[np.float64]) -> bool:
+    """Whether the log-likelihood has a positive slope at ``theta``.
 
-    Returns (x, f(x)), the best point evaluated: each step drops only a
-    point no better than one it keeps, so the best is one of the last two.
-    Ties prefer the smaller abscissa.
+    With r_j = 1 + theta/lambda_j and q_j = w_j^2 / r_j the slope is
+    1/2 [ d sum_j q_j/(lambda_j r_j) / sum_j q_j - sum_j 1/(lambda_j r_j) ];
+    at theta = 0 it is 1/2 d^{3/2} T, so this is the sign of ``statistic_T``.
     """
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = f(c)
-    fd = f(d)
-    while (hi - lo) > GOLDEN_REL_TOL * max(abs(hi), 1e-300):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+    q = w2 / (1.0 + theta / lam)
+    inv = 1.0 / (lam + theta)  # 1 / (lambda_j r_j)
+    return bool(lam.size * np.dot(q, inv) > np.sum(inv) * np.sum(q))
 
 
 def estimate_theta(direction: UnitDirection, cov: CovarianceModel) -> ThetaEstimate:
     """Maximize the direction log-likelihood over theta >= 0.
 
-    Coarse scan over {0} union a logarithmic grid spanning
-    [1e-6, 1e6] x median(lambda), scored in one call, then golden-section
-    refinement on the bracketing interval.  The answer is the better of the
-    best grid point and the golden result, ties toward smaller theta, so
-    theta = 0 is always a candidate.  ``boundary`` is set when the maximum
-    sits at the upper end of the scan range.
+    Scores {0} union a logarithmic grid spanning [1e-6, 1e6] x median(lambda)
+    in one call, then bisects the bracket around the best grid point on the
+    sign of the closed-form slope.  Where the slope does not rise at the
+    lower end, or still rises at the upper end, that end is the refined
+    point, so a likelihood that falls from theta = 0 gives exactly 0.  The
+    answer is the better of the best grid point and the refined point, ties
+    toward smaller theta.  ``boundary`` is set when the maximum sits at the
+    upper end of the scan range.
     """
-    lam_med = float(np.median(cov.eigenvalues))
+    lam = cov.eigenvalues
+    lam_med = float(np.median(lam))
     grid = np.concatenate(
         [[0.0], np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, GRID_POINTS)]
     )
     vals = log_direction_density(grid, direction, cov)
     best = int(np.argmax(vals))  # first index on ties -> smaller theta
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    w2 = direction.coords_in(cov) ** 2
+    if not _rising(lo, w2, lam):
+        hi = lo
+    elif _rising(hi, w2, lam):
+        lo = hi
+    while hi - lo > BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _rising(mid, w2, lam) else (lo, mid)
+    refined = 0.5 * (lo + hi)
     candidates = [(grid[best], vals[best])]
-    lo = grid[best - 1] if best > 0 else 0.0
-    hi = grid[best + 1] if best < len(grid) - 1 else grid[-1]
-    if hi > lo:
-        refined = _golden_section_max(
-            lambda theta: log_direction_density(theta, direction, cov), lo, hi
-        )
-        candidates.append(refined)
+    candidates.append((refined, log_direction_density(refined, direction, cov)))
     theta_hat, loglik = min(candidates, key=lambda p: (-p[1], p[0]))
     boundary = bool(theta_hat >= grid[-1] * (1.0 - 1e-9))
     return ThetaEstimate(theta=float(theta_hat), loglik=float(loglik), boundary=boundary)

@@ -63,6 +63,16 @@ class TestEstimate:
         code, _, _ = run(capsys, ["estimate", "--input", str(p), "--target", "y"])
         assert code == 2
 
+    def test_constant_target_is_data_error(self, capsys, tmp_path):
+        # a target without signal is a property of the data, not a numeric failure
+        x = np.random.default_rng(2).standard_normal((300, 3))
+        rows = ["a,b,c,y"] + [",".join(f"{float(v)!r}" for v in row) + ",0.1" for row in x]
+        p = tmp_path / "flat.csv"
+        p.write_text("\n".join(rows) + "\n")
+        code, _, err = run(capsys, ["estimate", "--input", str(p), "--target", "y"])
+        assert code == 2
+        assert "data error" in err
+
     def test_rank_deficiency_is_numeric_failure(self, capsys, tmp_path):
         g = np.random.default_rng(1)
         col = g.standard_normal(50)

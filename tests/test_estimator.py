@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from specbeta import (
     DataMatrix,
+    ExperimentConfig,
     NumericOverflowError,
     SingularMatrixError,
     UnitDirection,
@@ -22,6 +23,7 @@ from specbeta import (
     estimate_theta,
     generate_samples,
     log_direction_density,
+    run_simulation_study,
     sample_ground_truth,
     unit_direction,
 )
@@ -166,7 +168,7 @@ class TestEstimateTheta:
         log_theta=st.one_of(st.none(), st.floats(-4.0, 4.0)),
     )
     def test_matches_dense_grid_maximum(self, d, seed, log_theta):
-        # the coarse scan plus golden refinement reaches the maximum of a
+        # the coarse scan plus bisection on the slope reaches the maximum of a
         # 20,001-point grid on the same range; directions are uniform
         # (log_theta None) or drawn from the theta' = 10**log_theta law
         g = np.random.default_rng(seed)
@@ -180,6 +182,26 @@ class TestEstimateTheta:
         est = estimate_theta(v, cov)
         dense_max = float(log_direction_density(scan_grid(cov, 20_001), v, cov).max())
         assert est.loglik >= dense_max - 1e-9 * (1.0 + abs(dense_max))
+
+    @pytest.mark.parametrize(
+        "lam, w2",
+        [
+            ([1e-3, 0.1, 1e3], [0.4, 0.6, 0.003]),  # higher mode at the larger theta
+            ([1e3, 10.0, 0.01], [0.01, 0.5, 0.5]),  # higher mode at the smaller theta
+        ],
+    )
+    def test_two_modes_lands_on_the_higher(self, lam, w2):
+        cov = cov_from_spectrum(lam)
+        v = unit_direction(np.sqrt(w2), cov)
+        grid = scan_grid(cov, 20_001)
+        f = log_direction_density(grid, v, cov)
+        peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] > f[2:])) + 1
+        assert len(peaks) == 2  # two interior local maxima on the dense grid
+        top = peaks[np.argmax(f[peaks])]
+        est = estimate_theta(v, cov)
+        assert est.loglik == log_direction_density(est.theta, v, cov)
+        assert est.loglik >= f[top] - 1e-9 * (1.0 + abs(f[top]))
+        assert grid[top - 1] <= est.theta <= grid[top + 1]
 
     @settings(max_examples=25, deadline=None)
     @given(angle=st.floats(0.0, 2 * math.pi, allow_nan=False))
@@ -268,6 +290,14 @@ class TestEstimateConfounding:
         data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
         with pytest.raises(ZeroSignalError):
             estimate_confounding(empirical_covariance(data))
+
+    def test_no_confounding_answer_is_exact_zero(self):
+        # where the likelihood falls from theta = 0 the estimate is exactly 0,
+        # not a rounding-level maximizer; runs 1 and 9 here are such cases
+        cfg = ExperimentConfig(mode="simulate", d=10, latent=12, n=10000, runs=12, seed=0)
+        thetas = [r["theta_hat"] for r in run_simulation_study(cfg).records]
+        assert all(t == 0.0 or t > 1e-12 for t in thetas)
+        assert thetas[1] == 0.0 and thetas[9] == 0.0
 
 
 class TestConcentration:

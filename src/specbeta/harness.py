@@ -8,6 +8,7 @@ a whole report is byte-identical across repeats.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -26,7 +27,7 @@ from .errors import (
     SpecbetaError,
     ZeroSignalError,
 )
-from .spectral import DataMatrix, empirical_covariance
+from .spectral import DataMatrix, covariance_from_moments, empirical_covariance
 
 MODES = (
     "estimate",
@@ -137,18 +138,55 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        # (line in the file, cells); blank lines are skipped but still counted
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    # (line in the file, cells); blank lines are skipped but still counted
+    rows = ((reader.line_num, row) for row in reader if row)
+    first = next(rows, None)
+    if first is None:
         raise ParseError(f"{path}: empty file")
-    ncols = len(rows[0][1])
-    header: list[str] | None = None
-    if not all(_is_number(cell) for cell in rows[0][1]):
-        header = [cell.strip() for cell in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: header but no data rows")
+    ncols = len(first[1])
+    if all(_is_number(cell) for cell in first[1]):
+        names = [f"col{j}" for j in range(ncols)]
+        rows = itertools.chain([first], rows)
+        data = _loadtxt_rows(lines, ncols)
+    else:
+        names = [cell.strip() for cell in first[1]]
+        data = _loadtxt_rows(lines[reader.line_num:], ncols)
+    if data is None:
+        data = _convert_rows(path, list(rows), ncols)
+    return data, names
+
+
+# ASCII separators that loadtxt strips as whitespace but float() rejects.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_rows(lines: list[str], ncols: int) -> NDArray[np.float64] | None:
+    """The data lines parsed in C by np.loadtxt, or None to leave them to _convert_rows.
+
+    The array is kept only where it must equal _convert_rows' result: one
+    row of ``ncols`` cells per non-blank line.  Quoted cells, ``#``, ``1_0``
+    and malformed rows make loadtxt raise, so the row loop gives their data
+    or the error it reports.
+    """
+    lines = [line for line in lines if line.strip("\r\n")]
+    text = "".join(lines)
+    if not lines or any(c in text for c in _LOADTXT_ONLY_SPACE):
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(lines), ncols) else None
+
+
+def _convert_rows(
+    path: Path, rows: list[tuple[int, list[str]]], ncols: int
+) -> NDArray[np.float64]:
+    """Convert (line, cells) rows cell by cell, reporting the first bad one."""
+    if not rows:
+        raise ParseError(f"{path}: header but no data rows")
     data = np.empty((len(rows), ncols), dtype=np.float64)
     for i, (line, row) in enumerate(rows):
         if len(row) != ncols:
@@ -163,8 +201,7 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
                     f"{path}: non-numeric cell {cell!r} at row {line}, "
                     f"column {j + 1}"
                 ) from None
-    names = header if header is not None else [f"col{j}" for j in range(ncols)]
-    return data, names
+    return data
 
 
 def ingest_csv(
@@ -436,20 +473,27 @@ def shuffle_target_analysis(
     as a ``zero_signal`` flag rather than a number.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    ncols = matrix.shape[1]
+    n, ncols = matrix.shape
     if ncols < 3:
         raise BadDimensionsError("shuffle-target needs at least 3 columns")
     names = column_names or [f"col{j}" for j in range(ncols)]
     if config.normalize:
         matrix = normalize_columns(matrix, names)
+    # DataMatrix's checks (n >= 2, finite cells) hold for every column once they
+    # hold for one split, so they run once, before any column.
+    DataMatrix(x=matrix[:, 1:], y=matrix[:, 0])
+    # Each column's (sigma_xx, sigma_xy, sigma_yy) is a block of one covariance.
+    centered = matrix - matrix.mean(axis=0)
+    joint = (centered.T @ centered) / n
     records: list[dict] = []
     for j in range(ncols):
         rng = run_rng(config.seed, j)
-        y = matrix[:, j]
-        x = np.delete(matrix, j, axis=1)
+        rest = np.delete(np.arange(ncols), j)
         record: dict = {"column": j, "name": names[j]}
         try:
-            cov = empirical_covariance(DataMatrix(x=x, y=y))
+            cov = covariance_from_moments(
+                joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n
+            )
             est = estimator.estimate_confounding(cov)
             record.update(
                 beta_hat=est.beta_hat,

@@ -157,8 +157,7 @@ class UnitDirection:
 def empirical_covariance(data: DataMatrix) -> CovarianceModel:
     """Column-mean-centered empirical covariances, normalized by 1/n.
 
-    A cross-covariance of norm <= ZERO_SIGNAL_EPS * sd(y) * sqrt(tr sigma_xx)
-    is stored as exact zeros: the target is constant up to rounding.
+    The model, and its zero-signal rule, come from covariance_from_moments.
 
     Raises
     ------
@@ -167,14 +166,34 @@ def empirical_covariance(data: DataMatrix) -> CovarianceModel:
     RankDeficientError
         If the empirical covariance is numerically singular.
     """
-    n, d = data.n, data.d
-    if n <= d:
-        raise TooFewSamplesError(f"need n > d, got n={n}, d={d}")
     xc = data.x - data.x.mean(axis=0)
     yc = data.y - data.y.mean()
-    sigma_xx = (xc.T @ xc) / n
-    sigma_xy = (xc.T @ yc) / n
-    scale = np.sqrt(yc @ yc / n * np.trace(sigma_xx))
+    n = data.n
+    return covariance_from_moments((xc.T @ xc) / n, (xc.T @ yc) / n, yc @ yc / n, n)
+
+
+def covariance_from_moments(
+    sigma_xx: NDArray[np.float64],
+    sigma_xy: NDArray[np.float64],
+    sigma_yy: float,
+    n: int,
+) -> CovarianceModel:
+    """Model from the centered second moments of n samples, normalized by 1/n.
+
+    A cross-covariance of norm <= ZERO_SIGNAL_EPS * sqrt(sigma_yy * tr sigma_xx)
+    is stored as exact zeros: the target is constant up to rounding.
+
+    Raises
+    ------
+    TooFewSamplesError
+        If n <= d.
+    RankDeficientError
+        If the covariance is numerically singular.
+    """
+    d = sigma_xy.shape[0]
+    if n <= d:
+        raise TooFewSamplesError(f"need n > d, got n={n}, d={d}")
+    scale = np.sqrt(sigma_yy * np.trace(sigma_xx))
     if np.linalg.norm(sigma_xy) <= ZERO_SIGNAL_EPS * scale:
         sigma_xy = np.zeros(d)
     return CovarianceModel.from_matrices(sigma_xx, sigma_xy, n=n)

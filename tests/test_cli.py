@@ -252,3 +252,29 @@ class TestShuffleTarget:
         assert len(payload["records"]) == 5
         # the last column is an exact linear function of the others
         assert payload["records"][4]["beta_hat"] <= 0.05
+
+    def test_non_finite_cell_is_data_error(self, capsys, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("a,b,c\n1,2,3\n4,nan,6\n7,8,10\n2,1,0\n")
+        code, out, err = run(capsys, ["shuffle-target", "--input", str(p)])
+        assert code == 2
+        assert out == ""
+        assert "non-finite entries in data" in err
+
+    def test_single_row_is_data_error(self, capsys, tmp_path):
+        p = tmp_path / "one.csv"
+        p.write_text("a,b,c,d\n1,2,3,4\n")
+        code, _, err = run(capsys, ["shuffle-target", "--input", str(p)])
+        assert code == 2
+        assert "need n >= 2 and d >= 1, got n=1, d=3" in err
+
+    def test_too_few_rows_leaves_one_error_per_column(self, capsys, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("a,b,c,d\n1,2,3,4\n2,7,1,8\n3,1,4,1\n")
+        code, out, _ = run(capsys, ["shuffle-target", "--input", str(p)])
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert records == [
+            {"column": j, "name": name, "error": "need n > d, got n=3, d=3"}
+            for j, name in enumerate("abcd")
+        ]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from specbeta import (
     run_simulation_study,
     shuffle_target_analysis,
 )
-from specbeta import genmodel
+from specbeta import DataMatrix, empirical_covariance, genmodel, harness
 from specbeta.harness import run_rng, stable_json
+from specbeta.spectral import covariance_from_moments
 
 
 def write_csv(path, text):
@@ -77,6 +79,100 @@ class TestReadNumericCsv:
         p = write_csv(tmp_path / "f.csv", "\na,b\n1,2\n\n3\n")
         with pytest.raises(ParseError, match="row 5 has 1 cells"):
             read_numeric_csv(p)
+
+
+def read_both_ways(path, monkeypatch):
+    """read_numeric_csv's outcome with the loadtxt path, then with the row loop alone."""
+    outcomes = []
+    for fast in (True, False):
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not fast:
+                m.setattr(harness, "_loadtxt_rows", lambda lines, ncols: None)
+            try:
+                data, names = read_numeric_csv(path)
+            except Exception as err:  # noqa: BLE001 - compared as (type, message)
+                outcomes.append((type(err), str(err)))
+            else:
+                outcomes.append((data.dtype, data.shape, data.tobytes(), names))
+    return outcomes
+
+
+CSV_EDGE_CASES = {
+    "quoted cells": 'a,"b"\n"1",2\n3,"4.5"\n',
+    "quoted comma in header": '"a,b",c\n1,2\n',
+    "hash row": "a,b\n1,2\n#3,4\n",
+    "hash header": "#a,b\n1,2\n",
+    "underscore digits": "a,b\n1_0,2\n3,4\n",
+    "trailing comma": "a,b\n1,2,\n3,4,\n",
+    "utf-8 bom header": "\ufeffa,b\n1,2\n",
+    "utf-8 bom headerless": "\ufeff1,2\n3,4\n",
+    "blank line before header": "\n\na,b\n1,2\n3,4\n",
+    "whitespace-only line": "a,b\n1,2\n   \n3,4\n",
+    "whitespace-only lines only": "a,b\n \n\t\n",
+    "crlf": "a,b\r\n1,2\r\n\r\n3,4\r\n",
+    "lone cr": "a,b\r1,2\r3,4\r",
+    "single data row": "a,b,c\n1,2,3\n",
+    "single column": "y\n1\n2\n3\n",
+    "single cell": "7\n",
+    "header only": "a,b\n",
+    "header then blank lines": "a,b\n\n\n",
+    "header wider than rows": "a,b,c\n1,2\n3,4\n",
+    "header narrower than rows": "a,b\n1,2,3\n",
+    "padded cells": "a,b\n 1 ,\t2\n3 , 4\n",
+    "special floats": "a,b\nnan,-inf\nInfinity,-0\n1e308,4.9e-324\n",
+    "empty cell": "a,b\n1,\n",
+    "no final newline": "a,b\n1,2\n3,4",
+    "text cell": "a,b\n1,2\n3,x\n",
+    "ascii separators": "a,b\n1\x1c,2\n",
+    "unicode digit": "a,b\n\u0661,2\n",
+}
+
+
+class TestReadNumericCsvPaths:
+    """The loadtxt path gives the row loop's array and names, or its exact error."""
+
+    @pytest.mark.parametrize("text", CSV_EDGE_CASES.values(), ids=CSV_EDGE_CASES.keys())
+    def test_edge_cases_match_row_loop(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "f.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        fast, slow = read_both_ways(p, monkeypatch)
+        assert fast == slow
+
+    def test_plain_file_takes_loadtxt_path(self, tmp_path, monkeypatch):
+        table = np.random.default_rng(0).standard_normal((30, 4))
+        body = "\n".join(",".join(map(repr, row)) for row in table.tolist())
+        p = write_csv(tmp_path / "f.csv", "a,b,c,y\n" + body + "\n")
+        monkeypatch.setattr(harness, "_convert_rows", None)  # any call would fail
+        data, names = read_numeric_csv(p)
+        assert names == ["a", "b", "c", "y"]
+        assert data.tobytes() == table.tobytes()
+
+    CELLS = ["1", "-2.5", "1e5", ".5", "nan", "-inf", "1_0", "x", "", " 3 ", '"4"',
+             "#5", "\ufeff6", "7\x1f", "0x1", "\u0661", "\t8"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from(CELLS), min_size=1, max_size=4), max_size=6
+        ),
+        header=st.booleans(),
+        blank=st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_property_matches_row_loop(
+        self, tmp_path_factory, rows, header, blank, newline
+    ):
+        lines = [",".join(row) for row in rows]
+        if header and rows:
+            lines.insert(0, ",".join(f"c{j}" for j in range(len(rows[0]))))
+        for k, extra in enumerate(blank):
+            lines.insert((3 * k) % (len(lines) + 1), extra)
+        p = tmp_path_factory.mktemp("csv") / "f.csv"
+        p.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fast, slow = read_both_ways(p, monkeypatch)
+        assert fast == slow
 
 
 class TestIngestCsv:
@@ -228,16 +324,8 @@ class TestShuffleTarget:
             shuffle_target_analysis(np.ones((10, 2)), cfg)
 
     def test_zero_signal_flagged(self):
-        x = np.array(
-            [
-                [1.0, 1.0, 1.0],
-                [1.0, -1.0, -1.0],
-                [-1.0, 1.0, -1.0],
-                [-1.0, -1.0, 1.0],
-            ]
-        )
         cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
-        rep = shuffle_target_analysis(x, cfg)
+        rep = shuffle_target_analysis(self.ZERO_SIGNAL, cfg)
         assert all(rec.get("zero_signal") for rec in rep.records)
 
     def test_constant_column_flagged_as_zero_signal(self):
@@ -246,6 +334,42 @@ class TestShuffleTarget:
         cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
         rep = shuffle_target_analysis(matrix, cfg)
         assert rep.records[3] == {"column": 3, "name": "col3", "zero_signal": True}
+
+    ZERO_SIGNAL = np.array(
+        [
+            [1.0, 1.0, 1.0],
+            [1.0, -1.0, -1.0],
+            [-1.0, 1.0, -1.0],
+            [-1.0, -1.0, 1.0],
+        ]
+    )
+
+    @pytest.mark.parametrize("which", ["random", "zero_signal"])
+    def test_joint_blocks_match_per_column_covariance(self, monkeypatch, which):
+        scales = [1.0, 3.0, 0.2, 1.0, 8.0, 1.0]
+        m = (
+            np.random.default_rng(7).standard_normal((400, 6)) * scales
+            if which == "random"
+            else self.ZERO_SIGNAL
+        )
+        models = []
+
+        def keep(*args):
+            models.append(covariance_from_moments(*args))
+            return models[-1]
+
+        monkeypatch.setattr(harness, "covariance_from_moments", keep)
+        cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
+        shuffle_target_analysis(m, cfg)
+        assert len(models) == m.shape[1]
+        for j, got in enumerate(models):
+            want = empirical_covariance(DataMatrix(np.delete(m, j, 1), m[:, j]))
+            for field in ("sigma_xx", "sigma_xy", "eigenvalues"):
+                a, b = getattr(got, field), getattr(want, field)
+                # 1e-12 relative to the largest entry
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b), initial=0.0)
+            assert np.all(got.sigma_xy == 0.0) == np.all(want.sigma_xy == 0.0)
+            assert (got.n, got.d) == (want.n, want.d)
 
 
 class TestEmitReport:

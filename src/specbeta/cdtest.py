@@ -53,8 +53,9 @@ def null_samples_sphere(
     """Exact null: statistic of directions drawn uniformly from the sphere."""
     _check_count(count)
     g = as_generator(rng)
-    b = g.standard_normal((count, cov.d))
-    w2 = b * b
+    # squared and normalised in place, so one count x d array is allocated
+    w2 = g.standard_normal((count, cov.d))
+    w2 *= w2
     w2 /= w2.sum(axis=1, keepdims=True)
     return (w2 @ (1.0 / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d)
 
@@ -72,7 +73,9 @@ def null_samples_mixed_chi2(
     """
     _check_count(count)
     g = as_generator(rng)
-    a2 = g.standard_normal((count, cov.d)) ** 2 / cov.d
+    a2 = g.standard_normal((count, cov.d))
+    a2 *= a2
+    a2 /= cov.d
     return (a2 @ (1.0 / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d)
 
 

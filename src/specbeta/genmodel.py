@@ -17,10 +17,6 @@ from numpy.typing import NDArray
 from .errors import BadDimensionsError, DegenerateModelError
 from .spectral import CovarianceModel, DataMatrix
 
-# Singular values below this relative cutoff are treated as zero when
-# pseudo-inverting the mixing matrix.
-PINV_RCOND = 1e-12
-
 
 def as_generator(rng: int | np.random.Generator) -> np.random.Generator:
     """Accept either a 64-bit seed or an existing PCG64 generator."""
@@ -130,10 +126,13 @@ def generate_samples(
 
 
 def true_beta(truth: GroundTruth) -> float:
-    """Exact confounding strength ||M^-T c||^2 / (||a||^2 + ||M^-T c||^2).
+    """Exact confounding strength ||M^+T c||^2 / (||a||^2 + ||M^+T c||^2).
 
-    Returns 1.0 for the purely confounded case (a = 0) and 0.0 for the
-    purely causal case (c = 0).
+    M^+T c is the part of the regression vector that the latent sources put
+    there.  It is computed as R^-1 Q^T c from one reduced QR of M^T, which
+    is exact for a full-row-rank M and keeps cond(R) = cond(M).  Returns 1.0
+    for the purely confounded case (a = 0) and 0.0 for the purely causal
+    case (c = 0).
 
     Raises
     ------
@@ -148,23 +147,40 @@ def true_beta(truth: GroundTruth) -> float:
         return 0.0
     if a2 == 0.0:
         return 1.0
-    mtc = np.linalg.pinv(truth.m, rcond=PINV_RCOND).T @ truth.c
+    mtc = _confounding_vector(truth.m, truth.c)
     conf2 = float(mtc @ mtc)
     return conf2 / (a2 + conf2)
+
+
+def _confounding_vector(
+    m: NDArray[np.float64], c: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """M^+T c for a d x ell mixing matrix M of full row rank.
+
+    For such M, M^+T = (M M^T)^-1 M, and with the reduced QR M^T = Q R
+    this is R^-1 Q^T c.  No normal equations are formed, so the condition
+    number is never squared: cond(R) = cond(M).
+    """
+    d = m.shape[0]
+    # The triangular factor of [M^T c] is [[R, Q^T c], [0, *]], so one
+    # factorization gives both and Q is never formed.
+    r = np.linalg.qr(np.column_stack([m.T, c]), mode="r")
+    return np.linalg.solve(r[:d, :d], r[:d, d])
 
 
 def sample_aprime_def1(
     truth: GroundTruth, rng: int | np.random.Generator
 ) -> NDArray[np.float64]:
-    """Draw a fresh regression vector a' = a + M^-T c from the source-mixing model.
+    """Draw a fresh regression vector a' = a + M^+T c from the source-mixing model.
 
     Fresh coefficient vectors a and c are drawn with the scales stored in
-    ``truth``; the mixing matrix is kept fixed.
+    ``truth``; the mixing matrix is kept fixed.  M^+T c is computed as
+    R^-1 Q^T c from one reduced QR of M^T, as in ``true_beta``.
     """
     g = as_generator(rng)
     a = truth.sigma_a * g.standard_normal(truth.d)
     c = truth.sigma_c * g.standard_normal(truth.ell)
-    return a + np.linalg.pinv(truth.m, rcond=PINV_RCOND).T @ c
+    return a + _confounding_vector(truth.m, c)
 
 
 def sample_aprime_def2(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -132,16 +133,15 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
     Raises
     ------
     ParseError
-        On an empty file or ragged rows (coordinates reported).
+        On an empty file, ragged rows or a row the csv module cannot read,
+        such as a cell over ``csv.field_size_limit()`` (coordinates reported).
     NonNumericError
         On a non-numeric cell outside the header (location reported).
     """
     path = Path(path)
     with path.open(newline="") as fh:
         lines = fh.readlines()
-    reader = csv.reader(lines)
-    # (line in the file, cells); blank lines are skipped but still counted
-    rows = ((reader.line_num, row) for row in reader if row)
+    rows = _csv_rows(path, lines)
     first = next(rows, None)
     if first is None:
         raise ParseError(f"{path}: empty file")
@@ -152,10 +152,21 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
         data = _loadtxt_rows(lines, ncols)
     else:
         names = [cell.strip() for cell in first[1]]
-        data = _loadtxt_rows(lines[reader.line_num:], ncols)
+        data = _loadtxt_rows(lines[first[0]:], ncols)
     if data is None:
         data = _convert_rows(path, list(rows), ncols)
     return data, names
+
+
+def _csv_rows(path: Path, lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line in the file, cells) of each row; blank lines are skipped but still counted."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as err:
+        raise ParseError(f"{path}: row {reader.line_num}: {err}") from None
 
 
 # ASCII separators that loadtxt strips as whitespace but float() rejects.

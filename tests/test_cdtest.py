@@ -105,6 +105,25 @@ class TestNullSamplers:
         b = null_samples_mixed_chi2(cov, 100000, 9)
         assert stats.ks_2samp(a, b).statistic > 0.06
 
+    # the in-place squaring must give the bytes of the formulas written out
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_bytes_match_formulas(self, seed):
+        g = np.random.default_rng(seed)
+        m = g.standard_normal((7, 9))
+        cov = CovarianceModel.from_matrices(m @ m.T / 9, np.zeros(7))
+        inv = 1.0 / cov.eigenvalues
+        root_d = np.sqrt(cov.d)
+
+        b = np.random.Generator(np.random.PCG64(seed)).standard_normal((300, cov.d))
+        w2 = b * b
+        w2 = w2 / w2.sum(axis=1, keepdims=True)
+        sphere = (w2 @ inv - cov.tau_inv) / root_d
+        assert null_samples_sphere(cov, 300, seed).tobytes() == sphere.tobytes()
+
+        b = np.random.Generator(np.random.PCG64(seed)).standard_normal((300, cov.d))
+        chi2 = ((b**2 / cov.d) @ inv - cov.tau_inv) / root_d
+        assert null_samples_mixed_chi2(cov, 300, seed).tobytes() == chi2.tobytes()
+
     def test_count_floor(self):
         cov = cov_from_spectrum([1.0, 2.0])
         with pytest.raises(ValueError):

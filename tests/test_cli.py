@@ -63,6 +63,13 @@ class TestEstimate:
         code, _, _ = run(capsys, ["estimate", "--input", str(p), "--target", "y"])
         assert code == 2
 
+    def test_oversized_cell_is_data_error(self, capsys, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text('a,b,c\n"' + "1" * 140_001 + '",2,3\n4,5,6\n')
+        code, _, err = run(capsys, ["estimate", "--input", str(p), "--target", "c"])
+        assert code == 2
+        assert "field larger than field limit" in err
+
     def test_constant_target_is_data_error(self, capsys, tmp_path):
         # a target without signal is a property of the data, not a numeric failure
         x = np.random.default_rng(2).standard_normal((300, 3))

@@ -19,6 +19,7 @@ from specbeta import (
     sample_ground_truth,
     true_beta,
 )
+from specbeta.genmodel import _confounding_vector
 
 from conftest import cov_from_spectrum
 
@@ -165,6 +166,31 @@ class TestTrueBeta:
             assert b2 > b
         else:
             assert b2 == b
+
+
+class TestConfoundingVector:
+    # condition numbers up to 10^9.5, inside GroundTruth's 1e-10 rank bound
+    @pytest.mark.parametrize("log_cond", [8.0, 9.5])
+    def test_matches_svd_formula_when_ill_conditioned(self, rng, log_cond):
+        d, ell = 6, 8
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((ell, d)))
+        s = np.logspace(0.0, -log_cond, d)
+        m = u @ np.diag(s) @ v.T
+        c = rng.standard_normal(ell)
+        exact = u @ ((v.T @ c) / s)
+        got = _confounding_vector(m, c)
+        err = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+        assert err <= 1e-13 * 10.0**log_cond
+
+    @pytest.mark.parametrize("d, ell", [(10, 12), (100, 110), (3, 3)])
+    def test_true_beta_matches_pinv_formula(self, d, ell):
+        for seed in range(50):
+            t = sample_ground_truth(d, ell, seed)
+            mtc = np.linalg.pinv(t.m).T @ t.c
+            conf2 = mtc @ mtc
+            expected = conf2 / (t.a @ t.a + conf2)
+            assert true_beta(t) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestSamplers:

@@ -80,6 +80,18 @@ class TestReadNumericCsv:
         with pytest.raises(ParseError, match="row 5 has 1 cells"):
             read_numeric_csv(p)
 
+    # a cell over csv.field_size_limit() (131,072 characters by default)
+    def test_oversized_data_cell_is_parse_error(self, tmp_path):
+        big = '"' + "1" * 140_001 + '"'
+        p = write_csv(tmp_path / "f.csv", f"a,b\n1,2\n\n{big},3\n")
+        with pytest.raises(ParseError, match="row 4: field larger than field limit"):
+            read_numeric_csv(p)
+
+    def test_oversized_header_cell_is_parse_error(self, tmp_path):
+        p = write_csv(tmp_path / "f.csv", "\na," + "b" * 140_001 + "\n1,2\n")
+        with pytest.raises(ParseError, match="row 2: field larger than field limit"):
+            read_numeric_csv(p)
+
 
 def read_both_ways(path, monkeypatch):
     """read_numeric_csv's outcome with the loadtxt path, then with the row loop alone."""

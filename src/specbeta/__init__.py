@@ -52,6 +52,7 @@ from .genmodel import (
     overfit_dataset,
     sample_aprime_def1,
     sample_aprime_def2,
+    sample_covariance,
     sample_ground_truth,
     true_beta,
 )

@@ -8,6 +8,7 @@ as JSON unless --output is given.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import cdtest, harness
@@ -34,8 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    """Parser whose destinations are ``ExperimentConfig`` field names."""
+    """Parser whose destinations are ``ExperimentConfig`` field names.
+
+    Built on first use and kept: each parse starts from a fresh namespace, so
+    one call's flags never become another's defaults.
+    """
     parser = _Parser(prog="specbeta", description=__doc__)
     sub = parser.add_subparsers(required=True, metavar="COMMAND")
 

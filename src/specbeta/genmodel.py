@@ -2,7 +2,8 @@
 
 Provides the source-mixing confounding model (latent sources Z feed both the
 predictors, through a mixing matrix M, and the target, through a coefficient
-vector c), its equivalent single-vector sampler, the causal-plus-noise
+vector c), the fitted covariance of its samples computed from the latent
+draws alone, its equivalent single-vector sampler, the causal-plus-noise
 generator, and the small-sample construction where an independent target
 produces confounding-like regression vectors.
 """
@@ -15,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadDimensionsError, DegenerateModelError
-from .spectral import CovarianceModel, DataMatrix
+from .spectral import CovarianceModel, DataMatrix, covariance_from_moments
 
 
 def as_generator(rng: int | np.random.Generator) -> np.random.Generator:
@@ -106,23 +107,69 @@ def generate_samples(
     ``noise_sd`` = 0 reproduces the noise-free structural model; a positive
     value adds independent N(0, noise_sd^2) observation noise on Y.
     """
+    z, e = _draw_sources(truth, n, noise_sd, as_generator(rng))
+    x = (truth.m @ z).T
+    y = x @ truth.a + z.T @ truth.c
+    if e is not None:
+        y = y + e
+    data = DataMatrix(x=x, y=y)
+    return SyntheticDataset(data=data, truth=truth, true_beta=_recorded_beta(truth))
+
+
+def sample_covariance(
+    truth: GroundTruth,
+    n: int,
+    noise_sd: float = 0.0,
+    rng: int | np.random.Generator = 0,
+) -> tuple[CovarianceModel, float]:
+    """The fitted model and true beta of ``generate_samples``' data, without the data.
+
+    Draws exactly what ``generate_samples`` draws, in the same order.  With
+    X = MZ and Y = b'Z + E, where b = M'a + c, every centered moment is a
+    function of the ell x ell latent Gram C = Zc Zc'/n:
+
+        sigma_xx = M C M',  sigma_xy = M C b + M Zc Ec/n,
+        sigma_yy = b'C b + 2 b'Zc Ec/n + Ec'Ec/n.
+
+    This agrees with ``empirical_covariance(generate_samples(...).data)`` up to
+    rounding, not bit for bit.  Errors are those of that path.
+    """
+    z, e = _draw_sources(truth, n, noise_sd, as_generator(rng))
+    z -= z.mean(axis=1, keepdims=True)
+    gram = (z @ z.T) / n
+    b = truth.m.T @ truth.a + truth.c
+    mg = truth.m @ gram
+    gb = gram @ b
+    sigma_xy = truth.m @ gb
+    sigma_yy = float(b @ gb)
+    if e is not None:
+        e -= e.mean()
+        ze = (z @ e) / n
+        sigma_xy = sigma_xy + truth.m @ ze
+        sigma_yy += 2.0 * float(b @ ze) + float(e @ e) / n
+    cov = covariance_from_moments(mg @ truth.m.T, sigma_xy, sigma_yy, n)
+    return cov, _recorded_beta(truth)
+
+
+def _draw_sources(
+    truth: GroundTruth, n: int, noise_sd: float, g: np.random.Generator
+) -> tuple[NDArray[np.float64], NDArray[np.float64] | None]:
+    """Latent sources Z (ell x n), then the noise E on Y, or None when noise_sd = 0."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
-    g = as_generator(rng)
     z = g.standard_normal((truth.ell, n))
-    x = (truth.m @ z).T
-    y = x @ truth.a + z.T @ truth.c
-    if noise_sd > 0:
-        y = y + noise_sd * g.standard_normal(n)
-    data = DataMatrix(x=x, y=y)
+    e = noise_sd * g.standard_normal(n) if noise_sd > 0 else None
+    return z, e
+
+
+def _recorded_beta(truth: GroundTruth) -> float:
+    """true_beta, or NaN where a = 0, c = 0 (valid, all-zero target samples)."""
     try:
-        beta = true_beta(truth)
+        return true_beta(truth)
     except DegenerateModelError:
-        # a = 0, c = 0 still yields valid (all-zero target) samples
-        beta = float("nan")
-    return SyntheticDataset(data=data, truth=truth, true_beta=beta)
+        return float("nan")
 
 
 def true_beta(truth: GroundTruth) -> float:
@@ -223,6 +270,17 @@ def overfit_dataset(
     return SyntheticDataset(data=DataMatrix(x=x, y=y), truth=truth, true_beta=0.0)
 
 
+def sample_causal_truth(d: int, rng: int | np.random.Generator) -> GroundTruth:
+    """Causal-only model: a random square mixing matrix M and a ~ N(0, I), c = 0.
+
+    Draw order is fixed (M, a).
+    """
+    g = as_generator(rng)
+    m = g.standard_normal((d, d))
+    a = g.standard_normal(d)
+    return GroundTruth(m=m, a=a, c=np.zeros(d), sigma_a=1.0, sigma_c=0.0)
+
+
 def causal_dataset(
     d: int,
     n: int,
@@ -236,8 +294,6 @@ def causal_dataset(
     vector nevertheless looks confounded.
     """
     g = as_generator(rng)
-    m = g.standard_normal((d, d))
-    a = g.standard_normal(d)
-    truth = GroundTruth(m=m, a=a, c=np.zeros(d), sigma_a=1.0, sigma_c=0.0)
+    truth = sample_causal_truth(d, g)
     ds = generate_samples(truth, n, noise_sd=noise_sd, rng=g)
     return SyntheticDataset(data=ds.data, truth=truth, true_beta=0.0)

@@ -77,8 +77,13 @@ class ExperimentConfig:
             raise ValueError(f"null sample count must be >= {cdtest.MIN_NULL_COUNT}")
         if self.noise_sd is not None and self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
-        if self.mode == "simulate" and self.ell < self.d:
-            raise BadDimensionsError("latent dimension must be >= d when simulating")
+        if self.mode in ("simulate", "rejection_study"):
+            if self.ell < self.d:
+                raise BadDimensionsError("latent dimension must be >= d when simulating")
+            if self.n <= self.d:
+                raise ValueError(f"need samples > d, got n={self.n}, d={self.d}")
+        if self.mode == "overfit_study" and any(n <= self.d for n in self.sample_sizes):
+            raise ValueError(f"need every sample size > d, got {self.sample_sizes}, d={self.d}")
 
     @property
     def ell(self) -> int:
@@ -359,12 +364,12 @@ def run_simulation_study(config: ExperimentConfig) -> Report:
     for i in range(config.runs):
         with study.run(run=i) as (record, rng):
             truth = genmodel.sample_ground_truth(config.d, config.ell, rng)
-            ds = genmodel.generate_samples(
+            cov, beta = genmodel.sample_covariance(
                 truth, config.n, noise_sd=config.noise_sd or 0.0, rng=rng
             )
-            est = estimator.estimate_confounding(empirical_covariance(ds.data))
+            est = estimator.estimate_confounding(cov)
             record.update(
-                true_beta=ds.true_beta,
+                true_beta=beta,
                 beta_hat=est.beta_hat,
                 theta_hat=est.theta_hat,
                 boundary=est.boundary,
@@ -389,15 +394,11 @@ def run_rejection_study(config: ExperimentConfig) -> Report:
     for i in range(config.runs):
         with study.run(run=i) as (record, rng):
             truth = genmodel.sample_ground_truth(config.d, config.ell, rng)
-            ds = genmodel.generate_samples(
+            cov, beta = genmodel.sample_covariance(
                 truth, config.n, noise_sd=config.noise_sd or 0.0, rng=rng
             )
-            res = cdtest.test_nonconfounding(
-                empirical_covariance(ds.data), config.null_count, config.method, rng
-            )
-            record.update(
-                true_beta=ds.true_beta, t_observed=res.t_observed, p_value=res.p_value
-            )
+            res = cdtest.test_nonconfounding(cov, config.null_count, config.method, rng)
+            record.update(true_beta=beta, t_observed=res.t_observed, p_value=res.p_value)
     ok = study.ok()
     betas = np.array([r["true_beta"] for r in ok])
     pvals = np.array([r["p_value"] for r in ok])
@@ -443,10 +444,9 @@ def run_overfit_study(config: ExperimentConfig) -> Report:
     for n in config.sample_sizes:
         for i in range(config.runs):
             with study.run(n=n, run=i) as (record, rng):
-                ds = genmodel.causal_dataset(config.d, n, noise_sd=noise_sd, rng=rng)
-                res = cdtest.test_nonconfounding(
-                    empirical_covariance(ds.data), config.null_count, config.method, rng
-                )
+                truth = genmodel.sample_causal_truth(config.d, rng)
+                cov, _ = genmodel.sample_covariance(truth, n, noise_sd=noise_sd, rng=rng)
+                res = cdtest.test_nonconfounding(cov, config.null_count, config.method, rng)
                 record["p_value"] = res.p_value
     ok = study.ok()
     per_n = []

@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, flags and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specbeta import SPHERE_MONTE_CARLO
 from specbeta.cli import EXIT_USAGE, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -132,6 +139,10 @@ class TestUsageErrors:
             ["rejections", "--null-samples", "50"],
             ["shuffle-target", "--input", "data.csv", "--null-samples", "50"],
             ["test", "--input", "data.csv", "--target", "y", "--null-samples", "50"],
+            ["rejections", "--dim", "10", "--latent", "5", "--runs", "5"],
+            ["simulate", "--dim", "10", "--samples", "8", "--runs", "3"],
+            ["overfit", "--dim", "10", "--sample-sizes", "5", "--runs", "3"],
+            ["simulate", "--dim", "10", "--samples", "1"],
         ],
     )
     def test_invalid_flag_values(self, capsys, argv):
@@ -139,6 +150,31 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "usage:" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_second_call_gets_its_own_defaults(self, capsys):
+        # the first call sets non-default flags on another subcommand
+        argv = ["simulate", "--dim", "3", "--samples", "200", "--runs", "3"]
+        first = ["rejections", "--dim", "4", "--latent", "6", "--samples", "300",
+                 "--runs", "2", "--null-samples", "200", "--null-method", "chi2",
+                 "--noise-sd", "0.5", "--seed", "9", "--alpha", "0.1"]
+        assert run(capsys, first)[0] == 0
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "specbeta.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert out == fresh.stdout
+        config = json.loads(out)["config"]
+        assert (config["seed"], config["alpha"], config["method"]) == (0, 0.05, SPHERE_MONTE_CARLO)
+        assert (config["null_count"], config["noise_sd"], config["latent"]) == (1000, None, None)
 
 
 class TestTest:

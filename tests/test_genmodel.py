@@ -11,15 +11,19 @@ from specbeta import (
     BadDimensionsError,
     DegenerateModelError,
     GroundTruth,
+    TooFewSamplesError,
     causal_dataset,
+    empirical_covariance,
     generate_samples,
+    genmodel,
     overfit_dataset,
     sample_aprime_def1,
     sample_aprime_def2,
+    sample_covariance,
     sample_ground_truth,
     true_beta,
 )
-from specbeta.genmodel import _confounding_vector
+from specbeta.genmodel import _confounding_vector, sample_causal_truth
 
 from conftest import cov_from_spectrum
 
@@ -116,6 +120,89 @@ class TestGenerateSamples:
         t = sample_ground_truth(2, 2, 0)
         with pytest.raises(ValueError):
             generate_samples(t, 10, noise_sd=-0.5)
+
+
+class TestSampleCovariance:
+    """The moments fit against empirical_covariance(generate_samples(...).data)."""
+
+    @staticmethod
+    def assert_agree(truth, n, noise_sd, seed):
+        g = np.random.default_rng(seed)
+        ds = generate_samples(truth, n, noise_sd, g)
+        ref, ref_beta, ref_next = empirical_covariance(ds.data), ds.true_beta, g.standard_normal()
+        g = np.random.default_rng(seed)
+        cov, beta = sample_covariance(truth, n, noise_sd, g)
+        for field in ("sigma_xx", "sigma_xy", "eigenvalues"):
+            a, b = getattr(cov, field), getattr(ref, field)
+            # 1e-13 relative to the largest entry
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b), initial=0.0)
+        assert np.all(cov.sigma_xy == 0.0) == np.all(ref.sigma_xy == 0.0)
+        assert (cov.n, cov.d) == (ref.n, ref.d)
+        assert beta == ref_beta or (math.isnan(beta) and math.isnan(ref_beta))
+        # the generator is left where the samples path leaves it
+        assert g.standard_normal() == ref_next
+
+    @pytest.mark.parametrize(
+        "d, ell, n, noise_sd",
+        [
+            (10, 12, 10000, 0.0),
+            (100, 110, 2000, 0.0),
+            (40, 50, 1000, 0.0),
+            (5, 5, 300, 1.0),
+            (3, 3, 20, 0.5),
+        ],
+    )
+    def test_matches_samples_path(self, d, ell, n, noise_sd):
+        for seed in range(5):
+            truth = sample_ground_truth(d, ell, seed)
+            self.assert_agree(truth, n, noise_sd, seed)
+
+    def test_causal_model(self):
+        # the overfit study's model: square mixing, c = 0
+        for seed in range(5):
+            self.assert_agree(sample_causal_truth(6, seed), 40, 1.0, seed)
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+    @pytest.mark.parametrize("zero", ["a", "c", "both"])
+    def test_zero_coefficients(self, rng, zero, noise_sd):
+        t = sample_ground_truth(4, 6, rng)
+        a = np.zeros(4) if zero in ("a", "both") else t.a
+        c = np.zeros(6) if zero in ("c", "both") else t.c
+        truth = GroundTruth(m=t.m, a=a, c=c, sigma_a=t.sigma_a, sigma_c=t.sigma_c)
+        self.assert_agree(truth, 50, noise_sd, 3)
+        _, beta = sample_covariance(truth, 50, noise_sd, 3)
+        if zero == "both":
+            assert math.isnan(beta)
+        else:
+            assert beta == {"a": 1.0, "c": 0.0}[zero]
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+    def test_target_variance(self, monkeypatch, noise_sd):
+        # sigma_yy is not stored in the model, but it sets the zero-signal scale
+        original, seen = genmodel.covariance_from_moments, []
+
+        def keep(*args):
+            seen.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(genmodel, "covariance_from_moments", keep)
+        for seed in range(5):
+            truth = sample_ground_truth(4, 6, seed)
+            y = generate_samples(truth, 50, noise_sd, seed).data.y
+            sample_covariance(truth, 50, noise_sd, seed)
+            assert seen[-1] == pytest.approx(np.var(y), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "n, noise_sd, error",
+        [(4, 0.0, TooFewSamplesError), (3, 1.0, TooFewSamplesError), (1, 0.0, ValueError),
+         (10, -0.5, ValueError)],
+    )
+    def test_same_errors(self, n, noise_sd, error):
+        t = sample_ground_truth(4, 6, 0)
+        with pytest.raises(error):
+            empirical_covariance(generate_samples(t, n, noise_sd, 0).data)
+        with pytest.raises(error):
+            sample_covariance(t, n, noise_sd, 0)
 
 
 class TestTrueBeta:
@@ -258,6 +345,12 @@ class TestCausalDataset:
         ds = causal_dataset(5, 100, rng=0)
         assert ds.true_beta == 0.0
         np.testing.assert_array_equal(ds.truth.c, np.zeros(5))
+
+    def test_model_is_sample_causal_truth(self):
+        ds = causal_dataset(5, 100, rng=4)
+        truth = sample_causal_truth(5, 4)
+        np.testing.assert_array_equal(ds.truth.m, truth.m)
+        np.testing.assert_array_equal(ds.truth.a, truth.a)
 
     def test_noiseless_target_is_linear(self):
         ds = causal_dataset(5, 100, noise_sd=0.0, rng=1)

@@ -240,6 +240,23 @@ class TestExperimentConfig:
     def test_latent_defaults_to_d(self):
         assert ExperimentConfig(d=7).ell == 7
 
+    def test_rejects_latent_below_d_in_rejection_study(self):
+        with pytest.raises(BadDimensionsError):
+            ExperimentConfig(mode="rejection_study", d=10, latent=5)
+
+    @pytest.mark.parametrize("mode", ["simulate", "rejection_study"])
+    @pytest.mark.parametrize("n", [1, 9, 10])
+    def test_rejects_samples_not_above_d(self, mode, n):
+        with pytest.raises(ValueError):
+            ExperimentConfig(mode=mode, d=10, n=n)
+
+    def test_rejects_overfit_sample_size_not_above_d(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(mode="overfit_study", d=10, sample_sizes=(100, 10))
+
+    def test_sample_checks_skip_csv_modes(self):
+        assert ExperimentConfig(mode="estimate", d=10, n=3).n == 3
+
 
 class TestRunRng:
     def test_deterministic_per_index(self):
@@ -294,9 +311,12 @@ class TestStudies:
         for e in rep.summary["per_sample_size"]:
             assert sum(e["histogram"]) == e["count"] == 10
 
-    def test_too_many_failures_abort(self):
-        # n below d makes every run fail immediately
-        cfg = ExperimentConfig(mode="simulate", d=5, n=3, runs=5, seed=0)
+    def test_too_many_failures_abort(self, monkeypatch):
+        def fail(*args):
+            raise DegenerateModelError("injected")
+
+        monkeypatch.setattr(genmodel, "sample_ground_truth", fail)
+        cfg = ExperimentConfig(mode="simulate", d=5, n=300, runs=5, seed=0)
         with pytest.raises(RuntimeError):
             run_simulation_study(cfg)
 

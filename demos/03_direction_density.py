@@ -36,8 +36,8 @@ def main():
     # sigma_xx^{-1}): mass on a small eigenvalue becomes more likely as
     # theta grows
     cov = CovarianceModel.from_matrices(np.diag([1.0, 4.0]), np.zeros(2))
-    low = unit_direction(cov.eigenvectors[:, 1], cov)   # eigenvalue 1
-    high = unit_direction(cov.eigenvectors[:, 0], cov)  # eigenvalue 4
+    low = unit_direction(cov.eigenvectors[:, 1])   # eigenvalue 1
+    high = unit_direction(cov.eigenvectors[:, 0])  # eigenvalue 4
     print()
     print("theta   log density (low-eig dir)  log density (high-eig dir)")
     for theta in (0.0, 0.5, 1.0, 4.0):

@@ -47,7 +47,6 @@ from .genmodel import (
     GroundTruth,
     SyntheticDataset,
     as_generator,
-    causal_dataset,
     generate_samples,
     overfit_dataset,
     sample_aprime_def1,

@@ -93,7 +93,7 @@ def test_nonconfounding(
     which is valid and never exactly zero.
     """
     g = as_generator(rng)
-    direction = unit_direction(regression_vector(cov), cov)
+    direction = unit_direction(regression_vector(cov))
     t_obs = statistic_T(direction, cov)
     if method == SPHERE_MONTE_CARLO:
         null = null_samples_sphere(cov, null_count, g)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the harness operations; reports go to stdout
-as JSON unless --output is given.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 numeric failure.
+Subcommands map one-to-one onto the harness operations.  Each takes --output
+and --format plus the flags of the settings its operation reads; any other
+flag is a usage error.  Reports go to stdout as JSON unless --output is
+given.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,55 @@ EXIT_NUMERIC = 3
 _NULL_METHODS = {"sphere": cdtest.SPHERE_MONTE_CARLO, "chi2": cdtest.MIXED_CHI2}
 
 
+def _parse_target(raw: str) -> str | int:
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
+
+
+# The flag and argparse spec of each ExperimentConfig field.  The subparsers
+# suppress defaults, so a flag left out is absent from the parse and its field
+# keeps the ExperimentConfig default.
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "input_path": ("--input", {"required": True, "metavar": "PATH"}),
+    "target": ("--target", {"type": _parse_target, "required": True, "metavar": "NAME|INDEX"}),
+    "normalize": ("--normalize", {"action": "store_true"}),
+    "d": ("--dim", {"type": int, "metavar": "D"}),
+    "latent": ("--latent", {"type": int, "metavar": "L"}),
+    "n": ("--samples", {"type": int, "metavar": "N"}),
+    "runs": ("--runs", {"type": int, "metavar": "R"}),
+    "noise_sd": ("--noise-sd", {"type": float, "metavar": "F"}),
+    "sample_sizes": ("--sample-sizes", {"type": int, "nargs": "+", "metavar": "N"}),
+    "seed": ("--seed", {"type": int, "metavar": "U64"}),
+    "alpha": ("--alpha", {"type": float, "metavar": "F"}),
+    "null_count": ("--null-samples", {"type": int, "metavar": "N"}),
+    "method": ("--null-method", {"choices": sorted(_NULL_METHODS)}),
+    "output_path": ("--output", {"metavar": "PATH"}),
+    "fmt": ("--format", {"choices": ["json", "csv"]}),
+}
+
+# Settings of the synthetic studies, and of the no-confounding test.
+_SIMULATION = ("d", "latent", "n", "runs", "noise_sd")
+_NULL_TEST = ("seed", "alpha", "null_count", "method")
+
+# Subcommand: (harness mode, help, the ExperimentConfig fields the mode reads).
+_COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "estimate": ("estimate", "estimate confounding strength from a CSV",
+                 ("input_path", "target", "normalize")),
+    "test": ("test", "test the no-confounding null on a CSV",
+             ("input_path", "target", "normalize", *_NULL_TEST)),
+    "simulate": ("simulate", "true-vs-estimated beta simulation study",
+                 (*_SIMULATION, "seed")),
+    "rejections": ("rejection_study", "rejection fractions per true-beta bin",
+                   (*_SIMULATION, *_NULL_TEST)),
+    "overfit": ("overfit_study", "p-value distribution on causal-only data",
+                ("d", "runs", "noise_sd", "sample_sizes", *_NULL_TEST)),
+    "shuffle-target": ("shuffle_target", "each column in turn as the target",
+                       ("input_path", "normalize", "seed", "null_count", "method")),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with 2
         self.print_usage(sys.stderr)
@@ -44,70 +94,21 @@ def _build_parser() -> _Parser:
     """
     parser = _Parser(prog="specbeta", description=__doc__)
     sub = parser.add_subparsers(required=True, metavar="COMMAND")
-
-    def add_common(p, mode, *, data=False, sim=False):
+    for name, (mode, help_text, fields) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.set_defaults(mode=mode)
-        p.add_argument("--seed", type=int, default=0, metavar="U64")
-        p.add_argument("--alpha", type=float, default=0.05, metavar="F")
-        p.add_argument(
-            "--null-samples", dest="null_count", type=int, default=1000, metavar="N"
-        )
-        p.add_argument(
-            "--null-method", dest="method", choices=sorted(_NULL_METHODS), default="sphere"
-        )
-        p.add_argument("--output", dest="output_path", metavar="PATH")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-        if data:
-            p.add_argument("--input", dest="input_path", required=True, metavar="PATH")
-            p.add_argument("--normalize", action="store_true")
-        if sim:
-            p.add_argument("--dim", dest="d", type=int, default=10, metavar="D")
-            p.add_argument("--latent", type=int, default=None, metavar="L")
-            p.add_argument("--samples", dest="n", type=int, default=10000, metavar="N")
-            p.add_argument("--runs", type=int, default=1000, metavar="R")
-            p.add_argument("--noise-sd", type=float, default=None, metavar="F")
-
-    p = sub.add_parser("estimate", help="estimate confounding strength from a CSV")
-    add_common(p, "estimate", data=True)
-    p.add_argument("--target", type=_parse_target, required=True, metavar="NAME|INDEX")
-
-    p = sub.add_parser("test", help="test the no-confounding null on a CSV")
-    add_common(p, "test", data=True)
-    p.add_argument("--target", type=_parse_target, required=True, metavar="NAME|INDEX")
-
-    p = sub.add_parser("simulate", help="true-vs-estimated beta simulation study")
-    add_common(p, "simulate", sim=True)
-
-    p = sub.add_parser("rejections", help="rejection fractions per true-beta bin")
-    add_common(p, "rejection_study", sim=True)
-
-    p = sub.add_parser("overfit", help="p-value distribution on causal-only data")
-    add_common(p, "overfit_study", sim=True)
-    p.add_argument(
-        "--sample-sizes",
-        type=int,
-        nargs="+",
-        default=harness.DEFAULT_SAMPLE_SIZES,
-        metavar="N",
-    )
-
-    p = sub.add_parser("shuffle-target", help="each column in turn as the target")
-    add_common(p, "shuffle_target", data=True)
+        for field in (*fields, "output_path", "fmt"):
+            flag, spec = _FLAGS[field]
+            p.add_argument(flag, dest=field, **spec)
     return parser
-
-
-def _parse_target(raw: str) -> str | int:
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
 
 
 def _parse_config(argv: list[str] | None) -> harness.ExperimentConfig:
     """Config from the command line; an invalid flag value is a usage error."""
     parser = _build_parser()
     fields = vars(parser.parse_args(argv))
-    fields["method"] = _NULL_METHODS[fields["method"]]
+    if "method" in fields:
+        fields["method"] = _NULL_METHODS[fields["method"]]
     if "sample_sizes" in fields:
         fields["sample_sizes"] = tuple(fields["sample_sizes"])
     try:

@@ -181,7 +181,7 @@ def estimate_confounding(cov: CovarianceModel) -> BetaEstimate:
 
     Raises ZeroSignalError (no direction) or NumericOverflowError (theta).
     """
-    direction = unit_direction(regression_vector(cov), cov)
+    direction = unit_direction(regression_vector(cov))
     theta_est = estimate_theta(direction, cov)
     return BetaEstimate(
         theta_hat=theta_est.theta,
@@ -232,16 +232,11 @@ def concentration_bound(
     theta_prime: float,
     cov: CovarianceModel,
     epsilon: float,
-    *,
-    variant: str = "default",
 ) -> float:
     """Lower bound on the probability that the log-likelihood is near its
-    concentrated value.
+    concentrated value:
 
-    ``variant="default"``:
         1 - (1/(d eps^2)) ( tau(R^2 R'^{-2}) / tau(R R')^2 + tau(R'^2) / tau(R')^2 )
-    ``variant="conservative"`` (larger constant, transposed ratio):
-        1 - (4/(d eps^2)) ( tau(R'^2 R^{-2}) / tau(R' R)^2 + tau(R'^2) / tau(R')^2 )
 
     The bound may be negative (vacuous); it is returned raw and only clamped
     at reporting time.
@@ -252,13 +247,6 @@ def concentration_bound(
     r = 1.0 + theta / lam
     rp = 1.0 + theta_prime / lam
     tau = lambda x: float(np.mean(x))
+    first = tau(r**2 / rp**2) / tau(r * rp) ** 2
     second = tau(rp**2) / tau(rp) ** 2
-    if variant == "default":
-        first = tau(r**2 / rp**2) / tau(r * rp) ** 2
-        factor = 1.0
-    elif variant == "conservative":
-        first = tau(rp**2 / r**2) / tau(rp * r) ** 2
-        factor = 4.0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return 1.0 - factor / (cov.d * epsilon**2) * (first + second)
+    return 1.0 - (first + second) / (cov.d * epsilon**2)

@@ -280,20 +280,3 @@ def sample_causal_truth(d: int, rng: int | np.random.Generator) -> GroundTruth:
     a = g.standard_normal(d)
     return GroundTruth(m=m, a=a, c=np.zeros(d), sigma_a=1.0, sigma_c=0.0)
 
-
-def causal_dataset(
-    d: int,
-    n: int,
-    noise_sd: float = 1.0,
-    rng: int | np.random.Generator = 0,
-) -> SyntheticDataset:
-    """Causal-only data Y = a'X + E with a ~ N(0, I) entries and E ~ N(0, noise_sd^2).
-
-    X is produced by a random square mixing matrix.  No confounding term, so
-    the recorded true confounding strength is 0; at small n the regression
-    vector nevertheless looks confounded.
-    """
-    g = as_generator(rng)
-    truth = sample_causal_truth(d, g)
-    ds = generate_samples(truth, n, noise_sd=noise_sd, rng=g)
-    return SyntheticDataset(data=ds.data, truth=truth, true_beta=0.0)

@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ValueError(f"null sample count must be >= {cdtest.MIN_NULL_COUNT}")
         if self.noise_sd is not None and self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
+        if self.fmt == "csv" and self.output_path is None:
+            raise ValueError("csv format needs an output path")
         if self.mode in ("simulate", "rejection_study"):
             if self.ell < self.d:
                 raise BadDimensionsError("latent dimension must be >= d when simulating")
@@ -402,25 +404,21 @@ def run_rejection_study(config: ExperimentConfig) -> Report:
     ok = study.ok()
     betas = np.array([r["true_beta"] for r in ok])
     pvals = np.array([r["p_value"] for r in ok])
-    bins = np.linspace(0.0, 1.0, REJECTION_BINS + 1)
-    per_bin = []
-    for k in range(REJECTION_BINS):
-        mask = (betas >= bins[k]) & (
-            (betas < bins[k + 1]) if k < REJECTION_BINS - 1 else (betas <= bins[k + 1])
-        )
-        per_bin.append(
-            {
-                "bin_low": float(bins[k]),
-                "bin_high": float(bins[k + 1]),
-                "count": int(mask.sum()),
-                "rejection_at_0.10": float(np.mean(pvals[mask] <= 0.10))
-                if mask.any()
-                else float("nan"),
-                "rejection_at_0.05": float(np.mean(pvals[mask] <= 0.05))
-                if mask.any()
-                else float("nan"),
-            }
-        )
+    edges = np.linspace(0.0, 1.0, REJECTION_BINS + 1)
+    count = np.histogram(betas, edges)[0]
+    with np.errstate(invalid="ignore"):  # an empty bin's rate is 0/0 = NaN
+        at_10 = np.histogram(betas[pvals <= 0.10], edges)[0] / count
+        at_05 = np.histogram(betas[pvals <= 0.05], edges)[0] / count
+    per_bin = [
+        {
+            "bin_low": float(edges[k]),
+            "bin_high": float(edges[k + 1]),
+            "count": int(count[k]),
+            "rejection_at_0.10": float(at_10[k]),
+            "rejection_at_0.05": float(at_05[k]),
+        }
+        for k in range(REJECTION_BINS)
+    ]
     summary = {
         "runs": config.runs,
         "failures": study.failures,
@@ -453,7 +451,7 @@ def run_overfit_study(config: ExperimentConfig) -> Report:
     edges = np.linspace(0.0, 1.0, 11)
     for n in config.sample_sizes:
         pv = np.array([r["p_value"] for r in ok if r["n"] == n])
-        hist = np.histogram(pv, bins=edges)[0] if pv.size else np.zeros(10, dtype=int)
+        hist = np.histogram(pv, bins=edges)[0]
         per_n.append(
             {
                 "n": n,

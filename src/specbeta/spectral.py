@@ -136,10 +136,9 @@ class CovarianceModel:
 
 @dataclass(frozen=True)
 class UnitDirection:
-    """A unit vector, optionally with cached coordinates in an eigenbasis."""
+    """A unit vector."""
 
     v: NDArray[np.float64]
-    basis_coords: NDArray[np.float64] | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.v, dtype=np.float64).reshape(-1)
@@ -149,8 +148,6 @@ class UnitDirection:
 
     def coords_in(self, cov: CovarianceModel) -> NDArray[np.float64]:
         """Coordinates of the direction in the eigenbasis of ``cov``."""
-        if self.basis_coords is not None:
-            return self.basis_coords
         return cov.eigenvectors.T @ self.v
 
 
@@ -215,8 +212,8 @@ def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
     return cov.eigenvectors @ (w / cov.eigenvalues)
 
 
-def unit_direction(v: NDArray[np.float64], cov: CovarianceModel) -> UnitDirection:
-    """Normalize ``v`` and cache its coordinates in the eigenbasis of ``cov``.
+def unit_direction(v: NDArray[np.float64]) -> UnitDirection:
+    """Normalize ``v``.
 
     Raises
     ------
@@ -227,5 +224,4 @@ def unit_direction(v: NDArray[np.float64], cov: CovarianceModel) -> UnitDirectio
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ZeroSignalError("cannot normalize the zero vector")
-    unit = v / norm
-    return UnitDirection(v=unit, basis_coords=cov.eigenvectors.T @ unit)
+    return UnitDirection(v=v / norm)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flags and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from specbeta import SPHERE_MONTE_CARLO
-from specbeta.cli import EXIT_USAGE, main
+from specbeta.cli import EXIT_USAGE, _build_parser, main
+
+from test_reports import CASES, DATA
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,6 +146,7 @@ class TestUsageErrors:
             ["simulate", "--dim", "10", "--samples", "8", "--runs", "3"],
             ["overfit", "--dim", "10", "--sample-sizes", "5", "--runs", "3"],
             ["simulate", "--dim", "10", "--samples", "1"],
+            ["rejections", "--alpha", "2"],
         ],
     )
     def test_invalid_flag_values(self, capsys, argv):
@@ -150,6 +154,110 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "usage:" in capsys.readouterr().err
+
+
+# Besides --output and --format, the flags of the settings each subcommand reads.
+READS = {
+    "estimate": {"--input", "--target", "--normalize"},
+    "test": {
+        "--input", "--target", "--normalize",
+        "--seed", "--alpha", "--null-samples", "--null-method",
+    },
+    "simulate": {"--dim", "--latent", "--samples", "--runs", "--noise-sd", "--seed"},
+    "rejections": {
+        "--dim", "--latent", "--samples", "--runs", "--noise-sd",
+        "--seed", "--alpha", "--null-samples", "--null-method",
+    },
+    "overfit": {
+        "--dim", "--runs", "--noise-sd", "--sample-sizes",
+        "--seed", "--alpha", "--null-samples", "--null-method",
+    },
+    "shuffle-target": {"--input", "--normalize", "--seed", "--null-samples", "--null-method"},
+}
+
+# One changed value per read flag.  Appended to the pinned command line of
+# test_reports, run beside sample.csv and head.csv; a flag's last value wins.
+CHANGES = {
+    "estimate": [["--input", "head.csv"], ["--target", "a"], ["--normalize"]],
+    "test": [
+        ["--input", "head.csv"], ["--target", "a"], ["--normalize"], ["--seed", "1"],
+        ["--alpha", "0.01"], ["--null-samples", "300"], ["--null-method", "chi2"],
+    ],
+    "simulate": [
+        ["--dim", "4"], ["--latent", "4"], ["--samples", "400"], ["--runs", "2"],
+        ["--noise-sd", "0.5"], ["--seed", "6"],
+    ],
+    "rejections": [
+        ["--dim", "4"], ["--latent", "5"], ["--samples", "400"], ["--runs", "4"],
+        ["--noise-sd", "0.5"], ["--seed", "6"], ["--alpha", "0.01"],
+        ["--null-samples", "200"], ["--null-method", "chi2"],
+    ],
+    "overfit": [
+        ["--dim", "4"], ["--runs", "3"], ["--noise-sd", "0.5"], ["--sample-sizes", "30"],
+        ["--seed", "6"], ["--alpha", "0.5"], ["--null-samples", "200"],
+        ["--null-method", "chi2"],
+    ],
+    "shuffle-target": [
+        ["--input", "head.csv"], ["--normalize"], ["--seed", "1"],
+        ["--null-samples", "200"], ["--null-method", "chi2"],
+    ],
+}
+
+
+@pytest.fixture
+def sample_dir(tmp_path, monkeypatch):
+    lines = (DATA / "sample.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "sample.csv").write_text("".join(lines))
+    (tmp_path / "head.csv").write_text("".join(lines[:151]))
+    monkeypatch.chdir(tmp_path)
+
+
+class TestFlagTable:
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        actions = _build_parser()._actions
+        sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == {name: flags | {"--output", "--format"} for name, flags in READS.items()}
+        assert sum(len(flags) for flags in got.values()) == 50
+        assert {name: {c[0] for c in changes} for name, changes in CHANGES.items()} == READS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--input", "data.csv", "--target", "y", "--seed", "1"],
+            ["estimate", "--input", "data.csv", "--target", "y", "--alpha", "0.1"],
+            ["estimate", "--input", "data.csv", "--target", "y", "--null-samples", "200"],
+            ["estimate", "--input", "data.csv", "--target", "y", "--null-method", "chi2"],
+            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--alpha", "0.1"],
+            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--null-samples", "200"],
+            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--null-method", "chi2"],
+            ["overfit", "--dim", "3", "--runs", "2", "--sample-sizes", "50", "--samples", "30"],
+            ["overfit", "--dim", "3", "--runs", "2", "--sample-sizes", "50", "--latent", "4"],
+            ["shuffle-target", "--input", "data.csv", "--alpha", "0.1"],
+            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--format", "csv"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, change",
+        [(command, change) for command, changes in CHANGES.items() for change in changes],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_each_read_flag_changes_the_results(self, capsys, sample_dir, command, change):
+        def results(argv):
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return payload["records"], payload["summary"]
+
+        assert results(CASES[command] + change) != results(CASES[command])
 
 
 class TestParserReuse:

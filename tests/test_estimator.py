@@ -52,7 +52,7 @@ class TestLogDirectionDensity:
         for _ in range(50):
             d = int(rng.integers(2, 9))
             cov = cov_from_spectrum(rng.uniform(0.2, 5.0, size=d))
-            v = unit_direction(rng.standard_normal(d), cov)
+            v = unit_direction(rng.standard_normal(d))
             assert log_direction_density(0.0, v, cov) == 0.0
 
     def test_mass_on_small_eigenvalue_raises_density(self):
@@ -75,7 +75,7 @@ class TestLogDirectionDensity:
             from specbeta import CovarianceModel
 
             cov = CovarianceModel.from_matrices(m @ m.T, np.zeros(d))
-            v = unit_direction(rng.standard_normal(d), cov)
+            v = unit_direction(rng.standard_normal(d))
             theta = float(rng.uniform(0.1, 5.0))
             direct = math.exp(log_direction_density(theta, v, cov))
             oracle = direction_density(sqrt_r_theta(theta, cov), v)
@@ -93,7 +93,7 @@ class TestLogDirectionDensity:
         for _ in range(100):
             d = int(rng.integers(2, 40))
             cov = cov_from_spectrum(10.0 ** rng.uniform(-3, 3, size=d))
-            v = unit_direction(rng.standard_normal(d), cov)
+            v = unit_direction(rng.standard_normal(d))
             thetas = np.concatenate([scan_grid(cov), 10.0 ** rng.uniform(-8, 8, 39)])
             vals = log_direction_density(thetas, v, cov)
             assert vals.shape == thetas.shape
@@ -148,7 +148,7 @@ class TestEstimateTheta:
 
     def test_profile_consistency(self, rng):
         cov = cov_from_spectrum(rng.uniform(0.3, 3.0, size=6))
-        v = unit_direction(rng.standard_normal(6), cov)
+        v = unit_direction(rng.standard_normal(6))
         est = estimate_theta(v, cov)
         assert est.loglik == log_direction_density(est.theta, v, cov)
         assert est.loglik >= log_direction_density(scan_grid(cov), v, cov).max()
@@ -178,7 +178,7 @@ class TestEstimateTheta:
         coords = g.standard_normal(d)
         if log_theta is not None:
             coords *= np.sqrt(1.0 + 10.0**log_theta / cov.eigenvalues)
-        v = unit_direction(cov.eigenvectors @ coords, cov)
+        v = unit_direction(cov.eigenvectors @ coords)
         est = estimate_theta(v, cov)
         dense_max = float(log_direction_density(scan_grid(cov, 20_001), v, cov).max())
         assert est.loglik >= dense_max - 1e-9 * (1.0 + abs(dense_max))
@@ -192,7 +192,7 @@ class TestEstimateTheta:
     )
     def test_two_modes_lands_on_the_higher(self, lam, w2):
         cov = cov_from_spectrum(lam)
-        v = unit_direction(np.sqrt(w2), cov)
+        v = unit_direction(np.sqrt(w2))
         grid = scan_grid(cov, 20_001)
         f = log_direction_density(grid, v, cov)
         peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] > f[2:])) + 1
@@ -222,7 +222,7 @@ class TestEstimateTheta:
             g = np.random.default_rng(seed)
             b = g.standard_normal(200)
             coords = np.sqrt(1.0 + 10.0 / cov.eigenvalues) * b
-            v = unit_direction(cov.eigenvectors @ coords, cov)
+            v = unit_direction(cov.eigenvectors @ coords)
             theta = estimate_theta(v, cov).theta
             hits += 5.0 <= theta <= 20.0
         assert hits >= 180
@@ -330,7 +330,7 @@ class TestConcentration:
             vals = []
             for _ in range(500):
                 b = g.standard_normal(d)
-                v = unit_direction(cov.eigenvectors @ (scale * b), cov)
+                v = unit_direction(cov.eigenvectors @ (scale * b))
                 vals.append(log_direction_density(1.0, v, cov) / d)
             vals = np.asarray(vals)
             sds.append(vals.std(ddof=1))
@@ -347,22 +347,11 @@ class TestConcentration:
             1.0 - 2.0 / (3 * eps**2)
         )
 
-    def test_bound_conservative_variant_identity(self):
-        cov = cov_from_spectrum([1.0, 1.0])
-        assert concentration_bound(0.0, 0.0, cov, 1.0, variant="conservative") == pytest.approx(
-            1.0 - 8.0 / 2.0
-        )
-
     def test_bound_limits(self):
         small = cov_from_spectrum([1.0, 2.0])
         big = cov_from_spectrum(np.linspace(1.0, 2.0, 2000))
         assert concentration_bound(1.0, 1.0, small, 1e-6) < -1e6
         assert concentration_bound(1.0, 1.0, big, 0.5) > 0.9
-
-    def test_bound_unknown_variant(self):
-        cov = cov_from_spectrum([1.0, 2.0])
-        with pytest.raises(ValueError):
-            concentration_bound(1.0, 1.0, cov, 0.5, variant="nope")
 
 
 class TestInvariance:

@@ -12,7 +12,6 @@ from specbeta import (
     DegenerateModelError,
     GroundTruth,
     TooFewSamplesError,
-    causal_dataset,
     empirical_covariance,
     generate_samples,
     genmodel,
@@ -340,18 +339,13 @@ class TestOverfitDataset:
         np.testing.assert_array_equal(d1.data.y, d2.data.y)
 
 
-class TestCausalDataset:
-    def test_no_confounding_recorded(self):
-        ds = causal_dataset(5, 100, rng=0)
-        assert ds.true_beta == 0.0
-        np.testing.assert_array_equal(ds.truth.c, np.zeros(5))
-
-    def test_model_is_sample_causal_truth(self):
-        ds = causal_dataset(5, 100, rng=4)
-        truth = sample_causal_truth(5, 4)
-        np.testing.assert_array_equal(ds.truth.m, truth.m)
-        np.testing.assert_array_equal(ds.truth.a, truth.a)
+class TestSampleCausalTruth:
+    def test_no_confounding(self):
+        truth = sample_causal_truth(5, 0)
+        np.testing.assert_array_equal(truth.c, np.zeros(5))
 
     def test_noiseless_target_is_linear(self):
-        ds = causal_dataset(5, 100, noise_sd=0.0, rng=1)
-        np.testing.assert_allclose(ds.data.y, ds.data.x @ ds.truth.a, rtol=1e-12)
+        truth = sample_causal_truth(5, 1)
+        ds = generate_samples(truth, 100, noise_sd=0.0, rng=1)
+        assert ds.true_beta == 0.0
+        np.testing.assert_allclose(ds.data.y, ds.data.x @ truth.a, rtol=1e-12)

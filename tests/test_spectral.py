@@ -155,20 +155,28 @@ class TestRegressionVector:
 
 class TestUnitDirection:
     def test_normalizes(self):
-        cov = CovarianceModel.from_matrices(np.eye(2), np.zeros(2))
-        u = unit_direction(np.array([3.0, 4.0]), cov)
+        u = unit_direction(np.array([3.0, 4.0]))
         np.testing.assert_allclose(u.v, [0.6, 0.8])
 
     def test_zero_vector(self):
-        cov = CovarianceModel.from_matrices(np.eye(2), np.zeros(2))
         with pytest.raises(ZeroSignalError):
-            unit_direction(np.zeros(2), cov)
+            unit_direction(np.zeros(2))
 
     def test_basis_coords_under_axis_swap(self):
         # diag(1,2,3) sorts to eigenvectors (e3, e2, e1) up to sign
         cov = cov_from_spectrum([1.0, 2.0, 3.0])
-        u = unit_direction(np.array([5.0, 0.0, 0.0]), cov)
+        u = unit_direction(np.array([5.0, 0.0, 0.0]))
         np.testing.assert_allclose(np.abs(u.coords_in(cov)), [0.0, 0.0, 1.0], atol=1e-12)
+
+    def test_coords_follow_the_given_covariance(self):
+        # one direction, two covariances with different eigenbases
+        cov_a = cov_from_spectrum([3.0, 2.0, 1.0])
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        cov_b = CovarianceModel.from_matrices(q @ np.diag([5.0, 1.0, 0.5]) @ q.T, np.zeros(3))
+        u = unit_direction(np.array([1.0, 2.0, 2.0]))
+        for cov in (cov_a, cov_b):
+            np.testing.assert_array_equal(u.coords_in(cov), cov.eigenvectors.T @ u.v)
+        assert np.abs(u.coords_in(cov_a) - u.coords_in(cov_b)).max() > 0.1
 
     def test_rejects_non_unit(self):
         from specbeta import UnitDirection

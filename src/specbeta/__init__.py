@@ -9,10 +9,8 @@ null hypothesis of no confounding with a Monte-Carlo spectral statistic.
 """
 
 from .cdtest import (
-    MIXED_CHI2,
     SPHERE_MONTE_CARLO,
     TestResult,
-    null_samples_mixed_chi2,
     null_samples_sphere,
     statistic_T,
     test_nonconfounding,

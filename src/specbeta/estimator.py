@@ -191,29 +191,18 @@ def estimate_confounding(cov: CovarianceModel) -> BetaEstimate:
     )
 
 
-def concentrated_loglik(
-    theta: float,
-    theta_prime: float,
-    cov: CovarianceModel,
-    *,
-    corrected: bool = False,
-) -> float:
+def concentrated_loglik(theta: float, theta_prime: float, cov: CovarianceModel) -> float:
     """Concentrated value of the log-likelihood of theta under data from theta'.
 
-    With r_j = 1 + theta/lambda_j and r'_j = 1 + theta'/lambda_j, the default
-    form is
-
-        1/2 [ log det R_theta - log( tau(R_theta' R_theta^{-1}) / tau(R_theta') ) ].
-
-    ``corrected=True`` evaluates
+    With r_j = 1 + theta/lambda_j and r'_j = 1 + theta'/lambda_j, this is
 
         -1/2 [ log det R_theta + d * log( tau(R_theta' R_theta^{-1}) / tau(R_theta') ) ],
 
-    which substitutes the concentrating averages into the direction
-    log-density itself.  The empirical mean of ``log_direction_density``
-    over directions drawn at theta' approaches this corrected form for large
-    d, not the default one; the spread of that log density grows like
-    sqrt(d), so it concentrates per dimension (see ``concentration_bound``).
+    the direction log-density with its concentrating averages substituted.
+    The empirical mean of ``log_direction_density`` over directions drawn at
+    theta' approaches it for large d; the spread of that log density grows
+    like sqrt(d), so it concentrates per dimension (see
+    ``concentration_bound``).
     """
     if theta < 0 or theta_prime < 0:
         raise ValueError("theta values must be nonnegative")
@@ -222,9 +211,7 @@ def concentrated_loglik(
     rp = 1.0 + theta_prime / lam
     log_det = float(np.sum(np.log(r)))
     log_tau_ratio = math.log(float(np.mean(rp / r))) - math.log(float(np.mean(rp)))
-    if corrected:
-        return -0.5 * (log_det + cov.d * log_tau_ratio)
-    return 0.5 * (log_det - log_tau_ratio)
+    return -0.5 * (log_det + cov.d * log_tau_ratio)
 
 
 def concentration_bound(

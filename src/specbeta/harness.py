@@ -12,7 +12,7 @@ import itertools
 import json
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,8 @@ class ExperimentConfig:
     alpha: float = 0.05
     null_count: int = 1000
     normalize: bool = False
-    method: str = cdtest.SPHERE_MONTE_CARLO
+    # The one null of the test, echoed in every report; not settable.
+    method: str = field(default=cdtest.SPHERE_MONTE_CARLO, init=False)
     noise_sd: float | None = None  # None: 0 for simulate, 1 for overfit
     sample_sizes: tuple[int, ...] = DEFAULT_SAMPLE_SIZES
     target: str | int | None = None
@@ -311,11 +312,10 @@ def run_estimate(config: ExperimentConfig) -> Report:
 def run_test(config: ExperimentConfig) -> Report:
     """Test the no-confounding null on the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
-    res = cdtest.test_nonconfounding(cov, config.null_count, config.method, config.seed)
+    res = cdtest.test_nonconfounding(cov, config.null_count, config.seed)
     record = {
         "t_observed": res.t_observed,
         "p_value": res.p_value,
-        "method": res.method,
         "null_count": res.null_count,
         "reject_at_alpha": res.p_value <= config.alpha,
     }
@@ -379,7 +379,9 @@ def run_simulation_study(config: ExperimentConfig) -> Report:
     ok = study.ok()
     betas = np.array([r["true_beta"] for r in ok])
     bhats = np.array([r["beta_hat"] for r in ok])
-    corr = float(np.corrcoef(betas, bhats)[0, 1]) if len(ok) >= 2 else float("nan")
+    # without spread in either array corrcoef divides 0 by 0, and numpy warns
+    spread = len(ok) >= 2 and np.ptp(betas) > 0 and np.ptp(bhats) > 0
+    corr = float(np.corrcoef(betas, bhats)[0, 1]) if spread else float("nan")
     summary = {
         "runs": config.runs,
         "failures": study.failures,
@@ -399,7 +401,7 @@ def run_rejection_study(config: ExperimentConfig) -> Report:
             cov, beta = genmodel.sample_covariance(
                 truth, config.n, noise_sd=config.noise_sd or 0.0, rng=rng
             )
-            res = cdtest.test_nonconfounding(cov, config.null_count, config.method, rng)
+            res = cdtest.test_nonconfounding(cov, config.null_count, rng)
             record.update(true_beta=beta, t_observed=res.t_observed, p_value=res.p_value)
     ok = study.ok()
     betas = np.array([r["true_beta"] for r in ok])
@@ -444,7 +446,7 @@ def run_overfit_study(config: ExperimentConfig) -> Report:
             with study.run(n=n, run=i) as (record, rng):
                 truth = genmodel.sample_causal_truth(config.d, rng)
                 cov, _ = genmodel.sample_covariance(truth, n, noise_sd=noise_sd, rng=rng)
-                res = cdtest.test_nonconfounding(cov, config.null_count, config.method, rng)
+                res = cdtest.test_nonconfounding(cov, config.null_count, rng)
                 record["p_value"] = res.p_value
     ok = study.ok()
     per_n = []
@@ -509,7 +511,7 @@ def shuffle_target_analysis(
                 theta_hat=est.theta_hat,
                 boundary=est.boundary,
             )
-            res = cdtest.test_nonconfounding(cov, config.null_count, config.method, rng)
+            res = cdtest.test_nonconfounding(cov, config.null_count, rng)
             record.update(t_observed=res.t_observed, p_value=res.p_value)
         except ZeroSignalError:
             record["zero_signal"] = True
@@ -539,28 +541,30 @@ def _check_failures(failures: int, planned: int) -> None:
 def emit_report(report: Report, path: str | Path | None = None, fmt: str = "json") -> None:
     """Write a report as JSON (single object) or CSV (+ summary sidecar).
 
-    Without ``path`` the report goes to stdout, always as JSON.  Floats are
-    serialized with 17 significant digits, so re-parsing reproduces them
+    Without ``path`` a JSON report goes to stdout; CSV needs a path.  Floats
+    are serialized with 17 significant digits, so re-parsing reproduces them
     exactly and identical reports yield identical bytes.
     """
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
     payload = {
         "config": report.config,
         "records": report.records,
         "summary": report.summary,
     }
     if path is None:
+        if fmt == "csv":
+            raise ValueError("csv format needs an output path")
         print(stable_json(payload))
     elif fmt == "json":
         Path(path).write_text(stable_json(payload) + "\n")
-    elif fmt == "csv":
+    else:
         path = Path(path)
         _write_records_csv(report.records, path)
         sidecar = path.with_name(
             path.stem + ".summary.csv" if path.suffix == ".csv" else path.name + ".summary.csv"
         )
         _write_summary_csv(report.summary, sidecar)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def stable_json(obj) -> str:

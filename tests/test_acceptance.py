@@ -4,8 +4,8 @@ Run with ``pytest -v tests/test_acceptance.py`` to get a pass/fail line per
 criterion.  Criterion 6 checks that overfitting alone makes the test reject:
 far above the level at n = 20, more often than at n = 10000, and in most runs
 when the target is independent of the predictors.  Criterion 9 checks that
-the log density concentrates per dimension, around the ``corrected=True``
-value of ``concentrated_loglik``.
+the log density concentrates per dimension, around the value of
+``concentrated_loglik``.
 """
 
 import math
@@ -244,8 +244,8 @@ def test_c09_log_density_concentration():
 
     The un-normalized log density is a sum over d coordinates, so its SD
     grows like sqrt(d); the concentration bound speaks of deviations per
-    dimension.  The mean at d = 1000 is compared with the ``corrected=True``
-    form of ``concentrated_loglik``, the value that mean approaches.
+    dimension.  The mean at d = 1000 is compared with ``concentrated_loglik``,
+    the value that mean approaches.
     """
     sds = []
     mean_ok = False
@@ -261,7 +261,7 @@ def test_c09_log_density_concentration():
         vals = np.asarray(vals)
         sds.append(vals.std(ddof=1) / d)
         if d == 1000:
-            target = concentrated_loglik(1.0, 1.0, cov, corrected=True)
+            target = concentrated_loglik(1.0, 1.0, cov)
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             mean_ok = abs(vals.mean() - target) <= 3 * se
     assert all(s2 < s1 for s1, s2 in zip(sds, sds[1:])), sds

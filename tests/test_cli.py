@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,13 +176,14 @@ READS = {
     "shuffle-target": {"--input", "--normalize", "--seed", "--null-samples", "--null-method"},
 }
 
-# One changed value per read flag.  Appended to the pinned command line of
+# One changed value per read flag but --null-method, whose one value is the
+# default (see test_sphere_null_is_the_default).  Appended to the pinned command line of
 # test_reports, run beside sample.csv and head.csv; a flag's last value wins.
 CHANGES = {
     "estimate": [["--input", "head.csv"], ["--target", "a"], ["--normalize"]],
     "test": [
         ["--input", "head.csv"], ["--target", "a"], ["--normalize"], ["--seed", "1"],
-        ["--alpha", "0.01"], ["--null-samples", "300"], ["--null-method", "chi2"],
+        ["--alpha", "0.01"], ["--null-samples", "300"],
     ],
     "simulate": [
         ["--dim", "4"], ["--latent", "4"], ["--samples", "400"], ["--runs", "2"],
@@ -190,18 +192,19 @@ CHANGES = {
     "rejections": [
         ["--dim", "4"], ["--latent", "5"], ["--samples", "400"], ["--runs", "4"],
         ["--noise-sd", "0.5"], ["--seed", "6"], ["--alpha", "0.01"],
-        ["--null-samples", "200"], ["--null-method", "chi2"],
+        ["--null-samples", "200"],
     ],
     "overfit": [
         ["--dim", "4"], ["--runs", "3"], ["--noise-sd", "0.5"], ["--sample-sizes", "30"],
         ["--seed", "6"], ["--alpha", "0.5"], ["--null-samples", "200"],
-        ["--null-method", "chi2"],
     ],
     "shuffle-target": [
         ["--input", "head.csv"], ["--normalize"], ["--seed", "1"],
-        ["--null-samples", "200"], ["--null-method", "chi2"],
+        ["--null-samples", "200"],
     ],
 }
+
+NULL_METHOD_COMMANDS = [name for name, flags in READS.items() if "--null-method" in flags]
 
 
 @pytest.fixture
@@ -222,7 +225,10 @@ class TestFlagTable:
         }
         assert got == {name: flags | {"--output", "--format"} for name, flags in READS.items()}
         assert sum(len(flags) for flags in got.values()) == 50
-        assert {name: {c[0] for c in changes} for name, changes in CHANGES.items()} == READS
+        # --null-method is the one read flag with a single value
+        assert {name: {c[0] for c in changes} for name, changes in CHANGES.items()} == {
+            name: flags - {"--null-method"} for name, flags in READS.items()
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -230,10 +236,10 @@ class TestFlagTable:
             ["estimate", "--input", "data.csv", "--target", "y", "--seed", "1"],
             ["estimate", "--input", "data.csv", "--target", "y", "--alpha", "0.1"],
             ["estimate", "--input", "data.csv", "--target", "y", "--null-samples", "200"],
-            ["estimate", "--input", "data.csv", "--target", "y", "--null-method", "chi2"],
+            ["estimate", "--input", "data.csv", "--target", "y", "--null-method", "sphere"],
             ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--alpha", "0.1"],
             ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--null-samples", "200"],
-            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--null-method", "chi2"],
+            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--null-method", "sphere"],
             ["overfit", "--dim", "3", "--runs", "2", "--sample-sizes", "50", "--samples", "30"],
             ["overfit", "--dim", "3", "--runs", "2", "--sample-sizes", "50", "--latent", "4"],
             ["shuffle-target", "--input", "data.csv", "--alpha", "0.1"],
@@ -259,13 +265,28 @@ class TestFlagTable:
 
         assert results(CASES[command] + change) != results(CASES[command])
 
+    @pytest.mark.parametrize("command", NULL_METHOD_COMMANDS)
+    def test_chi2_null_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(CASES[command] + ["--null-method", "chi2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", NULL_METHOD_COMMANDS)
+    def test_sphere_null_is_the_default(self, capsys, sample_dir, command):
+        outputs = []
+        for argv in (CASES[command], CASES[command] + ["--null-method", "sphere"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestParserReuse:
     def test_second_call_gets_its_own_defaults(self, capsys):
         # the first call sets non-default flags on another subcommand
         argv = ["simulate", "--dim", "3", "--samples", "200", "--runs", "3"]
         first = ["rejections", "--dim", "4", "--latent", "6", "--samples", "300",
-                 "--runs", "2", "--null-samples", "200", "--null-method", "chi2",
+                 "--runs", "2", "--null-samples", "200", "--null-method", "sphere",
                  "--noise-sd", "0.5", "--seed", "9", "--alpha", "0.1"]
         assert run(capsys, first)[0] == 0
         code, out, _ = run(capsys, argv)
@@ -295,24 +316,6 @@ class TestTest:
         payload = json.loads(out)
         assert 0.0 < payload["summary"]["p_value"] <= 1.0
 
-    def test_chi2_method(self, capsys, linear_csv):
-        code, out, _ = run(
-            capsys,
-            [
-                "test",
-                "--input",
-                linear_csv,
-                "--target",
-                "y",
-                "--null-method",
-                "chi2",
-                "--null-samples",
-                "200",
-            ],
-        )
-        assert code == 0
-        assert json.loads(out)["records"][0]["method"] == "mixed_chi2"
-
 
 class TestSimulationCommands:
     def test_simulate(self, capsys):
@@ -322,6 +325,18 @@ class TestSimulationCommands:
         )
         assert code == 0
         assert len(json.loads(out)["records"]) == 3
+
+    def test_constant_beta_hat_prints_no_warning(self, capsys):
+        # every run's theta_hat is 0, so beta_hat has no spread to correlate
+        argv = ["simulate", "--dim", "3", "--samples", "300", "--runs", "3", "--seed", "5",
+                "--latent", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert {r["beta_hat"] for r in payload["records"]} == {0.0}
+        assert payload["summary"]["pearson_correlation"] == "nan"
 
     def test_simulate_byte_identical_outputs(self, capsys, tmp_path):
         argv = ["simulate", "--dim", "3", "--samples", "300", "--runs", "3", "--seed", "5"]

@@ -306,22 +306,16 @@ class TestConcentration:
         assert concentrated_loglik(0.0, 0.0, cov) == 0.0
         assert concentrated_loglik(0.0, 3.0, cov) == pytest.approx(0.0, abs=1e-14)
 
-    def test_concentrated_loglik_example(self):
-        cov = cov_from_spectrum([1.0, 4.0])
-        assert concentrated_loglik(1.0, 0.0, cov) == pytest.approx(0.673537, abs=1e-5)
-
     def test_corrected_variant_matches_scalar_arithmetic(self):
         cov = cov_from_spectrum([1.0, 4.0])
         log_det = math.log(2.0) + math.log(1.25)
         log_ratio = math.log(0.65)  # tau(R_0 R_1^{-1}) with tau(R_0) = 1
         expected = -0.5 * (log_det + 2 * log_ratio)
-        assert concentrated_loglik(1.0, 0.0, cov, corrected=True) == pytest.approx(
-            expected, abs=1e-14
-        )
+        assert concentrated_loglik(1.0, 0.0, cov) == pytest.approx(expected, abs=1e-14)
 
     def test_normalized_log_density_concentrates(self):
         # per-dimension average of the log density tightens as d grows and
-        # its mean approaches the corrected concentrated value
+        # its mean approaches the concentrated value
         sds = []
         for d in (10, 50, 200, 1000):
             g = np.random.default_rng(d)
@@ -335,7 +329,7 @@ class TestConcentration:
             vals = np.asarray(vals)
             sds.append(vals.std(ddof=1))
             if d == 1000:
-                target = concentrated_loglik(1.0, 1.0, cov, corrected=True) / d
+                target = concentrated_loglik(1.0, 1.0, cov) / d
                 se = vals.std(ddof=1) / math.sqrt(len(vals))
                 assert abs(vals.mean() - target) <= 3 * se
         assert all(s2 < s1 for s1, s2 in zip(sds, sds[1:]))

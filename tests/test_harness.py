@@ -240,6 +240,11 @@ class TestExperimentConfig:
     def test_latent_defaults_to_d(self):
         assert ExperimentConfig(d=7).ell == 7
 
+    def test_null_method_is_not_settable(self):
+        assert ExperimentConfig().method == "sphere_monte_carlo"
+        with pytest.raises(TypeError):
+            ExperimentConfig(method="mixed_chi2")
+
     def test_rejects_latent_below_d_in_rejection_study(self):
         with pytest.raises(BadDimensionsError):
             ExperimentConfig(mode="rejection_study", d=10, latent=5)
@@ -434,6 +439,11 @@ class TestEmitReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(self._report(), tmp_path / "r.xml", "xml")
+
+    def test_csv_needs_a_path(self, capsys):
+        with pytest.raises(ValueError, match="csv format needs an output path"):
+            emit_report(Report({"a": 1}, [{"x": 1.5}], {"s": 2}), None, "csv")
+        assert capsys.readouterr().out == ""
 
 
 class TestStableJson:

@@ -13,13 +13,7 @@ import functools
 import sys
 
 from . import harness
-from .errors import (
-    BadDimensionsError,
-    DataError,
-    SpecbetaError,
-    TooFewSamplesError,
-    ZeroSignalError,
-)
+from .errors import BadDimensionsError, DataError, SpecbetaError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,9 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     config = _parse_config(argv)
     try:
         harness.emit_report(harness.run(config), config.output_path, config.fmt)
-    except (
-        DataError, TooFewSamplesError, ZeroSignalError, ValueError, FileNotFoundError
-    ) as err:
+    except (DataError, ValueError, OSError) as err:
         print(f"specbeta: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (SpecbetaError, RuntimeError) as err:

@@ -5,7 +5,11 @@ class SpecbetaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class TooFewSamplesError(SpecbetaError):
+class DataError(SpecbetaError):
+    """Base class for problems with the input data: its values, columns or dimensions."""
+
+
+class TooFewSamplesError(DataError):
     """Sample count is too small for the requested operation (n <= d)."""
 
 
@@ -18,7 +22,7 @@ class RankDeficientError(SpecbetaError):
     """
 
 
-class ZeroSignalError(SpecbetaError):
+class ZeroSignalError(DataError):
     """Cross-covariance (or the input vector) is zero; no direction exists."""
 
 
@@ -30,16 +34,12 @@ class SingularMatrixError(SpecbetaError):
     """Matrix is singular or too ill-conditioned to invert."""
 
 
-class BadDimensionsError(SpecbetaError):
+class BadDimensionsError(DataError):
     """Dimension arguments are inconsistent (e.g. fewer sources than observed variables)."""
 
 
 class DegenerateModelError(SpecbetaError):
     """Ground-truth model has neither causal nor confounding signal (a = c = 0)."""
-
-
-class DataError(SpecbetaError):
-    """Base class for problems with user-supplied tabular data."""
 
 
 class ParseError(DataError):

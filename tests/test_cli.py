@@ -64,6 +64,21 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_directory_input_is_data_error(self, tmp_path):
+        # run as a process, so that a traceback would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "specbeta.cli", "estimate", "--input", str(tmp_path),
+             "--target", "y"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("specbeta: data error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_column_is_data_error(self, capsys, linear_csv):
         code, _, err = run(capsys, ["estimate", "--input", linear_csv, "--target", "zz"])
         assert code == 2
@@ -426,6 +441,14 @@ class TestShuffleTarget:
         assert code == 2
         assert out == ""
         assert "non-finite entries in data" in err
+
+    def test_two_columns_is_data_error(self, capsys, tmp_path):
+        p = tmp_path / "two.csv"
+        p.write_text("a,b\n1,2\n2,5\n3,4\n4,9\n")
+        code, out, err = run(capsys, ["shuffle-target", "--input", str(p)])
+        assert code == 2
+        assert out == ""
+        assert err == "specbeta: data error: shuffle-target needs at least 3 columns\n"
 
     def test_single_row_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "one.csv"

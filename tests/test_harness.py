@@ -275,6 +275,27 @@ class TestRunRng:
         assert not np.array_equal(a, b)
 
 
+# Study runner, its config fields, the genmodel draw a failure is injected
+# through, and the seed key of the study's first run.
+FAILING_STUDIES = {
+    "simulate": (
+        run_simulation_study, {"mode": "simulate", "n": 300}, "sample_ground_truth", {"run": 0}
+    ),
+    "rejections": (
+        run_rejection_study,
+        {"mode": "rejection_study", "n": 300, "null_count": 100},
+        "sample_ground_truth",
+        {"run": 0},
+    ),
+    "overfit": (
+        run_overfit_study,
+        {"mode": "overfit_study", "null_count": 100, "sample_sizes": (20,)},
+        "sample_causal_truth",
+        {"n": 20, "run": 0},
+    ),
+}
+
+
 class TestStudies:
     def test_simulation_study_deterministic(self):
         cfg = ExperimentConfig(mode="simulate", d=4, n=400, runs=3, seed=8, null_count=100)
@@ -316,18 +337,23 @@ class TestStudies:
         for e in rep.summary["per_sample_size"]:
             assert sum(e["histogram"]) == e["count"] == 10
 
-    def test_too_many_failures_abort(self, monkeypatch):
+    @pytest.mark.parametrize("study", sorted(FAILING_STUDIES))
+    def test_too_many_failures_abort(self, monkeypatch, study):
+        run_study, fields, draw, key = FAILING_STUDIES[study]
+
         def fail(*args):
             raise DegenerateModelError("injected")
 
-        monkeypatch.setattr(genmodel, "sample_ground_truth", fail)
-        cfg = ExperimentConfig(mode="simulate", d=5, n=300, runs=5, seed=0)
-        with pytest.raises(RuntimeError):
-            run_simulation_study(cfg)
+        monkeypatch.setattr(genmodel, draw, fail)
+        cfg = ExperimentConfig(d=5, runs=5, seed=0, **fields)
+        with pytest.raises(RuntimeError, match=r"^1 of 5 planned runs failed \(> 10%\)$"):
+            run_study(cfg)
 
-    def test_early_failure_does_not_abort(self, monkeypatch):
+    @pytest.mark.parametrize("study", sorted(FAILING_STUDIES))
+    def test_early_failure_does_not_abort(self, monkeypatch, study):
         # the failure bound applies to the planned runs, not the runs so far
-        original = genmodel.sample_ground_truth
+        run_study, fields, draw, key = FAILING_STUDIES[study]
+        original = getattr(genmodel, draw)
         calls = []
 
         def fail_first(*args):
@@ -336,12 +362,13 @@ class TestStudies:
                 raise DegenerateModelError("injected")
             return original(*args)
 
-        monkeypatch.setattr(genmodel, "sample_ground_truth", fail_first)
-        cfg = ExperimentConfig(mode="simulate", d=3, n=300, runs=20, seed=0)
-        rep = run_simulation_study(cfg)
+        monkeypatch.setattr(genmodel, draw, fail_first)
+        cfg = ExperimentConfig(d=3, runs=20, seed=0, **fields)
+        rep = run_study(cfg)
         assert rep.summary["failures"] == 1
         assert len(rep.records) == 20
-        assert [r for r in rep.records if "error" in r] == [{"run": 0, "error": "injected"}]
+        errors = [r for r in rep.records if "error" in r]
+        assert stable_json(errors) == stable_json([{**key, "error": "injected"}])  # key order too
 
 
 class TestShuffleTarget:

@@ -134,19 +134,43 @@ def sample_covariance(
     This agrees with ``empirical_covariance(generate_samples(...).data)`` up to
     rounding, not bit for bit.  Errors are those of that path.
     """
-    z, e = _draw_sources(truth, n, noise_sd, as_generator(rng))
+    return _fitted_model(truth, *_latent_moments(truth, n, noise_sd, as_generator(rng)))
+
+
+def _latent_moments(
+    truth: GroundTruth, n: int, noise_sd: float, g: np.random.Generator
+) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, float, int]:
+    """The draws of ``sample_covariance`` reduced to (C, Zc Ec/n, Ec'Ec/n, n).
+
+    The noise terms are (None, 0.0) when noise_sd = 0.  Nearly all of its time
+    is spent in the draw and the Gram product, which release the GIL, and it
+    calls nothing but numpy, so another thread may run it.
+    """
+    z, e = _draw_sources(truth, n, noise_sd, g)
     z -= z.mean(axis=1, keepdims=True)
     gram = (z @ z.T) / n
+    if e is None:
+        return gram, None, 0.0, n
+    e -= e.mean()
+    return gram, (z @ e) / n, float(e @ e) / n, n
+
+
+def _fitted_model(
+    truth: GroundTruth,
+    gram: NDArray[np.float64],
+    ze: NDArray[np.float64] | None,
+    ee: float,
+    n: int,
+) -> tuple[CovarianceModel, float]:
+    """The fitted model and true beta from ``_latent_moments``' output."""
     b = truth.m.T @ truth.a + truth.c
     mg = truth.m @ gram
     gb = gram @ b
     sigma_xy = truth.m @ gb
     sigma_yy = float(b @ gb)
-    if e is not None:
-        e -= e.mean()
-        ze = (z @ e) / n
+    if ze is not None:
         sigma_xy = sigma_xy + truth.m @ ze
-        sigma_yy += 2.0 * float(b @ ze) + float(e @ e) / n
+        sigma_yy += 2.0 * float(b @ ze) + ee
     cov = covariance_from_moments(mg @ truth.m.T, sigma_xy, sigma_yy, n)
     return cov, _recorded_beta(truth)
 

@@ -27,7 +27,7 @@ from .errors import (
     SpecbetaError,
     ZeroSignalError,
 )
-from .spectral import DataMatrix, covariance_from_moments, empirical_covariance
+from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empirical_covariance
 
 MODES = (
     "estimate",
@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.d < 1 or self.n < 1 or self.runs < 1:
             raise ValueError("counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
         if self.null_count < cdtest.MIN_NULL_COUNT:
@@ -84,8 +86,13 @@ class ExperimentConfig:
                 raise BadDimensionsError("latent dimension must be >= d when simulating")
             if self.n <= self.d:
                 raise ValueError(f"need samples > d, got n={self.n}, d={self.d}")
-        if self.mode == "overfit_study" and any(n <= self.d for n in self.sample_sizes):
-            raise ValueError(f"need every sample size > d, got {self.sample_sizes}, d={self.d}")
+        if self.mode == "overfit_study":
+            if any(n <= self.d for n in self.sample_sizes):
+                raise ValueError(
+                    f"need every sample size > d, got {self.sample_sizes}, d={self.d}"
+                )
+            if len(set(self.sample_sizes)) < len(self.sample_sizes):
+                raise ValueError(f"sample sizes must be distinct, got {self.sample_sizes}")
 
     @property
     def ell(self) -> int:
@@ -321,37 +328,85 @@ def run_test(config: ExperimentConfig) -> Report:
     return Report(config_echo(config), [record], {"p_value": res.p_value})
 
 
-def _run_study(seed: int, keys: list[dict], fit: Callable[..., dict]) -> tuple[list[dict], int]:
+def _run_study(
+    seed: int,
+    keys: list[dict],
+    model: Callable[..., tuple[genmodel.GroundTruth, int, float]],
+    fit: Callable[[np.random.Generator, CovarianceModel, float], dict],
+) -> tuple[list[dict], int]:
     """Records and failure count of a seeded study, one run per key, in order.
 
-    Each run's record is ``{**key, **fit(rng, **key)}``, with ``rng`` seeded
-    from ``seed`` and the key's values in order.  A run that raises a
-    ``SpecbetaError`` leaves an ``error`` record instead; the study aborts once
-    more than MAX_FAILURE_FRACTION of the planned runs have failed.
+    A run's generator ``rng``, seeded from ``seed`` and the key's values in
+    order, is continued by three steps, one after another:
+
+    1. ``model(rng, **key)`` gives ``(truth, n, noise_sd)``;
+    2. a worker thread draws the latent moments of
+       ``genmodel.sample_covariance(truth, n, noise_sd, rng)``;
+    3. the rest of ``sample_covariance`` gives ``(cov, beta)``, and the
+       run's record is ``{**key, **fit(rng, cov, beta)}``.
+
+    Steps 1 and 3 run on the calling thread.  The worker draws the next run
+    while this thread finishes the current one, so at most one run is in
+    flight.  Runs are settled in key order, which makes the result that of a
+    serial loop: a run that raises a ``SpecbetaError`` in any step leaves an
+    ``error`` record instead, the study aborts once more than
+    MAX_FAILURE_FRACTION of the planned runs have failed, and any other
+    exception propagates when its run is settled.
     """
+    # Imported here, not at the top: it would add to the CLI's start-up time.
+    from concurrent.futures import ThreadPoolExecutor
+
     records: list[dict] = []
     failures = 0
-    for key in keys:
-        try:
-            records.append({**key, **fit(run_rng(seed, *key.values()), **key)})
-        except SpecbetaError as err:
-            failures += 1
-            if failures > MAX_FAILURE_FRACTION * len(keys):
-                raise RuntimeError(
-                    f"{failures} of {len(keys)} planned runs failed (> {MAX_FAILURE_FRACTION:.0%})"
-                )
-            records.append({**key, "error": str(err)})
+    # Leaving the block joins the worker.  A run started ahead of an abort or
+    # an error is dropped unsettled, as a serial loop would not have reached it.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+
+        def start(key: dict) -> tuple:
+            """Step 1, then step 2 handed to the worker."""
+            rng = run_rng(seed, *key.values())
+            try:
+                truth, n, noise_sd = model(rng, **key)
+            except Exception as err:  # raised when this run is settled, after the earlier runs
+                return key, rng, None, err
+            latent = worker.submit(genmodel._latent_moments, truth, n, noise_sd, rng)
+            return key, rng, truth, latent
+
+        runs = map(start, keys)
+        run = next(runs, None)
+        while run is not None:
+            key, rng, truth, latent = run
+            run = next(runs, None)  # the worker draws it while this thread finishes `key`
+            try:
+                if truth is None:
+                    raise latent
+                cov, beta = genmodel._fitted_model(truth, *latent.result())
+                records.append({**key, **fit(rng, cov, beta)})
+            except SpecbetaError as err:
+                failures += 1
+                if failures > MAX_FAILURE_FRACTION * len(keys):
+                    raise RuntimeError(
+                        f"{failures} of {len(keys)} planned runs failed "
+                        f"(> {MAX_FAILURE_FRACTION:.0%})"
+                    )
+                records.append({**key, "error": str(err)})
     return records, failures
+
+
+def _source_mixing(config: ExperimentConfig) -> Callable[..., tuple]:
+    """Model step of the simulate and rejection studies: a source-mixing model per run."""
+    noise_sd = config.noise_sd or 0.0
+
+    def model(rng: np.random.Generator, **_) -> tuple[genmodel.GroundTruth, int, float]:
+        return genmodel.sample_ground_truth(config.d, config.ell, rng), config.n, noise_sd
+
+    return model
 
 
 def run_simulation_study(config: ExperimentConfig) -> Report:
     """Draw random models, estimate beta on fresh samples, report (beta, beta_hat) pairs."""
 
-    def fit(rng: np.random.Generator, **_) -> dict:
-        truth = genmodel.sample_ground_truth(config.d, config.ell, rng)
-        cov, beta = genmodel.sample_covariance(
-            truth, config.n, noise_sd=config.noise_sd or 0.0, rng=rng
-        )
+    def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
         est = estimator.estimate_confounding(cov)
         return {
             "true_beta": beta,
@@ -360,7 +415,9 @@ def run_simulation_study(config: ExperimentConfig) -> Report:
             "boundary": est.boundary,
         }
 
-    records, failures = _run_study(config.seed, [{"run": i} for i in range(config.runs)], fit)
+    records, failures = _run_study(
+        config.seed, [{"run": i} for i in range(config.runs)], _source_mixing(config), fit
+    )
     ok = [r for r in records if "error" not in r]
     betas = np.array([r["true_beta"] for r in ok])
     bhats = np.array([r["beta_hat"] for r in ok])
@@ -380,15 +437,13 @@ def run_simulation_study(config: ExperimentConfig) -> Report:
 def run_rejection_study(config: ExperimentConfig) -> Report:
     """Per run: true beta and test p-value; summarize rejection fractions per beta bin."""
 
-    def fit(rng: np.random.Generator, **_) -> dict:
-        truth = genmodel.sample_ground_truth(config.d, config.ell, rng)
-        cov, beta = genmodel.sample_covariance(
-            truth, config.n, noise_sd=config.noise_sd or 0.0, rng=rng
-        )
+    def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
         res = cdtest.test_nonconfounding(cov, config.null_count, rng)
         return {"true_beta": beta, "t_observed": res.t_observed, "p_value": res.p_value}
 
-    records, failures = _run_study(config.seed, [{"run": i} for i in range(config.runs)], fit)
+    records, failures = _run_study(
+        config.seed, [{"run": i} for i in range(config.runs)], _source_mixing(config), fit
+    )
     ok = [r for r in records if "error" not in r]
     betas = np.array([r["true_beta"] for r in ok])
     pvals = np.array([r["p_value"] for r in ok])
@@ -427,13 +482,14 @@ def run_overfit_study(config: ExperimentConfig) -> Report:
     """
     noise_sd = 1.0 if config.noise_sd is None else config.noise_sd
 
-    def fit(rng: np.random.Generator, n: int, **_) -> dict:
-        truth = genmodel.sample_causal_truth(config.d, rng)
-        cov, _ = genmodel.sample_covariance(truth, n, noise_sd=noise_sd, rng=rng)
+    def model(rng: np.random.Generator, n: int, **_) -> tuple[genmodel.GroundTruth, int, float]:
+        return genmodel.sample_causal_truth(config.d, rng), n, noise_sd
+
+    def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
         return {"p_value": cdtest.test_nonconfounding(cov, config.null_count, rng).p_value}
 
     keys = [{"n": n, "run": i} for n in config.sample_sizes for i in range(config.runs)]
-    records, failures = _run_study(config.seed, keys, fit)
+    records, failures = _run_study(config.seed, keys, model, fit)
     ok = [r for r in records if "error" not in r]
     per_n = []
     edges = np.linspace(0.0, 1.0, 11)

@@ -163,6 +163,9 @@ class TestUsageErrors:
             ["overfit", "--dim", "10", "--sample-sizes", "5", "--runs", "3"],
             ["simulate", "--dim", "10", "--samples", "1"],
             ["rejections", "--alpha", "2"],
+            # a repeated size would run the same seeded runs twice
+            ["overfit", "--dim", "3", "--runs", "2", "--sample-sizes", "20", "20",
+             "--null-samples", "100"],
         ],
     )
     def test_invalid_flag_values(self, capsys, argv):
@@ -170,6 +173,19 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "rejections", "overfit", "test",
+                                         "shuffle-target"])
+    def test_negative_seed(self, capsys, command):
+        # found before any run or file read, not as a data error mid-run
+        argv = [command, "--seed", "-1"]
+        if command in ("test", "shuffle-target"):
+            argv += ["--input", "data.csv"] + (["--target", "y"] if command == "test" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage:" in err and "seed must be >= 0" in err
 
 
 # Besides --output and --format, the flags of the settings each subcommand reads.

@@ -1,8 +1,14 @@
 """CSV ingestion, simulation studies and report emission."""
 
+import collections
+import importlib
+import importlib.util
 import json
 import math
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from specbeta import (
     NonNumericError,
     ParseError,
     Report,
+    SpecbetaError,
     emit_report,
     ingest_csv,
     read_numeric_csv,
@@ -26,9 +33,12 @@ from specbeta import (
     run_simulation_study,
     shuffle_target_analysis,
 )
-from specbeta import DataMatrix, empirical_covariance, genmodel, harness
+from specbeta import DataMatrix, cdtest, empirical_covariance, estimator, genmodel, harness
 from specbeta.harness import run_rng, stable_json
 from specbeta.spectral import covariance_from_moments
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_csv(path, text):
@@ -369,6 +379,182 @@ class TestStudies:
         assert len(rep.records) == 20
         errors = [r for r in rep.records if "error" in r]
         assert stable_json(errors) == stable_json([{**key, "error": "injected"}])  # key order too
+
+
+def serial_study(config):
+    """Records of a seeded study from a plain loop over public calls, run by run.
+
+    Each run draws its model, then calls ``genmodel.sample_covariance`` with
+    the same generator, then fits; errors and the abort follow the study rules.
+    """
+    if config.mode == "overfit_study":
+        keys = [{"n": n, "run": i} for n in config.sample_sizes for i in range(config.runs)]
+    else:
+        keys = [{"run": i} for i in range(config.runs)]
+    records, failures = [], 0
+    for key in keys:
+        rng = run_rng(config.seed, *key.values())
+        try:
+            if config.mode == "overfit_study":
+                truth = genmodel.sample_causal_truth(config.d, rng)
+                n, noise_sd = key["n"], 1.0 if config.noise_sd is None else config.noise_sd
+            else:
+                truth = genmodel.sample_ground_truth(config.d, config.ell, rng)
+                n, noise_sd = config.n, config.noise_sd or 0.0
+            cov, beta = genmodel.sample_covariance(truth, n, noise_sd, rng)
+            if config.mode == "simulate":
+                est = estimator.estimate_confounding(cov)
+                fit = {"true_beta": beta, "beta_hat": est.beta_hat,
+                       "theta_hat": est.theta_hat, "boundary": est.boundary}
+            else:
+                res = cdtest.test_nonconfounding(cov, config.null_count, rng)
+                fit = {"p_value": res.p_value}
+                if config.mode == "rejection_study":
+                    fit = {"true_beta": beta, "t_observed": res.t_observed, **fit}
+            records.append({**key, **fit})
+        except SpecbetaError as err:
+            failures += 1
+            if failures > 0.1 * len(keys):
+                raise RuntimeError(f"{failures} of {len(keys)} planned runs failed (> 10%)")
+            records.append({**key, "error": str(err)})
+    return records
+
+
+DRIVER_CONFIGS = {
+    "simulate": ExperimentConfig(mode="simulate", d=4, n=300, runs=8, seed=4),
+    "rejections": ExperimentConfig(
+        mode="rejection_study", d=4, latent=6, n=300, runs=20, seed=1, null_count=100,
+        noise_sd=0.5,
+    ),
+    "overfit": ExperimentConfig(
+        mode="overfit_study", d=3, runs=5, seed=2, null_count=100, sample_sizes=(20, 50)
+    ),
+}
+
+
+def fail_on_calls(monkeypatch, module, name, calls, error=DegenerateModelError):
+    """Make the listed calls (0-based, in call order) of ``module.name`` raise."""
+    original, count = getattr(module, name), []
+
+    def failing(*args, **kwargs):
+        count.append(None)
+        if len(count) - 1 in calls:
+            raise error("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    return count
+
+
+def outcome(records_of, config):
+    """The study's records, or the message of the RuntimeError that aborted it."""
+    try:
+        return records_of(config)
+    except RuntimeError as err:
+        return str(err)
+
+
+class TestStudyDriver:
+    """The model and finish steps on the calling thread, the latent draw on a worker."""
+
+    @pytest.mark.parametrize("study", sorted(DRIVER_CONFIGS))
+    def test_records_equal_a_serial_loop(self, study):
+        config = DRIVER_CONFIGS[study]
+        report = harness.run(config)
+        assert stable_json(report.records) == stable_json(serial_study(config))
+
+    def test_records_survive_fast_thread_switching(self):
+        # a generator used by both threads at once would give other draws
+        config = DRIVER_CONFIGS["rejections"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = [harness.run(config).records for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert {stable_json(r) for r in records} == {stable_json(serial_study(config))}
+
+    def test_traced_functions_stay_on_the_calling_thread(self):
+        importlib.import_module("specbeta.cli")  # the tracer patches every traced module
+        spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        threads = collections.defaultdict(set)
+
+        class ThreadTracer(spans.Tracer):
+            def wrap(self, name, fn, counter=None, amount=None):
+                traced = super().wrap(name, fn, counter, amount)
+
+                def recorded(*args, **kwargs):
+                    threads[name].add(threading.get_ident())
+                    return traced(*args, **kwargs)
+
+                return recorded
+
+        tracer = ThreadTracer()
+        with tracer.installed():
+            for config in DRIVER_CONFIGS.values():
+                harness.run(config)
+        assert {
+            "harness.study", "genmodel.sample_ground_truth", "genmodel.true_beta",
+            "spectral.from_matrices", "estimator.estimate_confounding",
+            "cdtest.test_nonconfounding", "cdtest.null_samples_sphere",
+        } <= set(threads)
+        assert {name: ids for name, ids in threads.items()
+                if ids != {threading.get_ident()}} == {}
+
+    def test_latent_step_runs_on_a_worker(self, monkeypatch):
+        original, threads = genmodel._draw_sources, set()
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(genmodel, "_draw_sources", recorded)
+        harness.run(DRIVER_CONFIGS["rejections"])
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("study", sorted(DRIVER_CONFIGS))
+    @pytest.mark.parametrize("ending", ["returns", "aborts", "raises"])
+    def test_no_thread_outlives_the_study(self, monkeypatch, study, ending):
+        config = DRIVER_CONFIGS[study]
+        before = set(threading.enumerate())
+        if ending == "returns":
+            harness.run(config)
+        elif ending == "aborts":
+            fail_on_calls(monkeypatch, cdtest, "test_nonconfounding", range(100))
+            fail_on_calls(monkeypatch, estimator, "estimate_confounding", range(100))
+            with pytest.raises(RuntimeError, match="planned runs failed"):
+                harness.run(config)
+        else:
+            fail_on_calls(monkeypatch, genmodel, "_draw_sources", {2}, error=ArithmeticError)
+            with pytest.raises(ArithmeticError, match="^injected$"):
+                harness.run(config)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("failing", [{3}, {2, 5}, {2, 5, 9}, {0, 1, 19}])
+    @pytest.mark.parametrize("step", ["model", "finish"])
+    def test_failures_settle_in_run_order(self, monkeypatch, step, failing):
+        # 20 runs, so the third failure aborts the study
+        config = DRIVER_CONFIGS["rejections"]
+        module, name = {
+            "model": (genmodel, "sample_ground_truth"),
+            "finish": (cdtest, "test_nonconfounding"),
+        }[step]
+
+        def injected(records_of):
+            with monkeypatch.context() as m:
+                fail_on_calls(m, module, name, failing)
+                finished = fail_on_calls(m, cdtest, "test_nonconfounding", set())
+                return outcome(records_of, config), len(finished)
+
+        got, finished = injected(lambda c: run_rejection_study(c).records)
+        assert stable_json((got, finished)) == stable_json(injected(serial_study))
+        if len(failing) > 2:
+            assert got == "3 of 20 planned runs failed (> 10%)"
+        else:
+            assert [r["run"] for r in got if "error" in r] == sorted(failing)
+            assert len(got) == 20
 
 
 class TestShuffleTarget:

@@ -8,8 +8,7 @@ histogram of simulated directions reproduces it.
 
 import numpy as np
 
-from specbeta import UnitDirection, direction_density, log_direction_density
-from specbeta import CovarianceModel, unit_direction
+from specbeta import CovarianceModel, direction_density, log_direction_density
 
 
 def main():
@@ -29,15 +28,16 @@ def main():
         # all four quadrants are symmetric; use the first
         observed = 4 * mask.mean() / ((hi - lo) / (2 * np.pi))
         mid = 0.5 * (lo + hi)
-        v = UnitDirection(v=np.array([np.cos(mid), np.sin(mid)]))
+        v = np.array([np.cos(mid), np.sin(mid)])
         print(f"[{lo:4.2f}, {hi:4.2f})  {observed:9.3f}  {direction_density(a, v):11.3f}")
 
     # the confounding-model density is the special case A = sqrt(I + theta
     # sigma_xx^{-1}): mass on a small eigenvalue becomes more likely as
-    # theta grows
+    # theta grows.  The likelihood reads a direction by its coordinates u in
+    # the eigenbasis, which sorts the eigenvalues descending: (4, 1).
     cov = CovarianceModel.from_matrices(np.diag([1.0, 4.0]), np.zeros(2))
-    low = unit_direction(cov.eigenvectors[:, 1])   # eigenvalue 1
-    high = unit_direction(cov.eigenvectors[:, 0])  # eigenvalue 4
+    low = np.array([0.0, 1.0])   # eigenvalue 1
+    high = np.array([1.0, 0.0])  # eigenvalue 4
     print()
     print("theta   log density (low-eig dir)  log density (high-eig dir)")
     for theta in (0.0, 0.5, 1.0, 4.0):

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .estimator import (
     BetaEstimate,
-    ThetaEstimate,
     beta_from_theta,
     concentrated_loglik,
     concentration_bound,
@@ -67,7 +66,7 @@ from .harness import (
 from .spectral import (
     CovarianceModel,
     DataMatrix,
-    UnitDirection,
+    direction_coords,
     empirical_covariance,
     regression_vector,
     unit_direction,

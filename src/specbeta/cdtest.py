@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .genmodel import as_generator
-from .spectral import CovarianceModel, UnitDirection, regression_vector, unit_direction
+from .spectral import CovarianceModel, _unit, direction_coords
 
 SPHERE_MONTE_CARLO = "sphere_monte_carlo"
 
@@ -31,17 +31,18 @@ class TestResult:
     t_observed: float
     p_value: float
     null_samples: NDArray[np.float64]
-    null_count: int
 
 
-def statistic_T(direction: UnitDirection, cov: CovarianceModel) -> float:
-    """Centered quadratic form (1/sqrt(d)) { <v, sigma_xx^{-1} v> - tau(sigma_xx^{-1}) }.
+def statistic_T(u: NDArray[np.float64], cov: CovarianceModel) -> float:
+    """Centered quadratic form (1/sqrt(d)) { <v, sigma_xx^{-1} v> - tau(sigma_xx^{-1}) }
+    of the unit direction v with eigenbasis coordinates ``u``.
 
     Zero in expectation for a uniformly random direction; positive when the
-    direction overpopulates small-eigenvalue eigenspaces.
+    direction overpopulates small-eigenvalue eigenspaces.  A ``u`` that is
+    not a unit vector is a ValueError.
     """
-    w = direction.coords_in(cov)
-    return float((np.sum(w * w / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d))
+    u = _unit(u)
+    return float((np.sum(u * u / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d))
 
 
 def null_samples_sphere(
@@ -73,14 +74,8 @@ def test_nonconfounding(
     which is valid and never exactly zero.
     """
     g = as_generator(rng)
-    direction = unit_direction(regression_vector(cov))
-    t_obs = statistic_T(direction, cov)
+    t_obs = statistic_T(direction_coords(cov), cov)
     null = null_samples_sphere(cov, null_count, g)
     p = (1 + int(np.sum(null >= t_obs))) / (1 + null_count)
-    return TestResult(
-        t_observed=t_obs,
-        p_value=p,
-        null_samples=null,
-        null_count=null_count,
-    )
+    return TestResult(t_observed=t_obs, p_value=p, null_samples=null)
 

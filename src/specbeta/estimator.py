@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NumericOverflowError, SingularMatrixError
-from .spectral import CovarianceModel, UnitDirection, regression_vector, unit_direction
+from .spectral import CovarianceModel, _unit, direction_coords
 
 # Likelihood maximization.  The scan grid spans [GRID_LO, GRID_HI] times the
 # median eigenvalue, which makes it covariant under global rescaling of the
@@ -37,37 +37,35 @@ BISECT_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
-class ThetaEstimate:
-    """Result of the one-dimensional likelihood maximization."""
-
-    theta: float
-    loglik: float
-    boundary: bool
-
-
-@dataclass(frozen=True)
 class BetaEstimate:
     """Output of the confounding-strength estimator.
 
-    ``beta_hat`` equals ``tau_inv * theta_hat / (tau_inv * theta_hat + 1)``
-    exactly as stored.
+    ``beta_hat`` is ``beta_from_theta(theta_hat, cov)`` exactly as stored;
+    ``loglik`` is the log density at ``theta_hat``.
     """
 
     theta_hat: float
     beta_hat: float
-    tau_inv: float
+    loglik: float
     boundary: bool
 
 
+def _check_theta(*thetas: float | NDArray[np.float64]) -> None:
+    """Raise ValueError unless every theta is >= 0; NaN fails."""
+    for theta in thetas:
+        if not np.all(np.asarray(theta) >= 0):
+            raise ValueError("theta must be nonnegative")
+
+
 def log_direction_density(
-    theta: float | NDArray[np.float64], direction: UnitDirection, cov: CovarianceModel
+    theta: float | NDArray[np.float64], u: NDArray[np.float64], cov: CovarianceModel
 ) -> float | NDArray[np.float64]:
-    """Log density of the direction under scale ratio ``theta``.
+    """Log density under scale ratio ``theta`` of the direction with unit
+    eigenbasis coordinates ``u`` (see ``direction_coords``).
 
-    Evaluated in the eigenbasis: with w the eigenbasis coordinates of the
-    direction and r_j = 1 + theta/lambda_j,
+    With r_j = 1 + theta/lambda_j,
 
-        -1/2 [ sum_j log r_j + d * log sum_j w_j^2 / r_j ].
+        -1/2 [ sum_j log r_j + d * log sum_j u_j^2 / r_j ].
 
     A scalar ``theta`` gives a float; an array gives an array of its shape,
     each element equal to the scalar call.  Exactly 0.0 where theta = 0 (the
@@ -75,35 +73,37 @@ def log_direction_density(
 
     Raises
     ------
+    ValueError
+        If theta is negative or NaN, or ``u`` is not a unit vector.
     NumericOverflowError
         If theta / lambda_min is not finite.
     """
     t = np.asarray(theta, dtype=np.float64)
-    if np.any(t < 0):
-        raise ValueError("theta must be nonnegative")
+    _check_theta(t)
+    u = _unit(u)
     r = 1.0 + t[..., None] / cov.eigenvalues
     if not np.all(np.isfinite(r)):
         raise NumericOverflowError("theta / lambda_min overflowed")
-    w = direction.coords_in(cov)
     log_det = np.sum(np.log(r), axis=-1)
-    val = -0.5 * (log_det + cov.d * np.log(np.sum(w * w / r, axis=-1)))
+    val = -0.5 * (log_det + cov.d * np.log(np.sum(u * u / r, axis=-1)))
     val = np.where(t == 0.0, 0.0, val)
     return float(val) if val.ndim == 0 else val
 
 
-def direction_density(
-    a_matrix: NDArray[np.float64], direction: UnitDirection
-) -> float:
-    """Density on the sphere of v -> Av/||Av|| applied to a uniform direction.
+def direction_density(a_matrix: NDArray[np.float64], v: NDArray[np.float64]) -> float:
+    """Density at the unit vector ``v`` of x -> Ax/||Ax|| applied to a uniform direction.
 
     Returns |1 / (det(A) * ||A^{-1} v||^d)|; the absolute value of the
     determinant is used since a density must be nonnegative.
 
     Raises
     ------
+    ValueError
+        If A is not square or ``v`` is not a unit vector.
     SingularMatrixError
         If A has condition number >= 1e12.
     """
+    v = _unit(v)
     a = np.asarray(a_matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -111,25 +111,26 @@ def direction_density(
     if sv[-1] == 0.0 or sv[0] / sv[-1] >= 1e12:
         raise SingularMatrixError("matrix is singular or too ill-conditioned")
     d = a.shape[0]
-    inv_v = np.linalg.solve(a, direction.v)
+    inv_v = np.linalg.solve(a, v)
     det = abs(float(np.linalg.det(a)))
     return 1.0 / (det * float(np.linalg.norm(inv_v)) ** d)
 
 
-def _rising(theta: float, w2: NDArray[np.float64], lam: NDArray[np.float64]) -> bool:
+def _rising(theta: float, u2: NDArray[np.float64], lam: NDArray[np.float64]) -> bool:
     """Whether the log-likelihood has a positive slope at ``theta``.
 
-    With r_j = 1 + theta/lambda_j and q_j = w_j^2 / r_j the slope is
+    With r_j = 1 + theta/lambda_j and q_j = u_j^2 / r_j the slope is
     1/2 [ d sum_j q_j/(lambda_j r_j) / sum_j q_j - sum_j 1/(lambda_j r_j) ];
     at theta = 0 it is 1/2 d^{3/2} T, so this is the sign of ``statistic_T``.
     """
-    q = w2 / (1.0 + theta / lam)
+    q = u2 / (1.0 + theta / lam)
     inv = 1.0 / (lam + theta)  # 1 / (lambda_j r_j)
     return bool(lam.size * np.dot(q, inv) > np.sum(inv) * np.sum(q))
 
 
-def estimate_theta(direction: UnitDirection, cov: CovarianceModel) -> ThetaEstimate:
-    """Maximize the direction log-likelihood over theta >= 0.
+def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate:
+    """Maximize over theta >= 0 the log-likelihood of the direction with unit
+    eigenbasis coordinates ``u``, and map the maximizer to beta.
 
     Scores {0} union a logarithmic grid spanning [1e-6, 1e6] x median(lambda)
     in one call, then bisects the bracket around the best grid point on the
@@ -138,31 +139,34 @@ def estimate_theta(direction: UnitDirection, cov: CovarianceModel) -> ThetaEstim
     point, so a likelihood that falls from theta = 0 gives exactly 0.  The
     answer is the better of the best grid point and the refined point, ties
     toward smaller theta.  ``boundary`` is set when the maximum sits at the
-    upper end of the scan range.
+    upper end of the scan range.  A ``u`` that is not a unit vector is a
+    ValueError.
     """
+    u = _unit(u)
     lam = cov.eigenvalues
     lam_med = float(np.median(lam))
     grid = np.concatenate(
         [[0.0], np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, GRID_POINTS)]
     )
-    vals = log_direction_density(grid, direction, cov)
+    vals = log_direction_density(grid, u, cov)
     best = int(np.argmax(vals))  # first index on ties -> smaller theta
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, len(grid) - 1)])
-    w2 = direction.coords_in(cov) ** 2
-    if not _rising(lo, w2, lam):
+    u2 = u**2
+    if not _rising(lo, u2, lam):
         hi = lo
-    elif _rising(hi, w2, lam):
+    elif _rising(hi, u2, lam):
         lo = hi
     while hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _rising(mid, w2, lam) else (lo, mid)
+        lo, hi = (mid, hi) if _rising(mid, u2, lam) else (lo, mid)
     refined = 0.5 * (lo + hi)
     candidates = [(grid[best], vals[best])]
-    candidates.append((refined, log_direction_density(refined, direction, cov)))
+    candidates.append((refined, log_direction_density(refined, u, cov)))
     theta_hat, loglik = min(candidates, key=lambda p: (-p[1], p[0]))
+    theta_hat = float(theta_hat)
     boundary = bool(theta_hat >= grid[-1] * (1.0 - 1e-9))
-    return ThetaEstimate(theta=float(theta_hat), loglik=float(loglik), boundary=boundary)
+    return BetaEstimate(theta_hat, beta_from_theta(theta_hat, cov), float(loglik), boundary)
 
 
 def beta_from_theta(theta: float, cov: CovarianceModel) -> float:
@@ -171,8 +175,7 @@ def beta_from_theta(theta: float, cov: CovarianceModel) -> float:
     beta = tau(sigma_xx^{-1}) * theta / (tau(sigma_xx^{-1}) * theta + 1);
     0 at theta = 0, monotone increasing, always < 1 for finite theta.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    _check_theta(theta)
     return cov.tau_inv * theta / (cov.tau_inv * theta + 1.0)
 
 
@@ -181,14 +184,7 @@ def estimate_confounding(cov: CovarianceModel) -> BetaEstimate:
 
     Raises ZeroSignalError (no direction) or NumericOverflowError (theta).
     """
-    direction = unit_direction(regression_vector(cov))
-    theta_est = estimate_theta(direction, cov)
-    return BetaEstimate(
-        theta_hat=theta_est.theta,
-        beta_hat=beta_from_theta(theta_est.theta, cov),
-        tau_inv=cov.tau_inv,
-        boundary=theta_est.boundary,
-    )
+    return estimate_theta(direction_coords(cov), cov)
 
 
 def concentrated_loglik(theta: float, theta_prime: float, cov: CovarianceModel) -> float:
@@ -204,8 +200,7 @@ def concentrated_loglik(theta: float, theta_prime: float, cov: CovarianceModel) 
     like sqrt(d), so it concentrates per dimension (see
     ``concentration_bound``).
     """
-    if theta < 0 or theta_prime < 0:
-        raise ValueError("theta values must be nonnegative")
+    _check_theta(theta, theta_prime)
     lam = cov.eigenvalues
     r = 1.0 + theta / lam
     rp = 1.0 + theta_prime / lam
@@ -228,6 +223,7 @@ def concentration_bound(
     The bound may be negative (vacuous); it is returned raw and only clamped
     at reporting time.
     """
+    _check_theta(theta, theta_prime)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     lam = cov.eigenvalues

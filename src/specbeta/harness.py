@@ -79,8 +79,12 @@ class ExperimentConfig:
             raise ValueError(f"null sample count must be >= {cdtest.MIN_NULL_COUNT}")
         if self.noise_sd is not None and self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
+        if self.fmt not in ("json", "csv"):
+            raise ValueError(f"unknown format {self.fmt!r}")
         if self.fmt == "csv" and self.output_path is None:
             raise ValueError("csv format needs an output path")
+        if self.mode in ("estimate", "test") and None in (self.input_path, self.target):
+            raise ValueError(f"{self.mode} needs an input path and a target column")
         if self.mode in ("simulate", "rejection_study"):
             if self.ell < self.d:
                 raise BadDimensionsError("latent dimension must be >= d when simulating")
@@ -287,6 +291,8 @@ def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.fl
 def run(config: ExperimentConfig) -> Report:
     """Run the operation named by ``config.mode``."""
     if config.mode == "shuffle_target":
+        if config.input_path is None:  # a config for shuffle_target_analysis alone has none
+            raise ValueError("shuffle_target needs an input path")
         matrix, names = read_numeric_csv(config.input_path)
         return shuffle_target_analysis(matrix, config, names)
     # Looked up per call, so wrappers installed on this module's names are honoured.
@@ -307,7 +313,7 @@ def run_estimate(config: ExperimentConfig) -> Report:
     record = {
         "beta_hat": est.beta_hat,
         "theta_hat": est.theta_hat,
-        "tau_inv": est.tau_inv,
+        "tau_inv": cov.tau_inv,
         "boundary": est.boundary,
         "d": cov.d,
         "n": cov.n,
@@ -322,7 +328,7 @@ def run_test(config: ExperimentConfig) -> Report:
     record = {
         "t_observed": res.t_observed,
         "p_value": res.p_value,
-        "null_count": res.null_count,
+        "null_count": res.null_samples.size,
         "reject_at_alpha": res.p_value <= config.alpha,
     }
     return Report(config_echo(config), [record], {"p_value": res.p_value})

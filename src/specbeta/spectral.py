@@ -134,23 +134,6 @@ class CovarianceModel:
         )
 
 
-@dataclass(frozen=True)
-class UnitDirection:
-    """A unit vector."""
-
-    v: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=np.float64).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("direction is not unit length")
-        object.__setattr__(self, "v", v)
-
-    def coords_in(self, cov: CovarianceModel) -> NDArray[np.float64]:
-        """Coordinates of the direction in the eigenbasis of ``cov``."""
-        return cov.eigenvectors.T @ self.v
-
-
 def empirical_covariance(data: DataMatrix) -> CovarianceModel:
     """Column-mean-centered empirical covariances, normalized by 1/n.
 
@@ -212,8 +195,8 @@ def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
     return cov.eigenvectors @ (w / cov.eigenvalues)
 
 
-def unit_direction(v: NDArray[np.float64]) -> UnitDirection:
-    """Normalize ``v``.
+def unit_direction(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``v`` divided by its norm.
 
     Raises
     ------
@@ -224,4 +207,19 @@ def unit_direction(v: NDArray[np.float64]) -> UnitDirection:
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ZeroSignalError("cannot normalize the zero vector")
-    return UnitDirection(v=v / norm)
+    return v / norm
+
+
+def direction_coords(cov: CovarianceModel) -> NDArray[np.float64]:
+    """Eigenbasis coordinates u of the unit regression direction: all that the
+    estimator and the test read from the data.  ZeroSignalError on zero sigma_xy.
+    """
+    return cov.eigenvectors.T @ unit_direction(regression_vector(cov))
+
+
+def _unit(u: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``u`` as a 1-D float array; ValueError unless its length is 1 to within 1e-12."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
+        raise ValueError("direction is not unit length")
+    return u

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specbeta import CovarianceModel, UnitDirection
+from specbeta import CovarianceModel
 
 
 def cov_from_spectrum(eigenvalues, sigma_xy=None, n=0):
@@ -14,10 +14,10 @@ def cov_from_spectrum(eigenvalues, sigma_xy=None, n=0):
     return CovarianceModel.from_matrices(np.diag(lam), sigma_xy, n=n)
 
 
-def eigvec_for(cov, eigenvalue):
-    """The unit eigenvector of ``cov`` paired with the closest eigenvalue."""
+def eigvec_coords(cov, eigenvalue):
+    """Eigenbasis coordinates of the unit eigenvector of ``cov`` paired with the closest eigenvalue."""
     idx = int(np.argmin(np.abs(cov.eigenvalues - eigenvalue)))
-    return UnitDirection(v=cov.eigenvectors[:, idx])
+    return np.eye(cov.d)[idx]
 
 
 def random_orthogonal(d, rng):

@@ -1,6 +1,7 @@
 """Direction density, likelihood maximization and concentration diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbeta import (
+    CovarianceModel,
     DataMatrix,
     ExperimentConfig,
     NumericOverflowError,
+    RankDeficientError,
     SingularMatrixError,
-    UnitDirection,
     ZeroSignalError,
     beta_from_theta,
     concentrated_loglik,
@@ -25,12 +27,15 @@ from specbeta import (
     log_direction_density,
     run_simulation_study,
     sample_ground_truth,
+    statistic_T,
     unit_direction,
 )
+from specbeta import test_nonconfounding as run_nonconfounding_test
 from specbeta.estimator import GRID_HI, GRID_LO, GRID_POINTS
 from specbeta.genmodel import GroundTruth
+from specbeta.spectral import RANK_EPS
 
-from conftest import cov_from_spectrum, eigvec_for, random_orthogonal
+from conftest import cov_from_spectrum, eigvec_coords, random_orthogonal
 
 
 def sqrt_r_theta(theta, cov):
@@ -52,13 +57,13 @@ class TestLogDirectionDensity:
         for _ in range(50):
             d = int(rng.integers(2, 9))
             cov = cov_from_spectrum(rng.uniform(0.2, 5.0, size=d))
-            v = unit_direction(rng.standard_normal(d))
-            assert log_direction_density(0.0, v, cov) == 0.0
+            u = unit_direction(rng.standard_normal(d))
+            assert log_direction_density(0.0, u, cov) == 0.0
 
     def test_mass_on_small_eigenvalue_raises_density(self):
         cov = cov_from_spectrum([1.0, 4.0])
-        low = eigvec_for(cov, 1.0)
-        high = eigvec_for(cov, 4.0)
+        low = eigvec_coords(cov, 1.0)
+        high = eigvec_coords(cov, 4.0)
         assert log_direction_density(1.0, low, cov) == pytest.approx(
             0.23500181462286774, abs=1e-12
         )
@@ -77,15 +82,15 @@ class TestLogDirectionDensity:
             cov = CovarianceModel.from_matrices(m @ m.T, np.zeros(d))
             v = unit_direction(rng.standard_normal(d))
             theta = float(rng.uniform(0.1, 5.0))
-            direct = math.exp(log_direction_density(theta, v, cov))
+            direct = math.exp(log_direction_density(theta, cov.eigenvectors.T @ v, cov))
             oracle = direction_density(sqrt_r_theta(theta, cov), v)
             assert direct == pytest.approx(oracle, rel=1e-10)
 
     def test_rejects_negative_theta(self):
         cov = cov_from_spectrum([1.0, 2.0])
-        v = eigvec_for(cov, 1.0)
+        u = eigvec_coords(cov, 1.0)
         with pytest.raises(ValueError):
-            log_direction_density(-1.0, v, cov)
+            log_direction_density(-1.0, u, cov)
 
     def test_array_matches_scalar_calls(self, rng):
         # one call over an array of theta gives exactly the scalar values,
@@ -93,48 +98,45 @@ class TestLogDirectionDensity:
         for _ in range(100):
             d = int(rng.integers(2, 40))
             cov = cov_from_spectrum(10.0 ** rng.uniform(-3, 3, size=d))
-            v = unit_direction(rng.standard_normal(d))
+            u = unit_direction(rng.standard_normal(d))
             thetas = np.concatenate([scan_grid(cov), 10.0 ** rng.uniform(-8, 8, 39)])
-            vals = log_direction_density(thetas, v, cov)
+            vals = log_direction_density(thetas, u, cov)
             assert vals.shape == thetas.shape
             assert vals[0] == 0.0
             for theta, val in zip(thetas, vals):
-                assert val == log_direction_density(float(theta), v, cov)
-            square = log_direction_density(thetas.reshape(16, 15), v, cov)
+                assert val == log_direction_density(float(theta), u, cov)
+            square = log_direction_density(thetas.reshape(16, 15), u, cov)
             np.testing.assert_array_equal(square, vals.reshape(16, 15))
 
     def test_array_errors_match_scalar(self):
         cov = cov_from_spectrum([0.5, 2.0])
-        v = eigvec_for(cov, 2.0)
+        u = eigvec_coords(cov, 2.0)
         with pytest.raises(ValueError):
-            log_direction_density(np.array([0.0, 1.0, -1.0]), v, cov)
+            log_direction_density(np.array([0.0, 1.0, -1.0]), u, cov)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericOverflowError):
-                log_direction_density(1.5e308, v, cov)
+                log_direction_density(1.5e308, u, cov)
             with pytest.raises(NumericOverflowError):
-                log_direction_density(np.array([0.0, 1.5e308]), v, cov)
+                log_direction_density(np.array([0.0, 1.5e308]), u, cov)
 
 
 class TestDirectionDensity:
     def test_identity_matrix(self, rng):
-        v = UnitDirection(v=np.array([0.6, 0.8]))
-        assert direction_density(np.eye(2), v) == pytest.approx(1.0)
+        assert direction_density(np.eye(2), np.array([0.6, 0.8])) == pytest.approx(1.0)
 
     def test_global_scaling_is_uniform(self):
-        v = UnitDirection(v=np.array([0.0, 0.0, 1.0]))
-        assert direction_density(2.0 * np.eye(3), v) == pytest.approx(1.0)
+        assert direction_density(2.0 * np.eye(3), np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
 
     def test_stretching_concentrates_density(self):
-        v = UnitDirection(v=np.array([0.0, 1.0]))
-        assert direction_density(np.diag([1.0, 2.0]), v) == pytest.approx(2.0)
+        assert direction_density(np.diag([1.0, 2.0]), np.array([0.0, 1.0])) == pytest.approx(2.0)
 
     def test_singular_matrix(self):
-        v = UnitDirection(v=np.array([1.0, 0.0]))
+        v = np.array([1.0, 0.0])
         with pytest.raises(SingularMatrixError):
             direction_density(np.array([[1.0, 0.0], [0.0, 0.0]]), v)
 
     def test_rejects_non_square(self):
-        v = UnitDirection(v=np.array([1.0, 0.0]))
+        v = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             direction_density(np.ones((2, 3)), v)
 
@@ -142,24 +144,24 @@ class TestDirectionDensity:
 class TestEstimateTheta:
     def test_mass_on_top_eigenvector_gives_zero(self):
         cov = cov_from_spectrum([1.0, 4.0])
-        est = estimate_theta(eigvec_for(cov, 4.0), cov)
-        assert est.theta == 0.0
+        est = estimate_theta(eigvec_coords(cov, 4.0), cov)
+        assert est.theta_hat == 0.0
         assert not est.boundary
 
     def test_profile_consistency(self, rng):
         cov = cov_from_spectrum(rng.uniform(0.3, 3.0, size=6))
-        v = unit_direction(rng.standard_normal(6))
-        est = estimate_theta(v, cov)
-        assert est.loglik == log_direction_density(est.theta, v, cov)
-        assert est.loglik >= log_direction_density(scan_grid(cov), v, cov).max()
+        u = unit_direction(rng.standard_normal(6))
+        est = estimate_theta(u, cov)
+        assert est.loglik == log_direction_density(est.theta_hat, u, cov)
+        assert est.loglik >= log_direction_density(scan_grid(cov), u, cov).max()
 
     def test_upper_grid_boundary(self):
         # mass on the lowest eigenvector: the likelihood rises in theta over
         # the whole scan range, so the estimate is the top grid point
         cov = cov_from_spectrum([1.0, 4.0, 9.0])
-        est = estimate_theta(eigvec_for(cov, 1.0), cov)
+        est = estimate_theta(eigvec_coords(cov, 1.0), cov)
         assert est.boundary
-        assert est.theta == GRID_HI * float(np.median(cov.eigenvalues))
+        assert est.theta_hat == GRID_HI * float(np.median(cov.eigenvalues))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -178,9 +180,9 @@ class TestEstimateTheta:
         coords = g.standard_normal(d)
         if log_theta is not None:
             coords *= np.sqrt(1.0 + 10.0**log_theta / cov.eigenvalues)
-        v = unit_direction(cov.eigenvectors @ coords)
-        est = estimate_theta(v, cov)
-        dense_max = float(log_direction_density(scan_grid(cov, 20_001), v, cov).max())
+        u = unit_direction(coords)
+        est = estimate_theta(u, cov)
+        dense_max = float(log_direction_density(scan_grid(cov, 20_001), u, cov).max())
         assert est.loglik >= dense_max - 1e-9 * (1.0 + abs(dense_max))
 
     @pytest.mark.parametrize(
@@ -192,24 +194,23 @@ class TestEstimateTheta:
     )
     def test_two_modes_lands_on_the_higher(self, lam, w2):
         cov = cov_from_spectrum(lam)
-        v = unit_direction(np.sqrt(w2))
+        u = cov.eigenvectors.T @ unit_direction(np.sqrt(w2))
         grid = scan_grid(cov, 20_001)
-        f = log_direction_density(grid, v, cov)
+        f = log_direction_density(grid, u, cov)
         peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] > f[2:])) + 1
         assert len(peaks) == 2  # two interior local maxima on the dense grid
         top = peaks[np.argmax(f[peaks])]
-        est = estimate_theta(v, cov)
-        assert est.loglik == log_direction_density(est.theta, v, cov)
+        est = estimate_theta(u, cov)
+        assert est.loglik == log_direction_density(est.theta_hat, u, cov)
         assert est.loglik >= f[top] - 1e-9 * (1.0 + abs(f[top]))
-        assert grid[top - 1] <= est.theta <= grid[top + 1]
+        assert grid[top - 1] <= est.theta_hat <= grid[top + 1]
 
     @settings(max_examples=25, deadline=None)
     @given(angle=st.floats(0.0, 2 * math.pi, allow_nan=False))
     def test_total_on_the_circle(self, angle):
         cov = cov_from_spectrum([1.0, 4.0])
-        v = UnitDirection(v=np.array([math.cos(angle), math.sin(angle)]))
-        est = estimate_theta(v, cov)
-        assert math.isfinite(est.theta) and est.theta >= 0.0
+        est = estimate_theta(np.array([math.cos(angle), math.sin(angle)]), cov)
+        assert math.isfinite(est.theta_hat) and est.theta_hat >= 0.0
 
     def test_recovers_theta_on_wide_spectrum(self):
         # draws from the theta' = 10 direction law on a spectrum spanning
@@ -222,8 +223,7 @@ class TestEstimateTheta:
             g = np.random.default_rng(seed)
             b = g.standard_normal(200)
             coords = np.sqrt(1.0 + 10.0 / cov.eigenvalues) * b
-            v = unit_direction(cov.eigenvectors @ coords)
-            theta = estimate_theta(v, cov).theta
+            theta = estimate_theta(unit_direction(coords), cov).theta_hat
             hits += 5.0 <= theta <= 20.0
         assert hits >= 180
 
@@ -279,9 +279,10 @@ class TestEstimateConfounding:
     def test_beta_theta_identity_as_stored(self, rng):
         t = sample_ground_truth(5, 5, 2)
         ds = generate_samples(t, 2000, rng=2)
-        est = estimate_confounding(empirical_covariance(ds.data))
-        assert est.beta_hat == est.tau_inv * est.theta_hat / (
-            est.tau_inv * est.theta_hat + 1.0
+        cov = empirical_covariance(ds.data)
+        est = estimate_confounding(cov)
+        assert est.beta_hat == cov.tau_inv * est.theta_hat / (
+            cov.tau_inv * est.theta_hat + 1.0
         )
         assert 0.0 <= est.beta_hat <= 1.0
 
@@ -324,8 +325,8 @@ class TestConcentration:
             vals = []
             for _ in range(500):
                 b = g.standard_normal(d)
-                v = unit_direction(cov.eigenvectors @ (scale * b))
-                vals.append(log_direction_density(1.0, v, cov) / d)
+                u = unit_direction(scale * b)
+                vals.append(log_direction_density(1.0, u, cov) / d)
             vals = np.asarray(vals)
             sds.append(vals.std(ddof=1))
             if d == 1000:
@@ -365,3 +366,83 @@ class TestInvariance:
             ).beta_hat
             assert abs(scaled - base) <= 1e-6
             assert abs(rotated - base) <= 1e-6
+
+
+DIAG_149 = cov_from_spectrum([1.0, 4.0, 9.0])
+
+
+class TestThetaCheck:
+    @pytest.mark.parametrize("theta", [-0.5, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: log_direction_density(t, np.array([0.0, 0.6, 0.8]), DIAG_149),
+            lambda t: log_direction_density(np.array([0.0, t]), np.array([0.0, 0.6, 0.8]), DIAG_149),
+            lambda t: beta_from_theta(t, DIAG_149),
+            lambda t: concentrated_loglik(t, 1.0, DIAG_149),
+            lambda t: concentrated_loglik(1.0, t, DIAG_149),
+            lambda t: concentration_bound(t, 1.0, DIAG_149, 0.1),
+            lambda t: concentration_bound(1.0, t, DIAG_149, 0.1),
+        ],
+        ids=[
+            "log_direction_density",
+            "log_direction_density_array",
+            "beta_from_theta",
+            "concentrated_loglik_theta",
+            "concentrated_loglik_theta_prime",
+            "concentration_bound_theta",
+            "concentration_bound_theta_prime",
+        ],
+    )
+    def test_rejects_negative_or_nan(self, call, theta):
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            call(theta)
+
+
+class TestUnitCheck:
+    @pytest.mark.parametrize("vector", [[1.0, 1.0], [0.6, 0.8 + 1e-9], [math.nan, 0.0]])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u: log_direction_density(1.0, u, cov_from_spectrum([1.0, 4.0])),
+            lambda u: estimate_theta(u, cov_from_spectrum([1.0, 4.0])),
+            lambda u: statistic_T(u, cov_from_spectrum([1.0, 4.0])),
+            lambda v: direction_density(np.diag([1.0, 2.0]), v),
+        ],
+        ids=["log_direction_density", "estimate_theta", "statistic_T", "direction_density"],
+    )
+    def test_rejects_non_unit(self, call, vector):
+        with pytest.raises(ValueError, match="not unit length"):
+            call(np.array(vector))
+
+
+class TestIllConditioning:
+    """Covariances just inside the RANK_EPS threshold, in a random eigenbasis."""
+
+    @staticmethod
+    def matrix(d, log_cond, g):
+        q = random_orthogonal(d, g)
+        return q, q @ np.diag(np.geomspace(1.0, 10.0**-log_cond, d)) @ q.T
+
+    @pytest.mark.parametrize("where", ["top", "bottom", "random"])
+    @pytest.mark.parametrize("log_cond", [9.0, 9.9])
+    @pytest.mark.parametrize("d", [2, 10, 100])
+    def test_fits_are_finite_and_quiet(self, d, log_cond, where):
+        g = np.random.default_rng([d, int(10 * log_cond)])
+        q, s = self.matrix(d, log_cond, g)
+        a = {"top": q[:, 0], "bottom": q[:, -1], "random": g.standard_normal(d)}[where]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = CovarianceModel.from_matrices(s, s @ a, n=10 * d)
+            est = estimate_confounding(cov)
+            res = run_nonconfounding_test(cov, 200, rng=0)
+        assert math.isfinite(est.theta_hat) and est.theta_hat >= 0.0
+        assert 0.0 <= est.beta_hat <= 1.0
+        assert 0.0 < res.p_value <= 1.0
+
+    @pytest.mark.parametrize("d", [2, 10, 100])
+    def test_rank_deficient_just_past_the_threshold(self, d):
+        g = np.random.default_rng(d)
+        _, s = self.matrix(d, -math.log10(0.99 * RANK_EPS), g)
+        with pytest.raises(RankDeficientError):
+            CovarianceModel.from_matrices(s, np.ones(d))

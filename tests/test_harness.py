@@ -270,7 +270,24 @@ class TestExperimentConfig:
             ExperimentConfig(mode="overfit_study", d=10, sample_sizes=(100, 10))
 
     def test_sample_checks_skip_csv_modes(self):
-        assert ExperimentConfig(mode="estimate", d=10, n=3).n == 3
+        cfg = ExperimentConfig(mode="estimate", d=10, n=3, input_path="data.csv", target="y")
+        assert cfg.n == 3
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"fmt": "xml"},
+            {"mode": "estimate", "target": "y"},
+            {"mode": "test", "target": 0},
+            {"mode": "estimate", "input_path": "data.csv"},
+            {"mode": "test", "input_path": "data.csv"},
+        ],
+        ids=["format", "estimate-input", "test-input", "estimate-target", "test-target"],
+    )
+    def test_rejects_a_config_that_would_fail_late(self, fields):
+        # each of these is found before the operation runs, not after it
+        with pytest.raises(ValueError):
+            ExperimentConfig(**fields)
 
 
 class TestRunRng:
@@ -567,6 +584,11 @@ class TestShuffleTarget:
         rep = shuffle_target_analysis(matrix, cfg)
         assert len(rep.records) == 5
         assert rep.records[4]["beta_hat"] == 0.0
+
+    def test_run_needs_an_input_path(self):
+        # shuffle_target_analysis takes this config; run() has nothing to read
+        with pytest.raises(ValueError, match="input path"):
+            harness.run(ExperimentConfig(mode="shuffle_target"))
 
     def test_requires_three_columns(self):
         cfg = ExperimentConfig(mode="shuffle_target")

@@ -11,10 +11,12 @@ from specbeta import (
     RankDeficientError,
     TooFewSamplesError,
     ZeroSignalError,
+    direction_coords,
     empirical_covariance,
     regression_vector,
     unit_direction,
 )
+from specbeta.spectral import _unit
 
 from conftest import cov_from_spectrum, random_orthogonal
 
@@ -156,7 +158,7 @@ class TestRegressionVector:
 class TestUnitDirection:
     def test_normalizes(self):
         u = unit_direction(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(u.v, [0.6, 0.8])
+        np.testing.assert_allclose(u, [0.6, 0.8])
 
     def test_zero_vector(self):
         with pytest.raises(ZeroSignalError):
@@ -164,25 +166,31 @@ class TestUnitDirection:
 
     def test_basis_coords_under_axis_swap(self):
         # diag(1,2,3) sorts to eigenvectors (e3, e2, e1) up to sign
-        cov = cov_from_spectrum([1.0, 2.0, 3.0])
-        u = unit_direction(np.array([5.0, 0.0, 0.0]))
-        np.testing.assert_allclose(np.abs(u.coords_in(cov)), [0.0, 0.0, 1.0], atol=1e-12)
+        cov = cov_from_spectrum([1.0, 2.0, 3.0], sigma_xy=[5.0, 0.0, 0.0])
+        np.testing.assert_allclose(np.abs(direction_coords(cov)), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_coords_follow_the_given_covariance(self):
-        # one direction, two covariances with different eigenbases
-        cov_a = cov_from_spectrum([3.0, 2.0, 1.0])
+        # one regression direction, two covariances with different eigenbases
+        a = np.array([1.0, 2.0, 2.0])
+        s_a = np.diag([3.0, 2.0, 1.0])
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
-        cov_b = CovarianceModel.from_matrices(q @ np.diag([5.0, 1.0, 0.5]) @ q.T, np.zeros(3))
-        u = unit_direction(np.array([1.0, 2.0, 2.0]))
-        for cov in (cov_a, cov_b):
-            np.testing.assert_array_equal(u.coords_in(cov), cov.eigenvectors.T @ u.v)
-        assert np.abs(u.coords_in(cov_a) - u.coords_in(cov_b)).max() > 0.1
+        s_b = q @ np.diag([5.0, 1.0, 0.5]) @ q.T
+        coords = []
+        for s in (s_a, s_b):
+            cov = CovarianceModel.from_matrices(s, s @ a)
+            u = direction_coords(cov)
+            v = unit_direction(regression_vector(cov))
+            np.testing.assert_array_equal(u, cov.eigenvectors.T @ v)
+            np.testing.assert_allclose(v, a / 3.0, rtol=1e-12)
+            coords.append(u)
+        assert np.abs(coords[0] - coords[1]).max() > 0.1
 
     def test_rejects_non_unit(self):
-        from specbeta import UnitDirection
-
-        with pytest.raises(ValueError):
-            UnitDirection(v=np.array([1.0, 1.0]))
+        # the private check behind every function that takes a direction
+        np.testing.assert_array_equal(_unit([[0.6], [0.8]]), [0.6, 0.8])
+        for bad in ([1.0, 1.0], [0.6, 0.8 + 1e-9], [np.nan, 0.0]):
+            with pytest.raises(ValueError):
+                _unit(np.array(bad))
 
 
 class TestEquivariance:

@@ -6,9 +6,7 @@ low-eigenvalue subspaces that true confounding would.  The hypothesis test
 therefore rejects on small samples and calibrates itself as n grows.
 """
 
-import numpy as np
-
-from specbeta import ExperimentConfig, run_overfit_study
+from specbeta import ExperimentConfig, run
 
 
 def main():
@@ -20,7 +18,7 @@ def main():
         null_count=500,
         sample_sizes=(20, 100, 1000, 10000),
     )
-    rep = run_overfit_study(cfg)
+    rep = run(cfg)
     print("causal-only data, d = 10, 200 runs per sample size")
     print("n       frac p<=0.05   p-value histogram (10 bins)")
     for entry in rep.summary["per_sample_size"]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from specbeta import ExperimentConfig, read_numeric_csv, shuffle_target_analysis
+from specbeta import ExperimentConfig, run
 
 
 def make_example_csv(path):
@@ -34,9 +34,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "example.csv"
         make_example_csv(path)
-        matrix, names = read_numeric_csv(path)
-        cfg = ExperimentConfig(mode="shuffle_target", seed=0, null_count=500)
-        rep = shuffle_target_analysis(matrix, cfg, names)
+        cfg = ExperimentConfig(
+            mode="shuffle_target", input_path=str(path), seed=0, null_count=500
+        )
+        rep = run(cfg)
         print("column  beta_hat  p-value")
         for rec in rep.records:
             if "beta_hat" in rec:

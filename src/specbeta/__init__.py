@@ -58,10 +58,7 @@ from .harness import (
     emit_report,
     ingest_csv,
     read_numeric_csv,
-    run_overfit_study,
-    run_rejection_study,
-    run_simulation_study,
-    shuffle_target_analysis,
+    run,
 )
 from .spectral import (
     CovarianceModel,

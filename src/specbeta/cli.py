@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 from . import harness
 from .errors import BadDimensionsError, DataError, SpecbetaError
@@ -44,29 +45,18 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "seed": ("--seed", {"type": int, "metavar": "U64"}),
     "alpha": ("--alpha", {"type": float, "metavar": "F"}),
     "null_count": ("--null-samples", {"type": int, "metavar": "N"}),
-    "method": ("--null-method", {"choices": ["sphere"]}),
     "output_path": ("--output", {"metavar": "PATH"}),
     "fmt": ("--format", {"choices": ["json", "csv"]}),
 }
 
-# Settings of the synthetic studies, and of the no-confounding test.
-_SIMULATION = ("d", "latent", "n", "runs", "noise_sd")
-_NULL_TEST = ("seed", "alpha", "null_count", "method")
-
-# Subcommand: (harness mode, help, the ExperimentConfig fields the mode reads).
-_COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
-    "estimate": ("estimate", "estimate confounding strength from a CSV",
-                 ("input_path", "target", "normalize")),
-    "test": ("test", "test the no-confounding null on a CSV",
-             ("input_path", "target", "normalize", *_NULL_TEST)),
-    "simulate": ("simulate", "true-vs-estimated beta simulation study",
-                 (*_SIMULATION, "seed")),
-    "rejections": ("rejection_study", "rejection fractions per true-beta bin",
-                   (*_SIMULATION, *_NULL_TEST)),
-    "overfit": ("overfit_study", "p-value distribution on causal-only data",
-                ("d", "runs", "noise_sd", "sample_sizes", *_NULL_TEST)),
-    "shuffle-target": ("shuffle_target", "each column in turn as the target",
-                       ("input_path", "normalize", "seed", "null_count", "method")),
+# Subcommand: (harness mode, help).  harness.OPERATIONS names the fields each mode reads.
+_COMMANDS: dict[str, tuple[str, str]] = {
+    "estimate": ("estimate", "estimate confounding strength from a CSV"),
+    "test": ("test", "test the no-confounding null on a CSV"),
+    "simulate": ("simulate", "true-vs-estimated beta simulation study"),
+    "rejections": ("rejection_study", "rejection fractions per true-beta bin"),
+    "overfit": ("overfit_study", "p-value distribution on causal-only data"),
+    "shuffle-target": ("shuffle_target", "each column in turn as the target"),
 }
 
 
@@ -86,12 +76,14 @@ def _build_parser() -> _Parser:
     """
     parser = _Parser(prog="specbeta", description=__doc__)
     sub = parser.add_subparsers(required=True, metavar="COMMAND")
-    for name, (mode, help_text, fields) in _COMMANDS.items():
+    for name, (mode, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.set_defaults(mode=mode)
-        for field in (*fields, "output_path", "fmt"):
+        for field in (*harness.OPERATIONS[mode][1], "output_path", "fmt"):
             flag, spec = _FLAGS[field]
             p.add_argument(flag, dest=field, **spec)
+            if field == "null_count":  # the null's method; _parse_config drops it
+                p.add_argument("--null-method", dest="method", choices=["sphere"])
     return parser
 
 
@@ -104,6 +96,12 @@ def _parse_config(argv: list[str] | None) -> harness.ExperimentConfig:
     fields.pop("method", None)
     if "sample_sizes" in fields:
         fields["sample_sizes"] = tuple(fields["sample_sizes"])
+    if "output_path" in fields:  # found here, not once the run is over
+        output = Path(fields["output_path"])
+        if output.is_dir():
+            parser.error(f"--output {output} is a directory")
+        if not output.parent.is_dir():
+            parser.error(f"--output {output}: {output.parent} is not a directory")
     try:
         return harness.ExperimentConfig(**fields)
     except (ValueError, BadDimensionsError) as err:

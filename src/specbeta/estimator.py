@@ -51,10 +51,10 @@ class BetaEstimate:
 
 
 def _check_theta(*thetas: float | NDArray[np.float64]) -> None:
-    """Raise ValueError unless every theta is >= 0; NaN fails."""
+    """Raise ValueError unless every theta is >= 0 and finite; NaN fails."""
     for theta in thetas:
-        if not np.all(np.asarray(theta) >= 0):
-            raise ValueError("theta must be nonnegative")
+        if not np.all(np.isfinite(theta) & (np.asarray(theta) >= 0)):
+            raise ValueError("theta must be nonnegative and finite")
 
 
 def log_direction_density(

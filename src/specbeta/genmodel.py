@@ -181,8 +181,8 @@ def _draw_sources(
     """Latent sources Z (ell x n), then the noise E on Y, or None when noise_sd = 0."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     z = g.standard_normal((truth.ell, n))
     e = noise_sd * g.standard_normal(n) if noise_sd > 0 else None
     return z, e

@@ -11,7 +11,7 @@ import csv
 import itertools
 import json
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,18 @@ from .errors import (
 )
 from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empirical_covariance
 
-MODES = (
-    "estimate",
-    "test",
-    "simulate",
-    "rejection_study",
-    "overfit_study",
-    "shuffle_target",
-)
+# Mode: (its operation in this module, the ExperimentConfig fields it reads).
+# Every mode also reads output_path and fmt, which say where its report goes.
+OPERATIONS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "estimate": ("run_estimate", ("input_path", "target", "normalize")),
+    "test": ("run_test", ("input_path", "target", "normalize", "seed", "alpha", "null_count")),
+    "simulate": ("run_simulation_study", ("d", "latent", "n", "runs", "noise_sd", "seed")),
+    "rejection_study": ("run_rejection_study",
+                        ("d", "latent", "n", "runs", "noise_sd", "seed", "alpha", "null_count")),
+    "overfit_study": ("run_overfit_study",
+                      ("d", "runs", "noise_sd", "sample_sizes", "seed", "alpha", "null_count")),
+    "shuffle_target": ("run_shuffle_target", ("input_path", "normalize", "seed", "null_count")),
+}
 
 DEFAULT_SAMPLE_SIZES = (20, 100, 1000, 10000)
 REJECTION_BINS = 10
@@ -46,7 +50,10 @@ MAX_FAILURE_FRACTION = 0.10
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of a harness invocation."""
+    """Parameters of a harness invocation.
+
+    A field that its mode does not read (see OPERATIONS) must keep its default.
+    """
 
     mode: str = "simulate"
     d: int = 10
@@ -67,8 +74,12 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
+        if self.mode not in OPERATIONS:
             raise ValueError(f"unknown mode {self.mode!r}")
+        read = {"mode", *OPERATIONS[self.mode][1], "output_path", "fmt"}
+        for f in fields(self):
+            if f.name not in read and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.mode} does not read {f.name}")
         if self.d < 1 or self.n < 1 or self.runs < 1:
             raise ValueError("counts must be positive")
         if self.seed < 0:
@@ -77,8 +88,8 @@ class ExperimentConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.null_count < cdtest.MIN_NULL_COUNT:
             raise ValueError(f"null sample count must be >= {cdtest.MIN_NULL_COUNT}")
-        if self.noise_sd is not None and self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if self.noise_sd is not None and not 0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.fmt == "csv" and self.output_path is None:
@@ -110,17 +121,6 @@ class Report:
     config: dict
     records: list[dict]
     summary: dict
-
-
-def config_echo(config: ExperimentConfig) -> dict:
-    """Config as a dict for report emission.
-
-    The output path is dropped: where a report is written must not change
-    its bytes.
-    """
-    d = asdict(config)
-    d.pop("output_path")
-    return d
 
 
 def run_rng(master_seed: int, *index: int) -> np.random.Generator:
@@ -289,24 +289,18 @@ def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.fl
 
 
 def run(config: ExperimentConfig) -> Report:
-    """Run the operation named by ``config.mode``."""
-    if config.mode == "shuffle_target":
-        if config.input_path is None:  # a config for shuffle_target_analysis alone has none
-            raise ValueError("shuffle_target needs an input path")
-        matrix, names = read_numeric_csv(config.input_path)
-        return shuffle_target_analysis(matrix, config, names)
+    """Run the operation of ``config.mode`` and report its records and summary.
+
+    The report's config echo leaves out the output path: where a report is
+    written must not change its bytes.
+    """
     # Looked up per call, so wrappers installed on this module's names are honoured.
-    operation = {
-        "estimate": run_estimate,
-        "test": run_test,
-        "simulate": run_simulation_study,
-        "rejection_study": run_rejection_study,
-        "overfit_study": run_overfit_study,
-    }[config.mode]
-    return operation(config)
+    records, summary = globals()[OPERATIONS[config.mode][0]](config)
+    echo = {key: value for key, value in asdict(config).items() if key != "output_path"}
+    return Report(echo, records, summary)
 
 
-def run_estimate(config: ExperimentConfig) -> Report:
+def run_estimate(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Estimate confounding strength of the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
     est = estimator.estimate_confounding(cov)
@@ -318,10 +312,10 @@ def run_estimate(config: ExperimentConfig) -> Report:
         "d": cov.d,
         "n": cov.n,
     }
-    return Report(config_echo(config), [record], {"beta_hat": est.beta_hat})
+    return [record], {"beta_hat": est.beta_hat}
 
 
-def run_test(config: ExperimentConfig) -> Report:
+def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Test the no-confounding null on the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
     res = cdtest.test_nonconfounding(cov, config.null_count, config.seed)
@@ -331,7 +325,7 @@ def run_test(config: ExperimentConfig) -> Report:
         "null_count": res.null_samples.size,
         "reject_at_alpha": res.p_value <= config.alpha,
     }
-    return Report(config_echo(config), [record], {"p_value": res.p_value})
+    return [record], {"p_value": res.p_value}
 
 
 def _run_study(
@@ -409,7 +403,7 @@ def _source_mixing(config: ExperimentConfig) -> Callable[..., tuple]:
     return model
 
 
-def run_simulation_study(config: ExperimentConfig) -> Report:
+def run_simulation_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Draw random models, estimate beta on fresh samples, report (beta, beta_hat) pairs."""
 
     def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
@@ -437,10 +431,10 @@ def run_simulation_study(config: ExperimentConfig) -> Report:
         "mean_true_beta": float(betas.mean()) if len(ok) else float("nan"),
         "mean_beta_hat": float(bhats.mean()) if len(ok) else float("nan"),
     }
-    return Report(config_echo(config), records, summary)
+    return records, summary
 
 
-def run_rejection_study(config: ExperimentConfig) -> Report:
+def run_rejection_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Per run: true beta and test p-value; summarize rejection fractions per beta bin."""
 
     def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
@@ -477,10 +471,10 @@ def run_rejection_study(config: ExperimentConfig) -> Report:
         else float("nan"),
         "alpha": config.alpha,
     }
-    return Report(config_echo(config), records, summary)
+    return records, summary
 
 
-def run_overfit_study(config: ExperimentConfig) -> Report:
+def run_overfit_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Causal-only data at several sample sizes; histogram the test p-values.
 
     Small n makes the regression overfit and the test reject despite the
@@ -517,14 +511,22 @@ def run_overfit_study(config: ExperimentConfig) -> Report:
         "alpha": config.alpha,
         "per_sample_size": per_n,
     }
-    return Report(config_echo(config), records, summary)
+    return records, summary
+
+
+def run_shuffle_target(config: ExperimentConfig) -> tuple[list[dict], dict]:
+    """shuffle_target_analysis of the CSV named by ``config``."""
+    if config.input_path is None:  # a config for shuffle_target_analysis alone has none
+        raise ValueError("shuffle_target needs an input path")
+    matrix, names = read_numeric_csv(config.input_path)
+    return shuffle_target_analysis(matrix, config, names)
 
 
 def shuffle_target_analysis(
     matrix: NDArray[np.float64],
     config: ExperimentConfig,
     column_names: list[str] | None = None,
-) -> Report:
+) -> tuple[list[dict], dict]:
     """Treat each column in turn as the target and estimate confounding strength.
 
     Emits one record per column, in column order, with the estimate and the
@@ -572,7 +574,7 @@ def shuffle_target_analysis(
         "beta_hats": [r.get("beta_hat") for r in records],
         "estimated": len(ok),
     }
-    return Report(config_echo(config), records, summary)
+    return records, summary
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,7 @@ from specbeta import (
     log_direction_density,
     overfit_dataset,
     regression_vector,
-    run_overfit_study,
-    run_rejection_study,
-    run_simulation_study,
+    run,
     sample_aprime_def1,
     sample_aprime_def2,
     sample_ground_truth,
@@ -133,7 +131,7 @@ def test_c03_sampler_equivalence():
 def test_c04_estimate_tracks_true_strength():
     """100 simulated models: correlation > 0.6 and good medians near both ends."""
     cfg = ExperimentConfig(mode="simulate", d=10, latent=10, n=10000, runs=100, seed=0)
-    rep = run_simulation_study(cfg)
+    rep = run(cfg)
     ok = [r for r in rep.records if "error" not in r]
     betas = np.array([r["true_beta"] for r in ok])
     bhats = np.array([r["beta_hat"] for r in ok])
@@ -151,7 +149,7 @@ def test_c05_rejection_fractions_per_bin():
         mode="rejection_study", d=10, latent=10, n=10000, runs=1000, seed=0,
         null_count=1000,
     )
-    rep = run_rejection_study(cfg)
+    rep = run(cfg)
     for b in rep.summary["bins"]:
         if b["bin_low"] >= 0.6 and b["count"] > 0:
             assert b["rejection_at_0.05"] > 0.5, b
@@ -173,7 +171,7 @@ def test_c06_overfit_pvalues_small_n_and_uniform_large_n():
         mode="overfit_study", d=10, runs=500, seed=0, null_count=1000,
         sample_sizes=(20, 10000),
     )
-    rep = run_overfit_study(cfg)
+    rep = run(cfg)
     per_n = {e["n"]: e for e in rep.summary["per_sample_size"]}
     pv_large = np.array(
         [r["p_value"] for r in rep.records if r.get("n") == 10000 and "error" not in r]

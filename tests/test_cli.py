@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specbeta import SPHERE_MONTE_CARLO
+from specbeta import SPHERE_MONTE_CARLO, harness
 from specbeta.cli import EXIT_USAGE, _build_parser, main
 
 from test_reports import CASES, DATA
@@ -166,6 +166,10 @@ class TestUsageErrors:
             # a repeated size would run the same seeded runs twice
             ["overfit", "--dim", "3", "--runs", "2", "--sample-sizes", "20", "20",
              "--null-samples", "100"],
+            # a non-finite noise level would run noise-free or fail as a data error
+            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--noise-sd", "nan"],
+            ["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--noise-sd", "inf"],
+            ["overfit", "--dim", "3", "--runs", "2", "--sample-sizes", "20", "--noise-sd", "nan"],
         ],
     )
     def test_invalid_flag_values(self, capsys, argv):
@@ -187,6 +191,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage:" in err and "seed must be >= 0" in err
 
+
+    @pytest.mark.parametrize("output", ["missing/r.json", "a_file/r.json", "a_directory"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_output_is_found_before_the_run(
+        self, capsys, tmp_path, monkeypatch, output, fmt
+    ):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "a_file").write_text("")
+        monkeypatch.setattr(harness, "run", lambda config: pytest.fail("the run started"))
+        argv = ["simulate", "--dim", "3", "--samples", "50", "--runs", "2",
+                "--format", fmt, "--output", str(tmp_path / output)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "usage:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "a_file"]
+        assert not any((tmp_path / "a_directory").iterdir())
 
 # Besides --output and --format, the flags of the settings each subcommand reads.
 READS = {

@@ -25,7 +25,7 @@ from specbeta import (
     estimate_theta,
     generate_samples,
     log_direction_density,
-    run_simulation_study,
+    run,
     sample_ground_truth,
     statistic_T,
     unit_direction,
@@ -296,7 +296,7 @@ class TestEstimateConfounding:
         # where the likelihood falls from theta = 0 the estimate is exactly 0,
         # not a rounding-level maximizer; runs 1 and 9 here are such cases
         cfg = ExperimentConfig(mode="simulate", d=10, latent=12, n=10000, runs=12, seed=0)
-        thetas = [r["theta_hat"] for r in run_simulation_study(cfg).records]
+        thetas = [r["theta_hat"] for r in run(cfg).records]
         assert all(t == 0.0 or t > 1e-12 for t in thetas)
         assert thetas[1] == 0.0 and thetas[9] == 0.0
 
@@ -372,7 +372,7 @@ DIAG_149 = cov_from_spectrum([1.0, 4.0, 9.0])
 
 
 class TestThetaCheck:
-    @pytest.mark.parametrize("theta", [-0.5, math.nan])
+    @pytest.mark.parametrize("theta", [-0.5, math.nan, math.inf])
     @pytest.mark.parametrize(
         "call",
         [

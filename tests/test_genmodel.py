@@ -194,7 +194,7 @@ class TestSampleCovariance:
     @pytest.mark.parametrize(
         "n, noise_sd, error",
         [(4, 0.0, TooFewSamplesError), (3, 1.0, TooFewSamplesError), (1, 0.0, ValueError),
-         (10, -0.5, ValueError)],
+         (10, -0.5, ValueError), (10, math.nan, ValueError), (10, math.inf, ValueError)],
     )
     def test_same_errors(self, n, noise_sd, error):
         t = sample_ground_truth(4, 6, 0)

@@ -1,6 +1,7 @@
 """CSV ingestion, simulation studies and report emission."""
 
 import collections
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -28,13 +29,10 @@ from specbeta import (
     emit_report,
     ingest_csv,
     read_numeric_csv,
-    run_overfit_study,
-    run_rejection_study,
-    run_simulation_study,
-    shuffle_target_analysis,
+    run,
 )
 from specbeta import DataMatrix, cdtest, empirical_covariance, estimator, genmodel, harness
-from specbeta.harness import run_rng, stable_json
+from specbeta.harness import run_rng, shuffle_target_analysis, stable_json
 from specbeta.spectral import covariance_from_moments
 
 
@@ -234,6 +232,24 @@ class TestIngestCsv:
             ingest_csv(p, 2, normalize=True)
 
 
+# The ExperimentConfig fields each mode reads, besides output_path and fmt.
+CONFIG_READS = {
+    "estimate": {"input_path", "target", "normalize"},
+    "test": {"input_path", "target", "normalize", "seed", "alpha", "null_count"},
+    "simulate": {"d", "latent", "n", "runs", "noise_sd", "seed"},
+    "rejection_study": {"d", "latent", "n", "runs", "noise_sd", "seed", "alpha", "null_count"},
+    "overfit_study": {"d", "runs", "noise_sd", "sample_sizes", "seed", "alpha", "null_count"},
+    "shuffle_target": {"input_path", "normalize", "seed", "null_count"},
+}
+
+# A valid value other than the default of each settable field.
+NON_DEFAULT = {
+    "d": 3, "latent": 12, "n": 500, "runs": 5, "seed": 7, "alpha": 0.1, "null_count": 200,
+    "normalize": True, "noise_sd": 0.5, "sample_sizes": (30, 60), "target": 0,
+    "input_path": "other.csv", "output_path": "r.json", "fmt": "csv",
+}
+
+
 class TestExperimentConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -270,8 +286,9 @@ class TestExperimentConfig:
             ExperimentConfig(mode="overfit_study", d=10, sample_sizes=(100, 10))
 
     def test_sample_checks_skip_csv_modes(self):
-        cfg = ExperimentConfig(mode="estimate", d=10, n=3, input_path="data.csv", target="y")
-        assert cfg.n == 3
+        # a CSV mode reads no sample count, so a config cannot hold one
+        with pytest.raises(ValueError, match="^estimate does not read n$"):
+            ExperimentConfig(mode="estimate", d=10, n=3, input_path="data.csv", target="y")
 
     @pytest.mark.parametrize(
         "fields",
@@ -289,6 +306,31 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**fields)
 
+    @pytest.mark.parametrize("mode", sorted(CONFIG_READS))
+    @pytest.mark.parametrize("field", sorted(NON_DEFAULT))
+    def test_a_field_its_mode_does_not_read_is_rejected(self, mode, field):
+        fields = {"mode": mode, "output_path": "r.csv", field: NON_DEFAULT[field]}
+        if mode in ("estimate", "test"):
+            fields = {"input_path": "data.csv", "target": "y", **fields}
+        if field in CONFIG_READS[mode] | {"output_path", "fmt"}:
+            assert getattr(ExperimentConfig(**fields), field) == NON_DEFAULT[field]
+        else:
+            with pytest.raises(ValueError, match=f"^{mode} does not read {field}$"):
+                ExperimentConfig(**fields)
+
+    def test_the_table_covers_every_setting(self):
+        # 46 of the 84 (mode, setting) pairs are read: the CLI's 50 flags less --null-method
+        settable = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
+        assert set(NON_DEFAULT) == settable - {"mode"}
+        assert set(CONFIG_READS) == set(harness.OPERATIONS)
+        assert sum(len(reads) + 2 for reads in CONFIG_READS.values()) == 46
+
+    @pytest.mark.parametrize("mode", ["simulate", "overfit_study"])
+    @pytest.mark.parametrize("noise_sd", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_or_negative_noise(self, mode, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be finite and nonnegative"):
+            ExperimentConfig(mode=mode, d=3, noise_sd=noise_sd)
+
 
 class TestRunRng:
     def test_deterministic_per_index(self):
@@ -302,20 +344,16 @@ class TestRunRng:
         assert not np.array_equal(a, b)
 
 
-# Study runner, its config fields, the genmodel draw a failure is injected
+# Study config fields, the genmodel draw a failure is injected
 # through, and the seed key of the study's first run.
 FAILING_STUDIES = {
-    "simulate": (
-        run_simulation_study, {"mode": "simulate", "n": 300}, "sample_ground_truth", {"run": 0}
-    ),
+    "simulate": ({"mode": "simulate", "n": 300}, "sample_ground_truth", {"run": 0}),
     "rejections": (
-        run_rejection_study,
         {"mode": "rejection_study", "n": 300, "null_count": 100},
         "sample_ground_truth",
         {"run": 0},
     ),
     "overfit": (
-        run_overfit_study,
         {"mode": "overfit_study", "null_count": 100, "sample_sizes": (20,)},
         "sample_causal_truth",
         {"n": 20, "run": 0},
@@ -325,16 +363,16 @@ FAILING_STUDIES = {
 
 class TestStudies:
     def test_simulation_study_deterministic(self):
-        cfg = ExperimentConfig(mode="simulate", d=4, n=400, runs=3, seed=8, null_count=100)
-        r1 = run_simulation_study(cfg)
-        r2 = run_simulation_study(cfg)
+        cfg = ExperimentConfig(mode="simulate", d=4, n=400, runs=3, seed=8)
+        r1 = run(cfg)
+        r2 = run(cfg)
         assert r1.records == r2.records
         assert r1.summary == r2.summary
         assert len(r1.records) == 3
 
     def test_simulation_study_record_fields(self):
         cfg = ExperimentConfig(mode="simulate", d=3, n=300, runs=2, seed=1)
-        rep = run_simulation_study(cfg)
+        rep = run(cfg)
         for rec in rep.records:
             assert {"run", "true_beta", "beta_hat", "theta_hat", "boundary"} <= set(rec)
 
@@ -342,7 +380,7 @@ class TestStudies:
         cfg = ExperimentConfig(
             mode="rejection_study", d=4, n=500, runs=40, seed=2, null_count=200
         )
-        rep = run_rejection_study(cfg)
+        rep = run(cfg)
         for b in rep.summary["bins"]:
             r10, r05 = b["rejection_at_0.10"], b["rejection_at_0.05"]
             if not (math.isnan(r10) or math.isnan(r05)):
@@ -358,7 +396,7 @@ class TestStudies:
             null_count=100,
             sample_sizes=(20, 50),
         )
-        rep = run_overfit_study(cfg)
+        rep = run(cfg)
         assert len(rep.records) == 20
         assert [e["n"] for e in rep.summary["per_sample_size"]] == [20, 50]
         for e in rep.summary["per_sample_size"]:
@@ -366,7 +404,7 @@ class TestStudies:
 
     @pytest.mark.parametrize("study", sorted(FAILING_STUDIES))
     def test_too_many_failures_abort(self, monkeypatch, study):
-        run_study, fields, draw, key = FAILING_STUDIES[study]
+        fields, draw, key = FAILING_STUDIES[study]
 
         def fail(*args):
             raise DegenerateModelError("injected")
@@ -374,12 +412,12 @@ class TestStudies:
         monkeypatch.setattr(genmodel, draw, fail)
         cfg = ExperimentConfig(d=5, runs=5, seed=0, **fields)
         with pytest.raises(RuntimeError, match=r"^1 of 5 planned runs failed \(> 10%\)$"):
-            run_study(cfg)
+            run(cfg)
 
     @pytest.mark.parametrize("study", sorted(FAILING_STUDIES))
     def test_early_failure_does_not_abort(self, monkeypatch, study):
         # the failure bound applies to the planned runs, not the runs so far
-        run_study, fields, draw, key = FAILING_STUDIES[study]
+        fields, draw, key = FAILING_STUDIES[study]
         original = getattr(genmodel, draw)
         calls = []
 
@@ -391,7 +429,7 @@ class TestStudies:
 
         monkeypatch.setattr(genmodel, draw, fail_first)
         cfg = ExperimentConfig(d=3, runs=20, seed=0, **fields)
-        rep = run_study(cfg)
+        rep = run(cfg)
         assert rep.summary["failures"] == 1
         assert len(rep.records) == 20
         errors = [r for r in rep.records if "error" in r]
@@ -565,7 +603,7 @@ class TestStudyDriver:
                 finished = fail_on_calls(m, cdtest, "test_nonconfounding", set())
                 return outcome(records_of, config), len(finished)
 
-        got, finished = injected(lambda c: run_rejection_study(c).records)
+        got, finished = injected(lambda c: run(c).records)
         assert stable_json((got, finished)) == stable_json(injected(serial_study))
         if len(failing) > 2:
             assert got == "3 of 20 planned runs failed (> 10%)"
@@ -581,9 +619,9 @@ class TestShuffleTarget:
         target = base @ np.array([1.0, -2.0, 0.5, 1.5])
         matrix = np.column_stack([base, target])
         cfg = ExperimentConfig(mode="shuffle_target", seed=0, null_count=100)
-        rep = shuffle_target_analysis(matrix, cfg)
-        assert len(rep.records) == 5
-        assert rep.records[4]["beta_hat"] == 0.0
+        records, _ = shuffle_target_analysis(matrix, cfg)
+        assert len(records) == 5
+        assert records[4]["beta_hat"] == 0.0
 
     def test_run_needs_an_input_path(self):
         # shuffle_target_analysis takes this config; run() has nothing to read
@@ -597,15 +635,15 @@ class TestShuffleTarget:
 
     def test_zero_signal_flagged(self):
         cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
-        rep = shuffle_target_analysis(self.ZERO_SIGNAL, cfg)
-        assert all(rec.get("zero_signal") for rec in rep.records)
+        records, _ = shuffle_target_analysis(self.ZERO_SIGNAL, cfg)
+        assert all(rec.get("zero_signal") for rec in records)
 
     def test_constant_column_flagged_as_zero_signal(self):
         g = np.random.default_rng(4)
         matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
         cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
-        rep = shuffle_target_analysis(matrix, cfg)
-        assert rep.records[3] == {"column": 3, "name": "col3", "zero_signal": True}
+        records, _ = shuffle_target_analysis(matrix, cfg)
+        assert records[3] == {"column": 3, "name": "col3", "zero_signal": True}
 
     ZERO_SIGNAL = np.array(
         [
@@ -647,7 +685,7 @@ class TestShuffleTarget:
 class TestEmitReport:
     def _report(self):
         cfg = ExperimentConfig(mode="simulate", d=3, n=300, runs=3, seed=4)
-        return run_simulation_study(cfg)
+        return run(cfg)
 
     def test_json_round_trip(self, tmp_path):
         rep = self._report()

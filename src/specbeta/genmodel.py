@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadDimensionsError, DegenerateModelError
+from .errors import BadDimensionsError, DegenerateModelError, NumericOverflowError
 from .spectral import CovarianceModel, DataMatrix, covariance_from_moments
 
 
@@ -144,15 +144,27 @@ def _latent_moments(
 
     The noise terms are (None, 0.0) when noise_sd = 0.  Nearly all of its time
     is spent in the draw and the Gram product, which release the GIL, and it
-    calls nothing but numpy, so another thread may run it.
+    calls nothing but numpy, so a study may run it on a worker thread or on
+    the calling thread.  numpy's error state is per thread, so the overflow
+    check below holds on either.
+
+    Raises
+    ------
+    NumericOverflowError
+        If the noise moments are not finite, as with a noise_sd whose square
+        overflows.
     """
-    z, e = _draw_sources(truth, n, noise_sd, g)
-    z -= z.mean(axis=1, keepdims=True)
-    gram = (z @ z.T) / n
-    if e is None:
-        return gram, None, 0.0, n
-    e -= e.mean()
-    return gram, (z @ e) / n, float(e @ e) / n, n
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        z, e = _draw_sources(truth, n, noise_sd, g)
+        z -= z.mean(axis=1, keepdims=True)
+        gram = (z @ z.T) / n
+        if e is None:
+            return gram, None, 0.0, n
+        e -= e.mean()
+        ze, ee = (z @ e) / n, float(e @ e) / n
+    if not (np.isfinite(ee) and np.isfinite(ze).all()):
+        raise NumericOverflowError(f"noise moments overflow at noise_sd={noise_sd:g}")
+    return gram, ze, ee, n
 
 
 def _fitted_model(

@@ -7,12 +7,14 @@ a whole report is byte-identical across repeats.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import json
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,6 +30,9 @@ from .errors import (
     ZeroSignalError,
 )
 from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empirical_covariance
+
+if TYPE_CHECKING:  # imported by _run_study, on first use
+    from concurrent.futures import Executor
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads).
 # Every mode also reads output_path and fmt, which say where its report goes.
@@ -328,6 +333,47 @@ def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return [record], {"p_value": res.p_value}
 
 
+class _LatentStep:
+    """One run's ``genmodel._latent_moments`` call, queued on a worker thread.
+
+    Exactly one thread runs it: the worker, or the caller of ``steal`` if
+    the worker has not started it yet.
+    """
+
+    def __init__(self, worker: Executor, *args) -> None:
+        self._args = args
+        self._queued = worker.submit(genmodel._latent_moments, *args)
+        self._stolen: tuple | None = None  # (moments, error) once stolen
+
+    def done(self) -> bool:
+        return self._queued.done()  # true once stolen, since that cancels it
+
+    def steal(self) -> None:
+        """Run the step on this thread, unless it has started or run already."""
+        # cancel() fails on a step the worker has started, and says yes again
+        # on one cancelled before, hence the done() test.
+        if self._queued.done() or not self._queued.cancel():
+            return
+        try:
+            self._stolen = genmodel._latent_moments(*self._args), None
+        except Exception as err:  # raised by result(), when its run is settled
+            self._stolen = None, err
+
+    def result(self) -> tuple:
+        if self._stolen is None:
+            return self._queued.result()
+        moments, err = self._stolen
+        if err is not None:
+            raise err
+        return moments
+
+
+# Runs a study starts ahead of the one it settles: enough that the calling
+# thread finds queued latent steps to draw (4 and 10 measured the same), few
+# enough that a long study holds little memory in flight.
+LOOKAHEAD = 4
+
+
 def _run_study(
     seed: int,
     keys: list[dict],
@@ -340,15 +386,19 @@ def _run_study(
     order, is continued by three steps, one after another:
 
     1. ``model(rng, **key)`` gives ``(truth, n, noise_sd)``;
-    2. a worker thread draws the latent moments of
-       ``genmodel.sample_covariance(truth, n, noise_sd, rng)``;
+    2. the latent moments of ``genmodel.sample_covariance(truth, n,
+       noise_sd, rng)`` are drawn;
     3. the rest of ``sample_covariance`` gives ``(cov, beta)``, and the
        run's record is ``{**key, **fit(rng, cov, beta)}``.
 
-    Steps 1 and 3 run on the calling thread.  The worker draws the next run
-    while this thread finishes the current one, so at most one run is in
-    flight.  Runs are settled in key order, which makes the result that of a
-    serial loop: a run that raises a ``SpecbetaError`` in any step leaves an
+    Steps 1 and 3 run on the calling thread, which starts runs up to
+    LOOKAHEAD ahead of the one it settles and queues their step 2 on one
+    worker thread.  When the run to settle has not been drawn, the calling
+    thread draws a queued step itself rather than wait: the run's own if the
+    worker has not started it, else the oldest queued one.  Each step runs
+    on exactly one thread, after its run's step 1 and before its step 3.
+    Runs are settled in key order, which makes the result that of a serial
+    loop: a run that raises a ``SpecbetaError`` in any step leaves an
     ``error`` record instead, the study aborts once more than
     MAX_FAILURE_FRACTION of the planned runs have failed, and any other
     exception propagates when its run is settled.
@@ -358,28 +408,31 @@ def _run_study(
 
     records: list[dict] = []
     failures = 0
-    # Leaving the block joins the worker.  A run started ahead of an abort or
-    # an error is dropped unsettled, as a serial loop would not have reached it.
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    worker = ThreadPoolExecutor(max_workers=1)
 
-        def start(key: dict) -> tuple:
-            """Step 1, then step 2 handed to the worker."""
-            rng = run_rng(seed, *key.values())
-            try:
-                truth, n, noise_sd = model(rng, **key)
-            except Exception as err:  # raised when this run is settled, after the earlier runs
-                return key, rng, None, err
-            latent = worker.submit(genmodel._latent_moments, truth, n, noise_sd, rng)
-            return key, rng, truth, latent
+    def start(key: dict) -> tuple:
+        """Step 1, then step 2 queued."""
+        rng = run_rng(seed, *key.values())
+        try:
+            truth, n, noise_sd = model(rng, **key)
+        except Exception as err:  # raised when this run is settled, after the earlier runs
+            return key, rng, None, err
+        return key, rng, truth, _LatentStep(worker, truth, n, noise_sd, rng)
 
-        runs = map(start, keys)
-        run = next(runs, None)
-        while run is not None:
-            key, rng, truth, latent = run
-            run = next(runs, None)  # the worker draws it while this thread finishes `key`
+    try:
+        todo = iter(keys)
+        ahead = collections.deque(map(start, itertools.islice(todo, LOOKAHEAD)))
+        while ahead:
+            key, rng, truth, latent = ahead.popleft()
+            ahead.extend(map(start, itertools.islice(todo, 1)))
             try:
                 if truth is None:
                     raise latent
+                for _, _, other, step in ((key, rng, truth, latent), *ahead):
+                    if latent.done():
+                        break
+                    if other is not None:
+                        step.steal()
                 cov, beta = genmodel._fitted_model(truth, *latent.result())
                 records.append({**key, **fit(rng, cov, beta)})
             except SpecbetaError as err:
@@ -390,6 +443,11 @@ def _run_study(
                         f"(> {MAX_FAILURE_FRACTION:.0%})"
                     )
                 records.append({**key, "error": str(err)})
+    finally:
+        # A run started ahead of an abort or an error is dropped unsettled, as
+        # a serial loop would not have reached it: its queued step is
+        # cancelled, and the worker is joined.
+        worker.shutdown(cancel_futures=True)
     return records, failures
 
 
@@ -418,7 +476,7 @@ def run_simulation_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     records, failures = _run_study(
         config.seed, [{"run": i} for i in range(config.runs)], _source_mixing(config), fit
     )
-    ok = [r for r in records if "error" not in r]
+    ok = [r for r in records if "error" not in r]  # never empty: _run_study aborts first
     betas = np.array([r["true_beta"] for r in ok])
     bhats = np.array([r["beta_hat"] for r in ok])
     # without spread in either array corrcoef divides 0 by 0, and numpy warns
@@ -428,8 +486,8 @@ def run_simulation_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
         "runs": config.runs,
         "failures": failures,
         "pearson_correlation": corr,
-        "mean_true_beta": float(betas.mean()) if len(ok) else float("nan"),
-        "mean_beta_hat": float(bhats.mean()) if len(ok) else float("nan"),
+        "mean_true_beta": float(betas.mean()),
+        "mean_beta_hat": float(bhats.mean()),
     }
     return records, summary
 
@@ -444,7 +502,7 @@ def run_rejection_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     records, failures = _run_study(
         config.seed, [{"run": i} for i in range(config.runs)], _source_mixing(config), fit
     )
-    ok = [r for r in records if "error" not in r]
+    ok = [r for r in records if "error" not in r]  # never empty: _run_study aborts first
     betas = np.array([r["true_beta"] for r in ok])
     pvals = np.array([r["p_value"] for r in ok])
     edges = np.linspace(0.0, 1.0, REJECTION_BINS + 1)
@@ -466,9 +524,7 @@ def run_rejection_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
         "runs": config.runs,
         "failures": failures,
         "bins": per_bin,
-        "overall_rejection_at_alpha": float(np.mean(pvals <= config.alpha))
-        if len(ok)
-        else float("nan"),
+        "overall_rejection_at_alpha": float(np.mean(pvals <= config.alpha)),
         "alpha": config.alpha,
     }
     return records, summary

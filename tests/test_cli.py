@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flags and exit codes."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -390,6 +391,17 @@ class TestSimulationCommands:
         assert {r["beta_hat"] for r in payload["records"]} == {0.0}
         assert payload["summary"]["pearson_correlation"] == "nan"
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--dim", "3", "--samples", "50"],
+        ["overfit", "--dim", "3", "--sample-sizes", "20", "--null-samples", "100"],
+    ])
+    def test_overflowing_noise_is_numeric_failure_without_warning(self, capsys, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [*command, "--runs", "2", "--noise-sd", "1e200"])
+        assert (code, out) == (3, "")
+        assert err == "specbeta: numeric failure: 1 of 2 planned runs failed (> 10%)\n"
+
     def test_simulate_byte_identical_outputs(self, capsys, tmp_path):
         argv = ["simulate", "--dim", "3", "--samples", "300", "--runs", "3", "--seed", "5"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -457,6 +469,17 @@ class TestSimulationCommands:
         assert code == 0
         assert len(out_path.read_text().strip().splitlines()) == 3
         assert (tmp_path / "runs.summary.csv").exists()
+
+    def test_csv_summary_holds_the_bins_as_json(self, capsys, tmp_path):
+        argv = ["rejections", "--dim", "3", "--samples", "300", "--runs", "5",
+                "--null-samples", "100"]
+        assert main([*argv, "--output", str(tmp_path / "r.json")]) == 0
+        assert main([*argv, "--output", str(tmp_path / "r.csv"), "--format", "csv"]) == 0
+        capsys.readouterr()
+        with (tmp_path / "r.summary.csv").open(newline="") as fh:
+            summary = dict(csv.reader(fh))
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert json.loads(summary["bins"]) == report["summary"]["bins"]
 
 
 class TestShuffleTarget:

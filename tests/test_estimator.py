@@ -342,6 +342,11 @@ class TestConcentration:
             1.0 - 2.0 / (3 * eps**2)
         )
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5])
+    def test_bound_rejects_nonpositive_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            concentration_bound(1.0, 1.0, cov_from_spectrum([1.0, 2.0]), epsilon)
+
     def test_bound_limits(self):
         small = cov_from_spectrum([1.0, 2.0])
         big = cov_from_spectrum(np.linspace(1.0, 2.0, 2000))

@@ -1,6 +1,8 @@
 """Synthetic generators with known ground truth."""
 
 import math
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from specbeta import (
     BadDimensionsError,
     DegenerateModelError,
     GroundTruth,
+    NumericOverflowError,
     TooFewSamplesError,
     empirical_covariance,
     generate_samples,
@@ -44,6 +47,17 @@ class TestGroundTruth:
                 m=rng.standard_normal((5, 3)),
                 a=np.zeros(5),
                 c=np.zeros(3),
+                sigma_a=1.0,
+                sigma_c=1.0,
+            )
+
+    @pytest.mark.parametrize("a_len, c_len", [(2, 5), (3, 4), (4, 6)])
+    def test_rejects_mismatched_coefficient_lengths(self, rng, a_len, c_len):
+        with pytest.raises(BadDimensionsError, match="a/c lengths"):
+            GroundTruth(
+                m=rng.standard_normal((3, 5)),
+                a=np.zeros(a_len),
+                c=np.zeros(c_len),
                 sigma_a=1.0,
                 sigma_c=1.0,
             )
@@ -190,6 +204,21 @@ class TestSampleCovariance:
             y = generate_samples(truth, 50, noise_sd, seed).data.y
             sample_covariance(truth, 50, noise_sd, seed)
             assert seen[-1] == pytest.approx(np.var(y), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("thread", ["this", "another"])
+    @pytest.mark.parametrize("noise_sd", [1e200, 1e308])
+    def test_overflowing_noise_raises_without_warning(self, noise_sd, thread):
+        # the noise variance overflows; numpy must not warn on the way, on
+        # whichever thread draws (a study draws on two)
+        t = sample_ground_truth(4, 6, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ThreadPoolExecutor(max_workers=1) as other:
+                with pytest.raises(NumericOverflowError, match="noise moments overflow"):
+                    if thread == "this":
+                        sample_covariance(t, 50, noise_sd, 0)
+                    else:
+                        other.submit(sample_covariance, t, 50, noise_sd, 0).result()
 
     @pytest.mark.parametrize(
         "n, noise_sd, error",

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -501,6 +502,39 @@ def fail_on_calls(monkeypatch, module, name, calls, error=DegenerateModelError):
     return count
 
 
+def hold_the_worker(monkeypatch, steals=2, timeout=10.0):
+    """Hold the worker in run 0's latent step until the calling thread has run ``steals``.
+
+    The calling thread then finds run 0 undrawn and draws the queued steps of
+    runs 1, 2, ... itself.  Returns the list of steps the calling thread ran.
+    """
+    original_step, original_rng = genmodel._latent_moments, harness.run_rng
+    caller = threading.get_ident()
+    stolen, seeded, taken, released = [], [], threading.Event(), threading.Event()
+
+    def rng(*index):
+        seeded.append(index)
+        # run 1 starts once run 0's step is queued: let the worker take that one first
+        if len(seeded) == 2 and not taken.wait(timeout):
+            raise TimeoutError("the worker took no latent step")
+        return original_rng(*index)
+
+    def step(*args):
+        if threading.get_ident() == caller:
+            stolen.append(args)
+            if len(stolen) >= steals:
+                released.set()
+        elif not taken.is_set():
+            taken.set()
+            if not released.wait(timeout):
+                raise TimeoutError("the calling thread stole no latent step")
+        return original_step(*args)
+
+    monkeypatch.setattr(harness, "run_rng", rng)
+    monkeypatch.setattr(genmodel, "_latent_moments", step)
+    return stolen
+
+
 def outcome(records_of, config):
     """The study's records, or the message of the RuntimeError that aborted it."""
     try:
@@ -510,7 +544,7 @@ def outcome(records_of, config):
 
 
 class TestStudyDriver:
-    """The model and finish steps on the calling thread, the latent draw on a worker."""
+    """The model and finish steps on the calling thread, the latent draw on a worker or on it."""
 
     @pytest.mark.parametrize("study", sorted(DRIVER_CONFIGS))
     def test_records_equal_a_serial_loop(self, study):
@@ -558,16 +592,92 @@ class TestStudyDriver:
         assert {name: ids for name, ids in threads.items()
                 if ids != {threading.get_ident()}} == {}
 
-    def test_latent_step_runs_on_a_worker(self, monkeypatch):
-        original, threads = genmodel._draw_sources, set()
+    def test_latent_step_runs_on_the_worker_or_the_calling_thread(self, monkeypatch):
+        original, threads = genmodel._latent_moments, []
 
         def recorded(*args):
-            threads.add(threading.get_ident())
+            threads.append(threading.current_thread())
             return original(*args)
 
-        monkeypatch.setattr(genmodel, "_draw_sources", recorded)
+        monkeypatch.setattr(genmodel, "_latent_moments", recorded)
         harness.run(DRIVER_CONFIGS["rejections"])
-        assert len(threads) == 1 and threading.get_ident() not in threads
+        assert len(threads) == 20
+        workers = set(threads) - {threading.current_thread()}
+        assert len(workers) == 1 and not workers.pop().is_alive()
+
+    @pytest.mark.parametrize("study", sorted(DRIVER_CONFIGS))
+    def test_records_equal_a_serial_loop_when_the_caller_steals(self, monkeypatch, study):
+        config = DRIVER_CONFIGS[study]
+        with monkeypatch.context() as m:
+            stolen = hold_the_worker(m)
+            records = harness.run(config).records
+        assert len(stolen) >= 2
+        assert stable_json(records) == stable_json(serial_study(config))
+
+    @pytest.mark.parametrize("failing", [{1}, {2, 3}, {1, 2, 7}, {0, 1, 2}])
+    def test_stolen_failures_settle_in_run_order(self, monkeypatch, failing):
+        # 20 runs, so the third failure aborts the study
+        config = DRIVER_CONFIGS["rejections"]
+        truths = [genmodel.sample_ground_truth(config.d, config.ell, run_rng(config.seed, i))
+                  for i in range(config.runs)]
+        failing_sigmas = {truths[i].sigma_a for i in failing}
+        original, failed_on = genmodel._latent_moments, []
+
+        def fail_for_runs(truth, *args):
+            if truth.sigma_a in failing_sigmas:
+                failed_on.append(threading.get_ident())
+                raise DegenerateModelError("injected")
+            return original(truth, *args)
+
+        monkeypatch.setattr(genmodel, "_latent_moments", fail_for_runs)
+        expected = outcome(serial_study, config)
+        failed_on.clear()
+        with monkeypatch.context() as m:
+            hold_the_worker(m)
+            got = outcome(lambda c: run(c).records, config)
+        assert stable_json(got) == stable_json(expected)
+        assert threading.get_ident() in failed_on
+        if len(failing) > 2:
+            assert got == "3 of 20 planned runs failed (> 10%)"
+        else:
+            assert [r["run"] for r in got if "error" in r] == sorted(failing)
+
+    @pytest.mark.parametrize("hold", [False, True])
+    def test_overflowing_noise_leaves_an_error_record(self, monkeypatch, hold):
+        # run 3 alone draws at a noise level whose variance overflows
+        def model(rng, run):
+            return genmodel.sample_ground_truth(3, 3, rng), 50, 1e200 if run == 3 else 1.0
+
+        if hold:  # the calling thread draws runs 1 to 4
+            hold_the_worker(monkeypatch, steals=4)
+        keys = [{"run": i} for i in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, failures = harness._run_study(0, keys, model, lambda *_: {})
+        assert failures == 1
+        assert records[3] == {"run": 3, "error": "noise moments overflow at noise_sd=1e+200"}
+        assert [r for r in records if "error" in r] == [records[3]]
+
+    @pytest.mark.parametrize("error", [DegenerateModelError, ArithmeticError])
+    def test_queued_steps_are_cancelled_when_a_study_ends_early(self, monkeypatch, error):
+        # run 0 fails in its model step, so the study ends at once: 1 of 4 runs
+        # aborts it, an ArithmeticError escapes.  The worker may be in run 1's
+        # slow step by then; the steps queued behind it never run.
+        config = ExperimentConfig(mode="simulate", d=3, n=300, runs=4, seed=0)
+        fail_on_calls(monkeypatch, genmodel, "sample_ground_truth", {0}, error=error)
+        original, steps = genmodel._latent_moments, []
+
+        def slow(*args):
+            steps.append(None)
+            time.sleep(0.2)
+            return original(*args)
+
+        monkeypatch.setattr(genmodel, "_latent_moments", slow)
+        before = set(threading.enumerate())
+        with pytest.raises((RuntimeError, ArithmeticError), match="^(1 of 4 planned|injected)"):
+            run(config)
+        assert len(steps) <= 1
+        assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("study", sorted(DRIVER_CONFIGS))
     @pytest.mark.parametrize("ending", ["returns", "aborts", "raises"])

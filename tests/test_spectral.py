@@ -44,6 +44,18 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             DataMatrix(x=np.ones((4, 2)), y=np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (np.ones(4), np.zeros(4), "x must be 2-D"),
+            (np.ones((4, 2, 1)), np.zeros(4), "x must be 2-D"),
+            (np.ones((4, 2)), np.zeros((4, 1)), "y must be 1-D"),
+        ],
+    )
+    def test_rejects_wrong_number_of_axes(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            DataMatrix(x=x, y=y)
+
     def test_rejects_bad_column_names(self):
         with pytest.raises(ValueError):
             DataMatrix(x=np.ones((4, 2)), y=np.zeros(4), column_names=("only",))
@@ -125,6 +137,11 @@ class TestCovarianceModel:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             CovarianceModel.from_matrices(np.ones((2, 3)), np.zeros(2))
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_rejects_sigma_xy_of_wrong_length(self, length):
+        with pytest.raises(ValueError, match="sigma_xy length"):
+            CovarianceModel.from_matrices(np.eye(2), np.zeros(length))
 
 
 class TestRegressionVector:

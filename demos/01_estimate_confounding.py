@@ -20,8 +20,9 @@ def main():
     rng = np.random.default_rng(20240817)
     print("true beta  estimated beta  theta_hat")
     for seed in range(8):
-        truth = sample_ground_truth(d=10, ell=10, rng=np.random.default_rng(seed))
-        dataset = generate_samples(truth, n=10000, rng=np.random.default_rng(seed))
+        g = np.random.default_rng(seed)  # one generator draws the model, then its samples
+        truth = sample_ground_truth(d=10, ell=10, rng=g)
+        dataset = generate_samples(truth, n=10000, noise_sd=0.0, rng=g)
         est = estimate_confounding(empirical_covariance(dataset.data))
         flag = "  (boundary)" if est.boundary else ""
         print(f"{dataset.true_beta:9.3f}  {est.beta_hat:14.3f}  {est.theta_hat:9.4g}{flag}")
@@ -36,7 +37,7 @@ def main():
     confounded = GroundTruth(m=truth.m, a=np.zeros(10), c=truth.c,
                              sigma_a=0.0, sigma_c=max(truth.sigma_c, 0.3))
     for label, t in [("purely causal", causal), ("purely confounded", confounded)]:
-        ds = generate_samples(t, n=10000, rng=rng)
+        ds = generate_samples(t, n=10000, noise_sd=0.0, rng=rng)
         est = estimate_confounding(empirical_covariance(ds.data))
         print(f"{label:>18}: beta_hat = {est.beta_hat:.3f}")
 

@@ -22,7 +22,7 @@ def main():
     for seed in range(6):
         g = np.random.default_rng(seed)
         truth = sample_ground_truth(d=10, ell=10, rng=g)
-        ds = generate_samples(truth, n=10000, rng=g)
+        ds = generate_samples(truth, n=10000, noise_sd=0.0, rng=g)
         res = test_nonconfounding(empirical_covariance(ds.data), null_count=1000, rng=g)
         print(f"{seed:4d}  {ds.true_beta:9.3f}  {res.t_observed:10.4f}  {res.p_value:.4f}")
 
@@ -33,7 +33,7 @@ def main():
         g = np.random.default_rng(1000 + seed)
         t = sample_ground_truth(10, 10, g)
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
-        ds = generate_samples(t, n=10000, rng=g)
+        ds = generate_samples(t, n=10000, noise_sd=0.0, rng=g)
         res = test_nonconfounding(empirical_covariance(ds.data), 1000, rng=g)
         pvals.append(res.p_value)
     print(f"fraction below 0.05: {np.mean(np.asarray(pvals) <= 0.05):.3f} (nominal 0.05)")

@@ -43,7 +43,6 @@ from .estimator import (
 from .genmodel import (
     GroundTruth,
     SyntheticDataset,
-    as_generator,
     generate_samples,
     overfit_dataset,
     sample_aprime_def1,

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .genmodel import as_generator
 from .spectral import CovarianceModel, _unit, direction_coords
 
 SPHERE_MONTE_CARLO = "sphere_monte_carlo"
 
-DEFAULT_NULL_COUNT = 1000
 MIN_NULL_COUNT = 100
 
 
@@ -46,25 +44,20 @@ def statistic_T(u: NDArray[np.float64], cov: CovarianceModel) -> float:
 
 
 def null_samples_sphere(
-    cov: CovarianceModel,
-    count: int = DEFAULT_NULL_COUNT,
-    rng: int | np.random.Generator = 0,
+    cov: CovarianceModel, count: int, rng: np.random.Generator
 ) -> NDArray[np.float64]:
     """Exact null: statistic of directions drawn uniformly from the sphere."""
     if count < MIN_NULL_COUNT:
         raise ValueError(f"null sample count must be >= {MIN_NULL_COUNT}, got {count}")
-    g = as_generator(rng)
     # squared and normalised in place, so one count x d array is allocated
-    w2 = g.standard_normal((count, cov.d))
+    w2 = rng.standard_normal((count, cov.d))
     w2 *= w2
     w2 /= w2.sum(axis=1, keepdims=True)
     return (w2 @ (1.0 / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d)
 
 
 def test_nonconfounding(
-    cov: CovarianceModel,
-    null_count: int = DEFAULT_NULL_COUNT,
-    rng: int | np.random.Generator = 0,
+    cov: CovarianceModel, null_count: int, rng: np.random.Generator
 ) -> TestResult:
     """One-sided Monte-Carlo test of no confounding on a fitted covariance model.
 
@@ -73,9 +66,8 @@ def test_nonconfounding(
     add-one upper-tail p-value (1 + #{null >= observed}) / (1 + count),
     which is valid and never exactly zero.
     """
-    g = as_generator(rng)
     t_obs = statistic_T(direction_coords(cov), cov)
-    null = null_samples_sphere(cov, null_count, g)
+    null = null_samples_sphere(cov, null_count, rng)
     p = (1 + int(np.sum(null >= t_obs))) / (1 + null_count)
     return TestResult(t_observed=t_obs, p_value=p, null_samples=null)
 

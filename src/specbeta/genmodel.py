@@ -19,13 +19,6 @@ from .errors import BadDimensionsError, DegenerateModelError, NumericOverflowErr
 from .spectral import CovarianceModel, DataMatrix, covariance_from_moments
 
 
-def as_generator(rng: int | np.random.Generator) -> np.random.Generator:
-    """Accept either a 64-bit seed or an existing PCG64 generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.PCG64(rng))
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """A synthetic model with known causal and confounding coefficients.
@@ -77,37 +70,31 @@ class SyntheticDataset:
     true_beta: float
 
 
-def sample_ground_truth(
-    d: int, ell: int, rng: int | np.random.Generator
-) -> GroundTruth:
+def sample_ground_truth(d: int, ell: int, rng: np.random.Generator) -> GroundTruth:
     """Draw a random model: M entries N(0,1), scales Uniform[0,1], coefficients Gaussian.
 
-    Draw order is fixed (M, sigma_a, sigma_c, a, c) so that a given seed
-    always produces the identical model.
+    Draw order is fixed (M, sigma_a, sigma_c, a, c) so that generators in
+    the same state always produce the identical model.
     """
     if not (1 <= d <= ell):
         raise BadDimensionsError(f"need ell >= d >= 1, got d={d}, ell={ell}")
-    g = as_generator(rng)
-    m = g.standard_normal((d, ell))
-    sigma_a = float(g.uniform(0.0, 1.0))
-    sigma_c = float(g.uniform(0.0, 1.0))
-    a = sigma_a * g.standard_normal(d)
-    c = sigma_c * g.standard_normal(ell)
+    m = rng.standard_normal((d, ell))
+    sigma_a = float(rng.uniform(0.0, 1.0))
+    sigma_c = float(rng.uniform(0.0, 1.0))
+    a = sigma_a * rng.standard_normal(d)
+    c = sigma_c * rng.standard_normal(ell)
     return GroundTruth(m=m, a=a, c=c, sigma_a=sigma_a, sigma_c=sigma_c)
 
 
 def generate_samples(
-    truth: GroundTruth,
-    n: int,
-    noise_sd: float = 0.0,
-    rng: int | np.random.Generator = 0,
+    truth: GroundTruth, n: int, noise_sd: float, rng: np.random.Generator
 ) -> SyntheticDataset:
     """Sample (X, Y) from the structural equations X = MZ, Y = a'X + c'Z + E.
 
     ``noise_sd`` = 0 reproduces the noise-free structural model; a positive
     value adds independent N(0, noise_sd^2) observation noise on Y.
     """
-    z, e = _draw_sources(truth, n, noise_sd, as_generator(rng))
+    z, e = _draw_sources(truth, n, noise_sd, rng)
     x = (truth.m @ z).T
     y = x @ truth.a + z.T @ truth.c
     if e is not None:
@@ -117,10 +104,7 @@ def generate_samples(
 
 
 def sample_covariance(
-    truth: GroundTruth,
-    n: int,
-    noise_sd: float = 0.0,
-    rng: int | np.random.Generator = 0,
+    truth: GroundTruth, n: int, noise_sd: float, rng: np.random.Generator
 ) -> tuple[CovarianceModel, float]:
     """The fitted model and true beta of ``generate_samples``' data, without the data.
 
@@ -134,7 +118,7 @@ def sample_covariance(
     This agrees with ``empirical_covariance(generate_samples(...).data)`` up to
     rounding, not bit for bit.  Errors are those of that path.
     """
-    return _fitted_model(truth, *_latent_moments(truth, n, noise_sd, as_generator(rng)))
+    return _fitted_model(truth, *_latent_moments(truth, n, noise_sd, rng))
 
 
 def _latent_moments(
@@ -251,18 +235,15 @@ def _confounding_vector(
     return np.linalg.solve(r[:d, :d], r[:d, d])
 
 
-def sample_aprime_def1(
-    truth: GroundTruth, rng: int | np.random.Generator
-) -> NDArray[np.float64]:
+def sample_aprime_def1(truth: GroundTruth, rng: np.random.Generator) -> NDArray[np.float64]:
     """Draw a fresh regression vector a' = a + M^+T c from the source-mixing model.
 
     Fresh coefficient vectors a and c are drawn with the scales stored in
     ``truth``; the mixing matrix is kept fixed.  M^+T c is computed as
     R^-1 Q^T c from one reduced QR of M^T, as in ``true_beta``.
     """
-    g = as_generator(rng)
-    a = truth.sigma_a * g.standard_normal(truth.d)
-    c = truth.sigma_c * g.standard_normal(truth.ell)
+    a = truth.sigma_a * rng.standard_normal(truth.d)
+    c = truth.sigma_c * rng.standard_normal(truth.ell)
     return a + _confounding_vector(truth.m, c)
 
 
@@ -270,22 +251,19 @@ def sample_aprime_def2(
     cov: CovarianceModel,
     sigma_a: float,
     sigma_c: float,
-    rng: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> NDArray[np.float64]:
     """Draw a' = sqrt(sigma_a^2 I + sigma_c^2 sigma_xx^{-1}) b with b standard Gaussian.
 
     The matrix square root is applied in the eigenbasis, so the cost is
     O(d^2) per draw and no matrix is ever formed.
     """
-    g = as_generator(rng)
-    b = g.standard_normal(cov.d)
+    b = rng.standard_normal(cov.d)
     scale = np.sqrt(sigma_a**2 + sigma_c**2 / cov.eigenvalues)
     return cov.eigenvectors @ (scale * (cov.eigenvectors.T @ b))
 
 
-def overfit_dataset(
-    d: int, n: int, rng: int | np.random.Generator = 0
-) -> SyntheticDataset:
+def overfit_dataset(d: int, n: int, rng: np.random.Generator) -> SyntheticDataset:
     """Independent predictor/target samples, where regression overfits.
 
     X is produced by a random square mixing matrix applied to standard
@@ -295,24 +273,22 @@ def overfit_dataset(
     """
     if n <= d + 1:
         raise ValueError(f"need n > d + 1, got n={n}, d={d}")
-    g = as_generator(rng)
-    m = g.standard_normal((d, d))
-    z = g.standard_normal((d, n))
+    m = rng.standard_normal((d, d))
+    z = rng.standard_normal((d, n))
     x = (m @ z).T
-    y = g.standard_normal(n)
+    y = rng.standard_normal(n)
     truth = GroundTruth(
         m=m, a=np.zeros(d), c=np.zeros(d), sigma_a=1.0, sigma_c=1.0
     )
     return SyntheticDataset(data=DataMatrix(x=x, y=y), truth=truth, true_beta=0.0)
 
 
-def sample_causal_truth(d: int, rng: int | np.random.Generator) -> GroundTruth:
+def sample_causal_truth(d: int, rng: np.random.Generator) -> GroundTruth:
     """Causal-only model: a random square mixing matrix M and a ~ N(0, I), c = 0.
 
     Draw order is fixed (M, a).
     """
-    g = as_generator(rng)
-    m = g.standard_normal((d, d))
-    a = g.standard_normal(d)
+    m = rng.standard_normal((d, d))
+    a = rng.standard_normal(d)
     return GroundTruth(m=m, a=a, c=np.zeros(d), sigma_a=1.0, sigma_c=0.0)
 

@@ -129,7 +129,10 @@ class Report:
 
 
 def run_rng(master_seed: int, *index: int) -> np.random.Generator:
-    """Independent, reproducible generator for one run of a study."""
+    """Independent, reproducible generator for one run of an operation.
+
+    A study's run is keyed by its index values; a single test has none.
+    """
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((master_seed, *index)))
     )
@@ -323,7 +326,7 @@ def run_estimate(config: ExperimentConfig) -> tuple[list[dict], dict]:
 def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Test the no-confounding null on the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
-    res = cdtest.test_nonconfounding(cov, config.null_count, config.seed)
+    res = cdtest.test_nonconfounding(cov, config.null_count, run_rng(config.seed))
     record = {
         "t_observed": res.t_observed,
         "p_value": res.p_value,
@@ -599,9 +602,11 @@ def shuffle_target_analysis(
     # DataMatrix's checks (n >= 2, finite cells) hold for every column once they
     # hold for one split, so they run once, before any column.
     DataMatrix(x=matrix[:, 1:], y=matrix[:, 0])
-    # Each column's (sigma_xx, sigma_xy, sigma_yy) is a block of one covariance.
-    centered = matrix - matrix.mean(axis=0)
-    joint = (centered.T @ centered) / n
+    # Each column's (sigma_xx, sigma_xy, sigma_yy) is a block of one covariance,
+    # whose overflow covariance_from_moments reports for each column.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = matrix - matrix.mean(axis=0)
+        joint = (centered.T @ centered) / n
     records: list[dict] = []
     for j in range(ncols):
         rng = run_rng(config.seed, j)

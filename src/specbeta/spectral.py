@@ -13,6 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    NumericOverflowError,
     RankDeficientError,
     TooFewSamplesError,
     ZeroSignalError,
@@ -113,7 +114,7 @@ class CovarianceModel:
         d = s.shape[0]
         if sxy.shape[0] != d:
             raise ValueError("sigma_xy length does not match sigma_xx")
-        s = 0.5 * (s + s.T)
+        s = 0.5 * s + 0.5 * s.T  # halved first, so that no finite sum overflows
         lam, vec = np.linalg.eigh(s)
         # eigh returns ascending order
         lam = lam[::-1].copy()
@@ -143,13 +144,17 @@ def empirical_covariance(data: DataMatrix) -> CovarianceModel:
     ------
     TooFewSamplesError
         If n <= d.
+    NumericOverflowError
+        If a moment overflows.
     RankDeficientError
         If the empirical covariance is numerically singular.
     """
-    xc = data.x - data.x.mean(axis=0)
-    yc = data.y - data.y.mean()
     n = data.n
-    return covariance_from_moments((xc.T @ xc) / n, (xc.T @ yc) / n, yc @ yc / n, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
+        xc = data.x - data.x.mean(axis=0)
+        yc = data.y - data.y.mean()
+        moments = (xc.T @ xc) / n, (xc.T @ yc) / n, yc @ yc / n
+    return covariance_from_moments(*moments, n)
 
 
 def covariance_from_moments(
@@ -161,20 +166,30 @@ def covariance_from_moments(
     """Model from the centered second moments of n samples, normalized by 1/n.
 
     A cross-covariance of norm <= ZERO_SIGNAL_EPS * sqrt(sigma_yy * tr sigma_xx)
-    is stored as exact zeros: the target is constant up to rounding.
+    is stored as exact zeros: the target is constant up to rounding.  Both
+    sides are computed without overflow for any finite moments.
 
     Raises
     ------
     TooFewSamplesError
         If n <= d.
+    NumericOverflowError
+        If a moment is not finite.
     RankDeficientError
         If the covariance is numerically singular.
     """
     d = sigma_xy.shape[0]
     if n <= d:
         raise TooFewSamplesError(f"need n > d, got n={n}, d={d}")
-    scale = np.sqrt(sigma_yy * np.trace(sigma_xx))
-    if np.linalg.norm(sigma_xy) <= ZERO_SIGNAL_EPS * scale:
+    if not (np.isfinite(sigma_yy) and np.isfinite(sigma_xy).all() and np.isfinite(sigma_xx).all()):
+        raise NumericOverflowError("second moments overflow: the data are too large in scale")
+    # sigma_xy is scaled by its largest entry before it is squared, tr sigma_xx
+    # is summed in units of d and ZERO_SIGNAL_EPS is applied first, so that no
+    # square, sum or product of finite moments overflows.
+    top = np.abs(sigma_xy).max()
+    norm = top * np.linalg.norm(sigma_xy / top) if top > 0.0 else 0.0
+    root_trace = np.sqrt(d) * np.sqrt(np.sum(np.diagonal(sigma_xx) / d))
+    if norm <= ZERO_SIGNAL_EPS * np.sqrt(sigma_yy) * root_trace:
         sigma_xy = np.zeros(d)
     return CovarianceModel.from_matrices(sigma_xx, sigma_xy, n=n)
 
@@ -189,7 +204,7 @@ def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
     ZeroSignalError
         If the cross-covariance is exactly zero.
     """
-    if np.linalg.norm(cov.sigma_xy) == 0.0:
+    if not np.any(cov.sigma_xy):
         raise ZeroSignalError("sigma_xy is zero; the target carries no signal")
     w = cov.eigenvectors.T @ cov.sigma_xy
     return cov.eigenvectors @ (w / cov.eigenvalues)

@@ -188,8 +188,8 @@ def test_c06_overfit_pvalues_small_n_and_uniform_large_n():
     independent = []
     for i in range(500):
         g = run_rng(0, 20, i)
-        ds = overfit_dataset(10, 20, rng=g)
-        res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=g)
+        ds = overfit_dataset(10, 20, g)
+        res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, g)
         independent.append(res.p_value)
     assert np.mean(np.asarray(independent) <= cfg.alpha) > 0.5
 
@@ -203,9 +203,9 @@ def test_c07_test_level_calibration():
         seed += 1
         t = sample_ground_truth(10, 10, g)
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
-        ds = generate_samples(t, 10000, rng=g)
+        ds = generate_samples(t, 10000, 0.0, g)
         try:
-            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=g)
+            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, g)
             pvals.append(res.p_value)
         except RankDeficientError:
             # a nearly singular random mixing matrix does not yield a
@@ -221,7 +221,7 @@ def test_c08_invariance_under_scaling_and_rotation():
     for seed in range(50):
         g = np.random.default_rng(seed)
         t = sample_ground_truth(5, 5, g)
-        ds = generate_samples(t, 800, rng=g)
+        ds = generate_samples(t, 800, 0.0, g)
         base = estimate_confounding(empirical_covariance(ds.data)).beta_hat
         c = float(g.uniform(0.1, 10.0))
         q, r = np.linalg.qr(g.standard_normal((5, 5)))
@@ -272,7 +272,7 @@ def test_c10_overfitting_equals_pure_confounding():
     g_reg = np.empty(5000)
     g_conf = np.empty(5000)
     for seed in range(5000):
-        ds = overfit_dataset(d, n, rng=seed)
+        ds = overfit_dataset(d, n, np.random.default_rng(seed))
         cov = empirical_covariance(ds.data)
         ahat = regression_vector(cov)
         g_reg[seed] = quadratic_form(unit_direction(ahat), cov)

@@ -64,18 +64,18 @@ class TestStatistic:
 class TestNullSamplers:
     def test_sphere_identity_covariance_all_zero(self):
         cov = cov_from_spectrum([1.0, 1.0, 1.0])
-        samples = null_samples_sphere(cov, 500, 0)
+        samples = null_samples_sphere(cov, 500, np.random.default_rng(0))
         np.testing.assert_allclose(samples, 0.0, atol=1e-14)
 
     def test_sphere_mean_zero(self, rng):
         cov = cov_from_spectrum(rng.uniform(0.3, 4.0, size=8))
-        samples = null_samples_sphere(cov, 100000, 1)
+        samples = null_samples_sphere(cov, 100000, np.random.default_rng(1))
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean()) <= 3 * se
 
     def test_sphere_two_dim_range(self):
         cov = cov_from_spectrum([1.0, 4.0])
-        samples = null_samples_sphere(cov, 100000, 2)
+        samples = null_samples_sphere(cov, 100000, np.random.default_rng(2))
         assert samples.min() >= -0.2652 and samples.max() <= 0.2652
 
     # the in-place squaring must give the bytes of the formula written out
@@ -91,28 +91,28 @@ class TestNullSamplers:
         w2 = b * b
         w2 = w2 / w2.sum(axis=1, keepdims=True)
         sphere = (w2 @ inv - cov.tau_inv) / root_d
-        assert null_samples_sphere(cov, 300, seed).tobytes() == sphere.tobytes()
+        assert null_samples_sphere(cov, 300, np.random.default_rng(seed)).tobytes() == sphere.tobytes()
 
     def test_count_floor(self):
         cov = cov_from_spectrum([1.0, 2.0])
         with pytest.raises(ValueError):
-            null_samples_sphere(cov, 99, 0)
+            null_samples_sphere(cov, 99, np.random.default_rng(0))
 
 
 class TestNonconfoundingTest:
     def test_deterministic(self):
-        t = sample_ground_truth(5, 5, 3)
-        ds = generate_samples(t, 2000, rng=3)
-        r1 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=42)
-        r2 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=42)
+        t = sample_ground_truth(5, 5, np.random.default_rng(3))
+        ds = generate_samples(t, 2000, 0.0, np.random.default_rng(3))
+        r1 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, np.random.default_rng(42))
+        r2 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, np.random.default_rng(42))
         assert r1.t_observed == r2.t_observed
         assert r1.p_value == r2.p_value
         np.testing.assert_array_equal(r1.null_samples, r2.null_samples)
 
     def test_p_value_formula_and_range(self):
-        t = sample_ground_truth(6, 6, 1)
-        ds = generate_samples(t, 3000, rng=1)
-        res = run_nonconfounding_test(empirical_covariance(ds.data), 500, rng=0)
+        t = sample_ground_truth(6, 6, np.random.default_rng(1))
+        ds = generate_samples(t, 3000, 0.0, np.random.default_rng(1))
+        res = run_nonconfounding_test(empirical_covariance(ds.data), 500, np.random.default_rng(0))
         recomputed = (1 + int(np.sum(res.null_samples >= res.t_observed))) / 501
         assert res.null_samples.shape == (500,)
         assert res.p_value == recomputed
@@ -124,8 +124,8 @@ class TestNonconfoundingTest:
             g = np.random.default_rng(seed)
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c, sigma_a=0.0, sigma_c=max(t.sigma_c, 0.2))
-            ds = generate_samples(t, 10000, rng=g)
-            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, rng=g)
+            ds = generate_samples(t, 10000, 0.0, g)
+            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, g)
             rejections += res.p_value < 0.05
         # observed rate is about 0.75 over these seeds; a clear majority
         assert rejections >= 130
@@ -136,10 +136,10 @@ class TestNonconfoundingTest:
         )
         y = np.array([1.0, -1.0, -1.0, 1.0])
         with pytest.raises(ZeroSignalError):
-            run_nonconfounding_test(empirical_covariance(DataMatrix(x=x, y=y)), 200, rng=0)
+            run_nonconfounding_test(empirical_covariance(DataMatrix(x=x, y=y)), 200, np.random.default_rng(0))
 
     @pytest.mark.parametrize("value", [0.1, 1e5 / 3])
     def test_constant_target_is_zero_signal(self, rng, value):
         data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
         with pytest.raises(ZeroSignalError):
-            run_nonconfounding_test(empirical_covariance(data), 200, rng=0)
+            run_nonconfounding_test(empirical_covariance(data), 200, np.random.default_rng(0))

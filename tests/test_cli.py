@@ -32,6 +32,22 @@ def linear_csv(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def scaled_csv(tmp_path):
+    """Writes x (200 x 3) and y = x . [1, 2, 3] + noise, scaled by x_scale and y_scale."""
+
+    def write(x_scale, y_scale):
+        g = np.random.default_rng(0)
+        x = g.standard_normal((200, 3))
+        y = x @ np.array([1.0, 2.0, 3.0]) + g.standard_normal(200)
+        p = tmp_path / f"scaled_{x_scale:g}_{y_scale:g}.csv"
+        np.savetxt(p, np.column_stack([x_scale * x, y_scale * y]), delimiter=",",
+                   header="a,b,c,y", comments="")
+        return str(p)
+
+    return write
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -106,6 +122,29 @@ class TestEstimate:
         code, _, err = run(capsys, ["estimate", "--input", str(p), "--target", "y"])
         assert code == 2
         assert "data error" in err
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_extreme_scale_gives_the_unit_scale_estimate(self, capsys, scaled_csv, scale):
+        # finite moments whose products over- or underflow: the zero-signal
+        # rule must still see the signal, and numpy must not warn
+        beta_hats = []
+        for path in (scaled_csv(1.0, 1.0), scaled_csv(scale, scale)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, ["estimate", "--input", path, "--target", "y"])
+            assert (code, err) == (0, "")
+            beta_hats.append(json.loads(out)["summary"]["beta_hat"])
+        assert beta_hats[1] == pytest.approx(beta_hats[0], rel=0, abs=1e-9)
+
+    def test_overflowing_target_is_numeric_failure_without_warning(self, capsys, scaled_csv):
+        # the target's variance overflows: a numeric failure, not "no signal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, ["estimate", "--input", scaled_csv(1.0, 1e160), "--target", "y"]
+            )
+        assert (code, out) == (3, "")
+        assert err.startswith("specbeta: numeric failure: second moments overflow")
 
     def test_rank_deficiency_is_numeric_failure(self, capsys, tmp_path):
         g = np.random.default_rng(1)
@@ -516,6 +555,16 @@ class TestShuffleTarget:
         code, _, err = run(capsys, ["shuffle-target", "--input", str(p)])
         assert code == 2
         assert "need n >= 2 and d >= 1, got n=1, d=3" in err
+
+    def test_overflowing_column_leaves_error_records(self, capsys, scaled_csv):
+        # every column's moments include the overflowing target's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["shuffle-target", "--input", scaled_csv(1.0, 1e160)])
+        assert (code, err) == (0, "")
+        records = json.loads(out)["records"]
+        assert [sorted(r) for r in records] == [["column", "error", "name"]] * 4
+        assert all(r["error"].startswith("second moments overflow") for r in records)
 
     def test_too_few_rows_leaves_one_error_per_column(self, capsys, tmp_path):
         p = tmp_path / "short.csv"

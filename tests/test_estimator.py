@@ -260,7 +260,7 @@ class TestEstimateConfounding:
             g = np.random.default_rng(seed)
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
-            ds = generate_samples(t, 10000, rng=g)
+            ds = generate_samples(t, 10000, 0.0, g)
             hits += estimate_confounding(empirical_covariance(ds.data)).beta_hat < 0.2
         assert hits >= 80
 
@@ -272,13 +272,13 @@ class TestEstimateConfounding:
             t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c, sigma_a=0.0, sigma_c=t.sigma_c)
             if not np.any(t.c):
                 continue
-            ds = generate_samples(t, 10000, rng=g)
+            ds = generate_samples(t, 10000, 0.0, g)
             hits += estimate_confounding(empirical_covariance(ds.data)).beta_hat > 0.75
         assert hits >= 80
 
     def test_beta_theta_identity_as_stored(self, rng):
-        t = sample_ground_truth(5, 5, 2)
-        ds = generate_samples(t, 2000, rng=2)
+        t = sample_ground_truth(5, 5, np.random.default_rng(2))
+        ds = generate_samples(t, 2000, 0.0, np.random.default_rng(2))
         cov = empirical_covariance(ds.data)
         est = estimate_confounding(cov)
         assert est.beta_hat == cov.tau_inv * est.theta_hat / (
@@ -359,7 +359,7 @@ class TestInvariance:
         for seed in range(10):
             g = np.random.default_rng(seed)
             t = sample_ground_truth(5, 5, g)
-            ds = generate_samples(t, 1500, rng=g)
+            ds = generate_samples(t, 1500, 0.0, g)
             base = estimate_confounding(empirical_covariance(ds.data)).beta_hat
             c = float(g.uniform(0.1, 10.0))
             scaled = estimate_confounding(
@@ -440,7 +440,7 @@ class TestIllConditioning:
             warnings.simplefilter("error")
             cov = CovarianceModel.from_matrices(s, s @ a, n=10 * d)
             est = estimate_confounding(cov)
-            res = run_nonconfounding_test(cov, 200, rng=0)
+            res = run_nonconfounding_test(cov, 200, np.random.default_rng(0))
         assert math.isfinite(est.theta_hat) and est.theta_hat >= 0.0
         assert 0.0 <= est.beta_hat <= 1.0
         assert 0.0 < res.p_value <= 1.0

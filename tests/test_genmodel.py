@@ -74,26 +74,26 @@ class TestGroundTruth:
 
 class TestSampleGroundTruth:
     def test_deterministic(self):
-        t1 = sample_ground_truth(10, 10, 7)
-        t2 = sample_ground_truth(10, 10, 7)
+        t1 = sample_ground_truth(10, 10, np.random.default_rng(7))
+        t2 = sample_ground_truth(10, 10, np.random.default_rng(7))
         np.testing.assert_array_equal(t1.m, t2.m)
         np.testing.assert_array_equal(t1.a, t2.a)
         np.testing.assert_array_equal(t1.c, t2.c)
         assert t1.sigma_a == t2.sigma_a and t1.sigma_c == t2.sigma_c
 
     def test_scale_mean_is_half(self):
-        vals = [sample_ground_truth(10, 10, s).sigma_a for s in range(1000)]
+        vals = [sample_ground_truth(10, 10, np.random.default_rng(s)).sigma_a for s in range(1000)]
         assert abs(np.mean(vals) - 0.5) < 0.03
 
     def test_bad_dimensions(self):
         with pytest.raises(BadDimensionsError):
-            sample_ground_truth(5, 3, 0)
+            sample_ground_truth(5, 3, np.random.default_rng(0))
 
 
 class TestGenerateSamples:
     def test_degenerate_truth_gives_zero_target(self):
         t = GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2), sigma_a=0.0, sigma_c=0.0)
-        ds = generate_samples(t, 50, rng=0)
+        ds = generate_samples(t, 50, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(ds.data.y, np.zeros(50))
         assert math.isnan(ds.true_beta)
 
@@ -101,15 +101,15 @@ class TestGenerateSamples:
         t = GroundTruth(
             m=np.eye(2), a=np.array([1.0, 0.0]), c=np.zeros(2), sigma_a=1.0, sigma_c=0.0
         )
-        ds = generate_samples(t, 100, rng=3)
+        ds = generate_samples(t, 100, 0.0, np.random.default_rng(3))
         np.testing.assert_array_equal(ds.data.y, ds.data.x[:, 0])
         assert ds.true_beta == 0.0
 
     def test_covariance_concentrates_on_mixing(self):
         # d = ell = 10, n = 10000, fixed seed: empirical covariance lands
         # within Frobenius distance 2 of M M^T (relative error under 10%)
-        t = sample_ground_truth(10, 10, 11)
-        ds = generate_samples(t, 10000, rng=11)
+        t = sample_ground_truth(10, 10, np.random.default_rng(11))
+        ds = generate_samples(t, 10000, 0.0, np.random.default_rng(11))
         xc = ds.data.x - ds.data.x.mean(axis=0)
         emp = xc.T @ xc / ds.data.n
         target = t.m @ t.m.T
@@ -118,21 +118,21 @@ class TestGenerateSamples:
         assert dist < 0.1 * np.linalg.norm(target)
 
     def test_deterministic(self):
-        t = sample_ground_truth(4, 6, 5)
-        d1 = generate_samples(t, 30, rng=9)
-        d2 = generate_samples(t, 30, rng=9)
+        t = sample_ground_truth(4, 6, np.random.default_rng(5))
+        d1 = generate_samples(t, 30, 0.0, np.random.default_rng(9))
+        d2 = generate_samples(t, 30, 0.0, np.random.default_rng(9))
         np.testing.assert_array_equal(d1.data.x, d2.data.x)
         np.testing.assert_array_equal(d1.data.y, d2.data.y)
 
     def test_rejects_tiny_n(self):
-        t = sample_ground_truth(2, 2, 0)
+        t = sample_ground_truth(2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            generate_samples(t, 1)
+            generate_samples(t, 1, 0.0, np.random.default_rng(0))
 
     def test_rejects_negative_noise(self):
-        t = sample_ground_truth(2, 2, 0)
+        t = sample_ground_truth(2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            generate_samples(t, 10, noise_sd=-0.5)
+            generate_samples(t, 10, -0.5, np.random.default_rng(0))
 
 
 class TestSampleCovariance:
@@ -167,13 +167,13 @@ class TestSampleCovariance:
     )
     def test_matches_samples_path(self, d, ell, n, noise_sd):
         for seed in range(5):
-            truth = sample_ground_truth(d, ell, seed)
+            truth = sample_ground_truth(d, ell, np.random.default_rng(seed))
             self.assert_agree(truth, n, noise_sd, seed)
 
     def test_causal_model(self):
         # the overfit study's model: square mixing, c = 0
         for seed in range(5):
-            self.assert_agree(sample_causal_truth(6, seed), 40, 1.0, seed)
+            self.assert_agree(sample_causal_truth(6, np.random.default_rng(seed)), 40, 1.0, seed)
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
     @pytest.mark.parametrize("zero", ["a", "c", "both"])
@@ -183,7 +183,7 @@ class TestSampleCovariance:
         c = np.zeros(6) if zero in ("c", "both") else t.c
         truth = GroundTruth(m=t.m, a=a, c=c, sigma_a=t.sigma_a, sigma_c=t.sigma_c)
         self.assert_agree(truth, 50, noise_sd, 3)
-        _, beta = sample_covariance(truth, 50, noise_sd, 3)
+        _, beta = sample_covariance(truth, 50, noise_sd, np.random.default_rng(3))
         if zero == "both":
             assert math.isnan(beta)
         else:
@@ -200,9 +200,9 @@ class TestSampleCovariance:
 
         monkeypatch.setattr(genmodel, "covariance_from_moments", keep)
         for seed in range(5):
-            truth = sample_ground_truth(4, 6, seed)
-            y = generate_samples(truth, 50, noise_sd, seed).data.y
-            sample_covariance(truth, 50, noise_sd, seed)
+            truth = sample_ground_truth(4, 6, np.random.default_rng(seed))
+            y = generate_samples(truth, 50, noise_sd, np.random.default_rng(seed)).data.y
+            sample_covariance(truth, 50, noise_sd, np.random.default_rng(seed))
             assert seen[-1] == pytest.approx(np.var(y), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("thread", ["this", "another"])
@@ -210,15 +210,15 @@ class TestSampleCovariance:
     def test_overflowing_noise_raises_without_warning(self, noise_sd, thread):
         # the noise variance overflows; numpy must not warn on the way, on
         # whichever thread draws (a study draws on two)
-        t = sample_ground_truth(4, 6, 0)
+        t = sample_ground_truth(4, 6, np.random.default_rng(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with ThreadPoolExecutor(max_workers=1) as other:
                 with pytest.raises(NumericOverflowError, match="noise moments overflow"):
                     if thread == "this":
-                        sample_covariance(t, 50, noise_sd, 0)
+                        sample_covariance(t, 50, noise_sd, np.random.default_rng(0))
                     else:
-                        other.submit(sample_covariance, t, 50, noise_sd, 0).result()
+                        other.submit(sample_covariance, t, 50, noise_sd, np.random.default_rng(0)).result()
 
     @pytest.mark.parametrize(
         "n, noise_sd, error",
@@ -226,11 +226,11 @@ class TestSampleCovariance:
          (10, -0.5, ValueError), (10, math.nan, ValueError), (10, math.inf, ValueError)],
     )
     def test_same_errors(self, n, noise_sd, error):
-        t = sample_ground_truth(4, 6, 0)
+        t = sample_ground_truth(4, 6, np.random.default_rng(0))
         with pytest.raises(error):
-            empirical_covariance(generate_samples(t, n, noise_sd, 0).data)
+            empirical_covariance(generate_samples(t, n, noise_sd, np.random.default_rng(0)).data)
         with pytest.raises(error):
-            sample_covariance(t, n, noise_sd, 0)
+            sample_covariance(t, n, noise_sd, np.random.default_rng(0))
 
 
 class TestTrueBeta:
@@ -301,7 +301,7 @@ class TestConfoundingVector:
     @pytest.mark.parametrize("d, ell", [(10, 12), (100, 110), (3, 3)])
     def test_true_beta_matches_pinv_formula(self, d, ell):
         for seed in range(50):
-            t = sample_ground_truth(d, ell, seed)
+            t = sample_ground_truth(d, ell, np.random.default_rng(seed))
             mtc = np.linalg.pinv(t.m).T @ t.c
             conf2 = mtc @ mtc
             expected = conf2 / (t.a @ t.a + conf2)
@@ -346,35 +346,35 @@ class TestSamplers:
 class TestOverfitDataset:
     def test_precondition(self):
         with pytest.raises(ValueError):
-            overfit_dataset(10, 11)
+            overfit_dataset(10, 11, np.random.default_rng(0))
 
     def test_target_uncorrelated_on_average(self):
         corrs = []
         for s in range(200):
-            ds = overfit_dataset(3, 50, rng=s)
+            ds = overfit_dataset(3, 50, np.random.default_rng(s))
             for j in range(3):
                 corrs.append(np.corrcoef(ds.data.x[:, j], ds.data.y)[0, 1])
         assert abs(np.mean(corrs)) < 0.02
 
     def test_no_structural_confounding(self):
-        ds = overfit_dataset(4, 30, rng=7)
+        ds = overfit_dataset(4, 30, np.random.default_rng(7))
         assert ds.true_beta == 0.0
         np.testing.assert_array_equal(ds.truth.a, np.zeros(4))
 
     def test_deterministic(self):
-        d1 = overfit_dataset(4, 30, rng=5)
-        d2 = overfit_dataset(4, 30, rng=5)
+        d1 = overfit_dataset(4, 30, np.random.default_rng(5))
+        d2 = overfit_dataset(4, 30, np.random.default_rng(5))
         np.testing.assert_array_equal(d1.data.x, d2.data.x)
         np.testing.assert_array_equal(d1.data.y, d2.data.y)
 
 
 class TestSampleCausalTruth:
     def test_no_confounding(self):
-        truth = sample_causal_truth(5, 0)
+        truth = sample_causal_truth(5, np.random.default_rng(0))
         np.testing.assert_array_equal(truth.c, np.zeros(5))
 
     def test_noiseless_target_is_linear(self):
-        truth = sample_causal_truth(5, 1)
-        ds = generate_samples(truth, 100, noise_sd=0.0, rng=1)
+        truth = sample_causal_truth(5, np.random.default_rng(1))
+        ds = generate_samples(truth, 100, 0.0, np.random.default_rng(1))
         assert ds.true_beta == 0.0
         np.testing.assert_allclose(ds.data.y, ds.data.x @ truth.a, rtol=1e-12)

@@ -1,6 +1,6 @@
 """Report layout of every subcommand, pinned against stored reference reports.
 
-Each ``data/<command>.json`` is the stdout of the command line in ``CASES``,
+Each ``data/<case>.json`` is the stdout of the command line in ``CASES``,
 run in ``data/`` on ``data/sample.csv``.  Key order, ints, bools, strings and
 nulls must match exactly; floats to a relative 1e-12, which absorbs the
 summation-order differences between BLAS builds.
@@ -19,6 +19,10 @@ DATA = Path(__file__).parent / "data"
 CASES = {
     "estimate": ["estimate", "--input", "sample.csv", "--target", "y"],
     "test": ["test", "--input", "sample.csv", "--target", "y", "--null-samples", "200"],
+    # a non-zero seed, so the reference pins the generator the test derives from it
+    "test-seed7": [
+        "test", "--input", "sample.csv", "--target", "y", "--null-samples", "200", "--seed", "7",
+    ],
     "simulate": ["simulate", "--dim", "3", "--samples", "300", "--runs", "3", "--seed", "5"],
     "rejections": [
         "rejections", "--dim", "3", "--samples", "300", "--runs", "5",
@@ -49,10 +53,10 @@ def assert_same(got, want, where="report"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_report_matches_reference(command, monkeypatch, capsys):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_reference(case, monkeypatch, capsys):
     monkeypatch.chdir(DATA)
-    assert main(CASES[command]) == 0
+    assert main(CASES[case]) == 0
     got = json.loads(capsys.readouterr().out)
-    want = json.loads((DATA / f"{command}.json").read_text())
+    want = json.loads((DATA / f"{case}.json").read_text())
     assert_same(got, want)

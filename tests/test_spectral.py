@@ -1,5 +1,7 @@
 """Covariance computation, eigendecomposition and the regression direction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from specbeta import (
     CovarianceModel,
     DataMatrix,
+    NumericOverflowError,
     RankDeficientError,
     TooFewSamplesError,
     ZeroSignalError,
@@ -16,7 +19,7 @@ from specbeta import (
     regression_vector,
     unit_direction,
 )
-from specbeta.spectral import _unit
+from specbeta.spectral import _unit, covariance_from_moments
 
 from conftest import cov_from_spectrum, random_orthogonal
 
@@ -108,6 +111,39 @@ class TestEmpiricalCovariance:
             DataMatrix(x=rng.standard_normal((200, 5)), y=rng.standard_normal(200))
         )
         assert cov.tau_inv == float(np.mean(1.0 / cov.eigenvalues))
+
+
+class TestCovarianceFromMoments:
+    """The zero-signal rule and the overflow check across the float range."""
+
+    # sigma_yy * tr sigma_xx and ||sigma_xy||^2 underflow or overflow at these
+    # scales, and the sums of the symmetrization and the trace at the last two
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308, 1.7e308])
+    def test_finite_moments_keep_their_signal_without_warning(self, scale):
+        a = np.array([0.5, 0.25, 0.125])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = covariance_from_moments(scale * np.eye(3), scale * a, scale, 10)
+            np.testing.assert_allclose(regression_vector(cov), a, rtol=1e-12)
+
+    @pytest.mark.parametrize("moment", ["sigma_xx", "sigma_xy", "sigma_yy"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_moment_is_numeric_failure(self, moment, value):
+        moments = {"sigma_xx": np.eye(3), "sigma_xy": np.ones(3), "sigma_yy": 4.0}
+        if moment == "sigma_yy":
+            moments[moment] = value
+        else:
+            moments[moment].flat[1] = value
+        with pytest.raises(NumericOverflowError, match="second moments overflow"):
+            covariance_from_moments(**moments, n=10)
+
+    def test_overflowing_target_is_numeric_failure_without_warning(self, rng):
+        x = rng.standard_normal((200, 3))
+        y = 1e160 * (x @ np.array([1.0, 2.0, 3.0]) + rng.standard_normal(200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                empirical_covariance(DataMatrix(x=x, y=y))
 
 
 class TestCovarianceModel:

@@ -14,7 +14,6 @@ import json
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,6 +22,7 @@ from . import cdtest, estimator, genmodel
 from .errors import (
     BadDimensionsError,
     ConstantColumnError,
+    DataError,
     MissingColumnError,
     NonNumericError,
     ParseError,
@@ -30,9 +30,6 @@ from .errors import (
     ZeroSignalError,
 )
 from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empirical_covariance
-
-if TYPE_CHECKING:  # imported by _run_study, on first use
-    from concurrent.futures import Executor
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads).
 # Every mode also reads output_path and fmt, which say where its report goes.
@@ -256,6 +253,8 @@ def ingest_csv(
     ------
     MissingColumnError
         If the target name or index does not exist.
+    DataError
+        If the target name matches more than one column.
     ConstantColumnError
         If ``normalize`` is set and a predictor column has zero variance.
     """
@@ -267,12 +266,14 @@ def ingest_csv(
             )
         idx = target_column
     else:
-        try:
-            idx = names.index(target_column)
-        except ValueError:
-            raise MissingColumnError(
-                f"target column {target_column!r} not found in {names}"
-            ) from None
+        matches = [j for j, name in enumerate(names) if name == target_column]
+        if not matches:
+            raise MissingColumnError(f"target column {target_column!r} not found in {names}")
+        if len(matches) > 1:
+            raise DataError(
+                f"target name {target_column!r} matches columns {matches} (zero-based)"
+            )
+        idx = matches[0]
     y = data[:, idx]
     x = np.delete(data, idx, axis=1)
     x_names = [nm for j, nm in enumerate(names) if j != idx]
@@ -336,41 +337,6 @@ def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return [record], {"p_value": res.p_value}
 
 
-class _LatentStep:
-    """One run's ``genmodel._latent_moments`` call, queued on a worker thread.
-
-    Exactly one thread runs it: the worker, or the caller of ``steal`` if
-    the worker has not started it yet.
-    """
-
-    def __init__(self, worker: Executor, *args) -> None:
-        self._args = args
-        self._queued = worker.submit(genmodel._latent_moments, *args)
-        self._stolen: tuple | None = None  # (moments, error) once stolen
-
-    def done(self) -> bool:
-        return self._queued.done()  # true once stolen, since that cancels it
-
-    def steal(self) -> None:
-        """Run the step on this thread, unless it has started or run already."""
-        # cancel() fails on a step the worker has started, and says yes again
-        # on one cancelled before, hence the done() test.
-        if self._queued.done() or not self._queued.cancel():
-            return
-        try:
-            self._stolen = genmodel._latent_moments(*self._args), None
-        except Exception as err:  # raised by result(), when its run is settled
-            self._stolen = None, err
-
-    def result(self) -> tuple:
-        if self._stolen is None:
-            return self._queued.result()
-        moments, err = self._stolen
-        if err is not None:
-            raise err
-        return moments
-
-
 # Runs a study starts ahead of the one it settles: enough that the calling
 # thread finds queued latent steps to draw (4 and 10 measured the same), few
 # enough that a long study holds little memory in flight.
@@ -394,49 +360,54 @@ def _run_study(
     3. the rest of ``sample_covariance`` gives ``(cov, beta)``, and the
        run's record is ``{**key, **fit(rng, cov, beta)}``.
 
-    Steps 1 and 3 run on the calling thread, which starts runs up to
-    LOOKAHEAD ahead of the one it settles and queues their step 2 on one
-    worker thread.  When the run to settle has not been drawn, the calling
-    thread draws a queued step itself rather than wait: the run's own if the
-    worker has not started it, else the oldest queued one.  Each step runs
-    on exactly one thread, after its run's step 1 and before its step 3.
-    Runs are settled in key order, which makes the result that of a serial
-    loop: a run that raises a ``SpecbetaError`` in any step leaves an
-    ``error`` record instead, the study aborts once more than
-    MAX_FAILURE_FRACTION of the planned runs have failed, and any other
-    exception propagates when its run is settled.
+    Steps 1 and 3 run on the calling thread, which starts runs up to LOOKAHEAD
+    ahead of the one it settles and queues their step 2 on one worker thread; a
+    run holds futures of its steps 1 and 2, each with the result or the
+    exception.  While the run to settle is not drawn, the calling thread
+    cancels the next step the worker has not started, in run order, and draws
+    it itself, so each step runs on one thread between its run's steps 1 and 3.
+    Runs settle in key order, so the result is a serial loop's: a
+    ``SpecbetaError`` in any step of a run leaves an ``error`` record, the
+    study aborts once more than MAX_FAILURE_FRACTION of the planned runs have
+    failed, and any other exception propagates when its run is settled.
     """
     # Imported here, not at the top: it would add to the CLI's start-up time.
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     records: list[dict] = []
     failures = 0
     worker = ThreadPoolExecutor(max_workers=1)
 
-    def start(key: dict) -> tuple:
-        """Step 1, then step 2 queued."""
-        rng = run_rng(seed, *key.values())
+    def drawn(step: Callable, /, *args, **kwargs) -> Future:
+        """A future of ``step(*args, **kwargs)``, called on this thread."""
+        future = Future()
         try:
-            truth, n, noise_sd = model(rng, **key)
-        except Exception as err:  # raised when this run is settled, after the earlier runs
-            return key, rng, None, err
-        return key, rng, truth, _LatentStep(worker, truth, n, noise_sd, rng)
+            future.set_result(step(*args, **kwargs))
+        except Exception as err:  # raised by result(), when its run is settled
+            future.set_exception(err)
+        return future
+
+    def start(key: dict) -> list:
+        """[key, rng, step 1, step 2 queued (step 1 again if that failed)]."""
+        rng = run_rng(seed, *key.values())
+        model_step = drawn(model, rng, **key)
+        latent_step = model_step if model_step.exception() else worker.submit(
+            genmodel._latent_moments, *model_step.result(), rng)
+        return [key, rng, model_step, latent_step]
 
     try:
         todo = iter(keys)
         ahead = collections.deque(map(start, itertools.islice(todo, LOOKAHEAD)))
         while ahead:
-            key, rng, truth, latent = ahead.popleft()
+            key, rng, model_step, _ = settling = ahead.popleft()
             ahead.extend(map(start, itertools.islice(todo, 1)))
             try:
-                if truth is None:
-                    raise latent
-                for _, _, other, step in ((key, rng, truth, latent), *ahead):
-                    if latent.done():
+                for queued in (settling, *ahead):
+                    if settling[3].done():
                         break
-                    if other is not None:
-                        step.steal()
-                cov, beta = genmodel._fitted_model(truth, *latent.result())
+                    if queued[3].cancel():  # only a step the worker has not started
+                        queued[3] = drawn(genmodel._latent_moments, *queued[2].result(), queued[1])
+                cov, beta = genmodel._fitted_model(model_step.result()[0], *settling[3].result())
                 records.append({**key, **fit(rng, cov, beta)})
             except SpecbetaError as err:
                 failures += 1

@@ -24,6 +24,8 @@ from .errors import (
 # are numerically meaningless.
 RANK_EPS = 1e-10
 ZERO_SIGNAL_EPS = 1e-12  # relative cross-covariance norm of a signal-free target
+# Below this norm a vector's squares may have lost digits to underflow.
+_SAFE_NORM = np.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -213,15 +215,23 @@ def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
 def unit_direction(v: NDArray[np.float64]) -> NDArray[np.float64]:
     """``v`` divided by its norm.
 
+    The norm squares the entries, so where that over- or underflows, ``v`` is
+    first divided by its largest entry in absolute value.
+
     Raises
     ------
     ZeroSignalError
         On zero input.
     """
     v = np.asarray(v, dtype=np.float64).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ZeroSignalError("cannot normalize the zero vector")
+    with np.errstate(over="ignore"):  # an infinite norm is taken again below
+        norm = np.linalg.norm(v)
+    if not _SAFE_NORM <= norm < np.inf:
+        largest = np.max(np.abs(v), initial=0.0)
+        if largest == 0.0:
+            raise ZeroSignalError("cannot normalize the zero vector")
+        v = v / largest
+        norm = np.linalg.norm(v)
     return v / norm
 
 

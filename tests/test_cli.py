@@ -123,12 +123,16 @@ class TestEstimate:
         assert code == 2
         assert "data error" in err
 
-    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    @pytest.mark.parametrize(
+        "scale", [(1e100, 1e100), (1e-100, 1e-100), (1e-80, 1e80), (1e85, 1e-85)],
+        ids=["1e+100", "1e-100", "1e-80-1e+80", "1e+85-1e-85"],
+    )
     def test_extreme_scale_gives_the_unit_scale_estimate(self, capsys, scaled_csv, scale):
         # finite moments whose products over- or underflow: the zero-signal
-        # rule must still see the signal, and numpy must not warn
+        # rule must still see the signal, and numpy must not warn; x and y
+        # scaled apart put beta near 1e160 or 1e-170, whose squares do too
         beta_hats = []
-        for path in (scaled_csv(1.0, 1.0), scaled_csv(scale, scale)):
+        for path in (scaled_csv(1.0, 1.0), scaled_csv(*scale)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = run(capsys, ["estimate", "--input", path, "--target", "y"])

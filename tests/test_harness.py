@@ -33,6 +33,7 @@ from specbeta import (
     run,
 )
 from specbeta import DataMatrix, cdtest, empirical_covariance, estimator, genmodel, harness
+from specbeta.errors import DataError
 from specbeta.harness import run_rng, shuffle_target_analysis, stable_json
 from specbeta.spectral import covariance_from_moments
 
@@ -214,6 +215,13 @@ class TestIngestCsv:
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3,4\n")
         with pytest.raises(MissingColumnError):
             ingest_csv(p, "zz")
+
+    def test_ambiguous_name(self, tmp_path):
+        # a name two columns share would silently pick the first as the target
+        p = write_csv(tmp_path / "f.csv", "a,a,y\n1,2,3\n4,5,6\n7,8,8\n")
+        with pytest.raises(DataError, match=r"^target name 'a' matches columns \[0, 1\]"):
+            ingest_csv(p, "a")
+        np.testing.assert_array_equal(ingest_csv(p, 1).y, [2, 5, 8])
 
     def test_index_out_of_range(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "1,2\n3,4\n")
@@ -637,6 +645,25 @@ class TestStudyDriver:
             got = outcome(lambda c: run(c).records, config)
         assert stable_json(got) == stable_json(expected)
         assert threading.get_ident() in failed_on
+        if len(failing) > 2:
+            assert got == "3 of 20 planned runs failed (> 10%)"
+        else:
+            assert [r["run"] for r in got if "error" in r] == sorted(failing)
+
+    @pytest.mark.parametrize("failing", [{1}, {2}, {1, 3}, {1, 2, 7}])
+    def test_model_failures_among_stolen_runs(self, monkeypatch, failing):
+        # a run whose model step fails queues no latent step: the calling
+        # thread steals past it, and it still settles in run order
+        config = DRIVER_CONFIGS["rejections"]
+        with monkeypatch.context() as m:
+            fail_on_calls(m, genmodel, "sample_ground_truth", failing)
+            expected = outcome(serial_study, config)
+        with monkeypatch.context() as m:
+            fail_on_calls(m, genmodel, "sample_ground_truth", failing)
+            stolen = hold_the_worker(m)
+            got = outcome(lambda c: run(c).records, config)
+        assert len(stolen) >= 2
+        assert stable_json(got) == stable_json(expected)
         if len(failing) > 2:
             assert got == "3 of 20 planned runs failed (> 10%)"
         else:

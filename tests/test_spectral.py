@@ -217,6 +217,13 @@ class TestUnitDirection:
         with pytest.raises(ZeroSignalError):
             unit_direction(np.zeros(2))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_squares_that_over_or_underflow(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = unit_direction(np.array([3.0, 4.0]) * scale)
+        np.testing.assert_allclose(u, [0.6, 0.8], rtol=1e-15)
+
     def test_basis_coords_under_axis_swap(self):
         # diag(1,2,3) sorts to eigenvectors (e3, e2, e1) up to sign
         cov = cov_from_spectrum([1.0, 2.0, 3.0], sigma_xy=[5.0, 0.0, 0.0])

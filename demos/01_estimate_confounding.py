@@ -13,6 +13,7 @@ from specbeta import (
     estimate_confounding,
     generate_samples,
     sample_ground_truth,
+    true_beta,
 )
 
 
@@ -22,10 +23,10 @@ def main():
     for seed in range(8):
         g = np.random.default_rng(seed)  # one generator draws the model, then its samples
         truth = sample_ground_truth(d=10, ell=10, rng=g)
-        dataset = generate_samples(truth, n=10000, noise_sd=0.0, rng=g)
-        est = estimate_confounding(empirical_covariance(dataset.data))
+        data = generate_samples(truth, n=10000, noise_sd=0.0, rng=g)
+        est = estimate_confounding(empirical_covariance(data))
         flag = "  (boundary)" if est.boundary else ""
-        print(f"{dataset.true_beta:9.3f}  {est.beta_hat:14.3f}  {est.theta_hat:9.4g}{flag}")
+        print(f"{true_beta(truth):9.3f}  {est.beta_hat:14.3f}  {est.theta_hat:9.4g}{flag}")
 
     # the estimate is most reliable near the extremes: a purely causal
     # model (c = 0) should land near 0, a purely confounded one near 1
@@ -37,8 +38,8 @@ def main():
     confounded = GroundTruth(m=truth.m, a=np.zeros(10), c=truth.c,
                              sigma_a=0.0, sigma_c=max(truth.sigma_c, 0.3))
     for label, t in [("purely causal", causal), ("purely confounded", confounded)]:
-        ds = generate_samples(t, n=10000, noise_sd=0.0, rng=rng)
-        est = estimate_confounding(empirical_covariance(ds.data))
+        data = generate_samples(t, n=10000, noise_sd=0.0, rng=rng)
+        est = estimate_confounding(empirical_covariance(data))
         print(f"{label:>18}: beta_hat = {est.beta_hat:.3f}")
 
 

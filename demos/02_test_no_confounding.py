@@ -13,6 +13,7 @@ from specbeta import (
     generate_samples,
     sample_ground_truth,
     test_nonconfounding,
+    true_beta,
 )
 from specbeta.genmodel import GroundTruth
 
@@ -22,9 +23,9 @@ def main():
     for seed in range(6):
         g = np.random.default_rng(seed)
         truth = sample_ground_truth(d=10, ell=10, rng=g)
-        ds = generate_samples(truth, n=10000, noise_sd=0.0, rng=g)
-        res = test_nonconfounding(empirical_covariance(ds.data), null_count=1000, rng=g)
-        print(f"{seed:4d}  {ds.true_beta:9.3f}  {res.t_observed:10.4f}  {res.p_value:.4f}")
+        data = generate_samples(truth, n=10000, noise_sd=0.0, rng=g)
+        res = test_nonconfounding(empirical_covariance(data), null_count=1000, rng=g)
+        print(f"{seed:4d}  {true_beta(truth):9.3f}  {res.t_observed:10.4f}  {res.p_value:.4f}")
 
     print()
     print("purely causal data (no confounding): p-values should look uniform")
@@ -33,8 +34,8 @@ def main():
         g = np.random.default_rng(1000 + seed)
         t = sample_ground_truth(10, 10, g)
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
-        ds = generate_samples(t, n=10000, noise_sd=0.0, rng=g)
-        res = test_nonconfounding(empirical_covariance(ds.data), 1000, rng=g)
+        data = generate_samples(t, n=10000, noise_sd=0.0, rng=g)
+        res = test_nonconfounding(empirical_covariance(data), 1000, rng=g)
         pvals.append(res.p_value)
     print(f"fraction below 0.05: {np.mean(np.asarray(pvals) <= 0.05):.3f} (nominal 0.05)")
 

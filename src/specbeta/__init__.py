@@ -42,7 +42,6 @@ from .estimator import (
 )
 from .genmodel import (
     GroundTruth,
-    SyntheticDataset,
     generate_samples,
     overfit_dataset,
     sample_aprime_def1,

@@ -24,11 +24,10 @@ MIN_NULL_COUNT = 100
 
 @dataclass(frozen=True)
 class TestResult:
-    """Observed statistic, null sample and one-sided p-value."""
+    """Observed statistic and one-sided p-value."""
 
     t_observed: float
     p_value: float
-    null_samples: NDArray[np.float64]
 
 
 def statistic_T(u: NDArray[np.float64], cov: CovarianceModel) -> float:
@@ -69,5 +68,5 @@ def test_nonconfounding(
     t_obs = statistic_T(direction_coords(cov), cov)
     null = null_samples_sphere(cov, null_count, rng)
     p = (1 + int(np.sum(null >= t_obs))) / (1 + null_count)
-    return TestResult(t_observed=t_obs, p_value=p, null_samples=null)
+    return TestResult(t_observed=t_obs, p_value=p)
 

@@ -61,15 +61,6 @@ class GroundTruth:
         return self.m.shape[1]
 
 
-@dataclass(frozen=True)
-class SyntheticDataset:
-    """Samples plus the ground truth that produced them."""
-
-    data: DataMatrix
-    truth: GroundTruth
-    true_beta: float
-
-
 def sample_ground_truth(d: int, ell: int, rng: np.random.Generator) -> GroundTruth:
     """Draw a random model: M entries N(0,1), scales Uniform[0,1], coefficients Gaussian.
 
@@ -88,7 +79,7 @@ def sample_ground_truth(d: int, ell: int, rng: np.random.Generator) -> GroundTru
 
 def generate_samples(
     truth: GroundTruth, n: int, noise_sd: float, rng: np.random.Generator
-) -> SyntheticDataset:
+) -> DataMatrix:
     """Sample (X, Y) from the structural equations X = MZ, Y = a'X + c'Z + E.
 
     ``noise_sd`` = 0 reproduces the noise-free structural model; a positive
@@ -99,8 +90,7 @@ def generate_samples(
     y = x @ truth.a + z.T @ truth.c
     if e is not None:
         y = y + e
-    data = DataMatrix(x=x, y=y)
-    return SyntheticDataset(data=data, truth=truth, true_beta=_recorded_beta(truth))
+    return DataMatrix(x=x, y=y)
 
 
 def sample_covariance(
@@ -115,7 +105,7 @@ def sample_covariance(
         sigma_xx = M C M',  sigma_xy = M C b + M Zc Ec/n,
         sigma_yy = b'C b + 2 b'Zc Ec/n + Ec'Ec/n.
 
-    This agrees with ``empirical_covariance(generate_samples(...).data)`` up to
+    This agrees with ``empirical_covariance(generate_samples(...))`` up to
     rounding, not bit for bit.  Errors are those of that path.
     """
     return _fitted_model(truth, *_latent_moments(truth, n, noise_sd, rng))
@@ -263,13 +253,13 @@ def sample_aprime_def2(
     return cov.eigenvectors @ (scale * (cov.eigenvectors.T @ b))
 
 
-def overfit_dataset(d: int, n: int, rng: np.random.Generator) -> SyntheticDataset:
+def overfit_dataset(d: int, n: int, rng: np.random.Generator) -> DataMatrix:
     """Independent predictor/target samples, where regression overfits.
 
     X is produced by a random square mixing matrix applied to standard
     Gaussian sources and Y is drawn independently N(0,1).  There is no
-    structural confounding, so ``true_beta`` is recorded as 0 even though
-    finite-sample regression on such data behaves like pure confounding.
+    structural confounding, so the true beta is 0 even though finite-sample
+    regression on such data behaves like pure confounding.
     """
     if n <= d + 1:
         raise ValueError(f"need n > d + 1, got n={n}, d={d}")
@@ -277,10 +267,7 @@ def overfit_dataset(d: int, n: int, rng: np.random.Generator) -> SyntheticDatase
     z = rng.standard_normal((d, n))
     x = (m @ z).T
     y = rng.standard_normal(n)
-    truth = GroundTruth(
-        m=m, a=np.zeros(d), c=np.zeros(d), sigma_a=1.0, sigma_c=1.0
-    )
-    return SyntheticDataset(data=DataMatrix(x=x, y=y), truth=truth, true_beta=0.0)
+    return DataMatrix(x=x, y=y)
 
 
 def sample_causal_truth(d: int, rng: np.random.Generator) -> GroundTruth:

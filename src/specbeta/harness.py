@@ -41,7 +41,8 @@ OPERATIONS: dict[str, tuple[str, tuple[str, ...]]] = {
                         ("d", "latent", "n", "runs", "noise_sd", "seed", "alpha", "null_count")),
     "overfit_study": ("run_overfit_study",
                       ("d", "runs", "noise_sd", "sample_sizes", "seed", "alpha", "null_count")),
-    "shuffle_target": ("run_shuffle_target", ("input_path", "normalize", "seed", "null_count")),
+    "shuffle_target": ("shuffle_target_analysis",
+                       ("input_path", "normalize", "seed", "null_count")),
 }
 
 DEFAULT_SAMPLE_SIZES = (20, 100, 1000, 10000)
@@ -96,14 +97,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.fmt == "csv" and self.output_path is None:
             raise ValueError("csv format needs an output path")
-        if self.mode in ("estimate", "test") and None in (self.input_path, self.target):
-            raise ValueError(f"{self.mode} needs an input path and a target column")
-        if self.mode in ("simulate", "rejection_study"):
-            if self.ell < self.d:
-                raise BadDimensionsError("latent dimension must be >= d when simulating")
-            if self.n <= self.d:
-                raise ValueError(f"need samples > d, got n={self.n}, d={self.d}")
-        if self.mode == "overfit_study":
+        reads = OPERATIONS[self.mode][1]
+        for name, what in (("input_path", "an input path"), ("target", "a target column")):
+            if name in reads and getattr(self, name) is None:
+                raise ValueError(f"{self.mode} needs {what}")
+        if "latent" in reads and self.ell < self.d:
+            raise BadDimensionsError("latent dimension must be >= d when simulating")
+        if "n" in reads and self.n <= self.d:
+            raise ValueError(f"need samples > d, got n={self.n}, d={self.d}")
+        if "sample_sizes" in reads:
             if any(n <= self.d for n in self.sample_sizes):
                 raise ValueError(
                     f"need every sample size > d, got {self.sample_sizes}, d={self.d}"
@@ -162,7 +164,7 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
         On a non-numeric cell outside the header (location reported).
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     rows = _csv_rows(path, lines)
     first = next(rows, None)
@@ -283,9 +285,13 @@ def ingest_csv(
 
 
 def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.float64]:
-    """Scale each column to unit sample standard deviation."""
+    """Scale each column to unit sample standard deviation.
+
+    A column whose cells are all equal is constant even where its computed
+    standard deviation is not exactly 0, as the rounded mean leaves noise.
+    """
     sd = x.std(axis=0)
-    zero = np.flatnonzero(sd == 0.0)
+    zero = np.flatnonzero((sd == 0.0) | (np.ptp(x, axis=0) == 0.0))
     if zero.size:
         raise ConstantColumnError(
             f"column {names[zero[0]]!r} has zero variance; cannot normalize"
@@ -331,7 +337,7 @@ def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
     record = {
         "t_observed": res.t_observed,
         "p_value": res.p_value,
-        "null_count": res.null_samples.size,
+        "null_count": config.null_count,
         "reject_at_alpha": res.p_value <= config.alpha,
     }
     return [record], {"p_value": res.p_value}
@@ -544,30 +550,17 @@ def run_overfit_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return records, summary
 
 
-def run_shuffle_target(config: ExperimentConfig) -> tuple[list[dict], dict]:
-    """shuffle_target_analysis of the CSV named by ``config``."""
-    if config.input_path is None:  # a config for shuffle_target_analysis alone has none
-        raise ValueError("shuffle_target needs an input path")
-    matrix, names = read_numeric_csv(config.input_path)
-    return shuffle_target_analysis(matrix, config, names)
-
-
-def shuffle_target_analysis(
-    matrix: NDArray[np.float64],
-    config: ExperimentConfig,
-    column_names: list[str] | None = None,
-) -> tuple[list[dict], dict]:
-    """Treat each column in turn as the target and estimate confounding strength.
+def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]:
+    """Treat each column of the input CSV in turn as the target and estimate confounding.
 
     Emits one record per column, in column order, with the estimate and the
     non-confounding test p-value.  A vanishing cross-covariance is reported
     as a ``zero_signal`` flag rather than a number.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix, names = read_numeric_csv(config.input_path)
     n, ncols = matrix.shape
     if ncols < 3:
         raise BadDimensionsError("shuffle-target needs at least 3 columns")
-    names = column_names or [f"col{j}" for j in range(ncols)]
     if config.normalize:
         matrix = normalize_columns(matrix, names)
     # DataMatrix's checks (n >= 2, finite cells) hold for every column once they

@@ -189,7 +189,7 @@ def test_c06_overfit_pvalues_small_n_and_uniform_large_n():
     for i in range(500):
         g = run_rng(0, 20, i)
         ds = overfit_dataset(10, 20, g)
-        res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, g)
+        res = run_nonconfounding_test(empirical_covariance(ds), 1000, g)
         independent.append(res.p_value)
     assert np.mean(np.asarray(independent) <= cfg.alpha) > 0.5
 
@@ -205,7 +205,7 @@ def test_c07_test_level_calibration():
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
         ds = generate_samples(t, 10000, 0.0, g)
         try:
-            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, g)
+            res = run_nonconfounding_test(empirical_covariance(ds), 1000, g)
             pvals.append(res.p_value)
         except RankDeficientError:
             # a nearly singular random mixing matrix does not yield a
@@ -222,15 +222,15 @@ def test_c08_invariance_under_scaling_and_rotation():
         g = np.random.default_rng(seed)
         t = sample_ground_truth(5, 5, g)
         ds = generate_samples(t, 800, 0.0, g)
-        base = estimate_confounding(empirical_covariance(ds.data)).beta_hat
+        base = estimate_confounding(empirical_covariance(ds)).beta_hat
         c = float(g.uniform(0.1, 10.0))
         q, r = np.linalg.qr(g.standard_normal((5, 5)))
         u = q * np.sign(np.diag(r))
         scaled = estimate_confounding(
-            empirical_covariance(DataMatrix(x=c * ds.data.x, y=ds.data.y))
+            empirical_covariance(DataMatrix(x=c * ds.x, y=ds.y))
         ).beta_hat
         rotated = estimate_confounding(
-            empirical_covariance(DataMatrix(x=ds.data.x @ u.T, y=ds.data.y))
+            empirical_covariance(DataMatrix(x=ds.x @ u.T, y=ds.y))
         ).beta_hat
         assert abs(scaled - base) <= 1e-6
         assert abs(rotated - base) <= 1e-6
@@ -273,10 +273,10 @@ def test_c10_overfitting_equals_pure_confounding():
     g_conf = np.empty(5000)
     for seed in range(5000):
         ds = overfit_dataset(d, n, np.random.default_rng(seed))
-        cov = empirical_covariance(ds.data)
+        cov = empirical_covariance(ds)
         ahat = regression_vector(cov)
         g_reg[seed] = quadratic_form(unit_direction(ahat), cov)
-        m = (v_helmert @ ds.data.x).T / math.sqrt(n)
+        m = (v_helmert @ ds.x).T / math.sqrt(n)
         truth = GroundTruth(
             m=m, a=np.zeros(d), c=np.zeros(n - 1), sigma_a=0.0, sigma_c=1.0
         )

@@ -102,19 +102,24 @@ class TestNullSamplers:
 class TestNonconfoundingTest:
     def test_deterministic(self):
         t = sample_ground_truth(5, 5, np.random.default_rng(3))
-        ds = generate_samples(t, 2000, 0.0, np.random.default_rng(3))
-        r1 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, np.random.default_rng(42))
-        r2 = run_nonconfounding_test(empirical_covariance(ds.data), 1000, np.random.default_rng(42))
+        cov = empirical_covariance(generate_samples(t, 2000, 0.0, np.random.default_rng(3)))
+        r1 = run_nonconfounding_test(cov, 1000, np.random.default_rng(42))
+        r2 = run_nonconfounding_test(cov, 1000, np.random.default_rng(42))
         assert r1.t_observed == r2.t_observed
         assert r1.p_value == r2.p_value
-        np.testing.assert_array_equal(r1.null_samples, r2.null_samples)
+        # the statistic draws nothing, so the test's null is this stream's first draw
+        null1 = null_samples_sphere(cov, 1000, np.random.default_rng(42))
+        null2 = null_samples_sphere(cov, 1000, np.random.default_rng(42))
+        np.testing.assert_array_equal(null1, null2)
+        assert r1.p_value == (1 + int(np.sum(null1 >= r1.t_observed))) / 1001
 
     def test_p_value_formula_and_range(self):
         t = sample_ground_truth(6, 6, np.random.default_rng(1))
-        ds = generate_samples(t, 3000, 0.0, np.random.default_rng(1))
-        res = run_nonconfounding_test(empirical_covariance(ds.data), 500, np.random.default_rng(0))
-        recomputed = (1 + int(np.sum(res.null_samples >= res.t_observed))) / 501
-        assert res.null_samples.shape == (500,)
+        cov = empirical_covariance(generate_samples(t, 3000, 0.0, np.random.default_rng(1)))
+        res = run_nonconfounding_test(cov, 500, np.random.default_rng(0))
+        null = null_samples_sphere(cov, 500, np.random.default_rng(0))
+        recomputed = (1 + int(np.sum(null >= res.t_observed))) / 501
+        assert null.shape == (500,)
         assert res.p_value == recomputed
         assert 0.0 < res.p_value <= 1.0
 
@@ -124,8 +129,8 @@ class TestNonconfoundingTest:
             g = np.random.default_rng(seed)
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c, sigma_a=0.0, sigma_c=max(t.sigma_c, 0.2))
-            ds = generate_samples(t, 10000, 0.0, g)
-            res = run_nonconfounding_test(empirical_covariance(ds.data), 1000, g)
+            cov = empirical_covariance(generate_samples(t, 10000, 0.0, g))
+            res = run_nonconfounding_test(cov, 1000, g)
             rejections += res.p_value < 0.05
         # observed rate is about 0.75 over these seeds; a clear majority
         assert rejections >= 130

@@ -48,6 +48,21 @@ def scaled_csv(tmp_path):
     return write
 
 
+@pytest.fixture
+def constant_csv(tmp_path):
+    """Columns a, b, c, y of 5000 rows, where c is 0.1 in every row.
+
+    The standard deviation of column c is 1.4e-17, not 0, as its mean rounds.
+    """
+    g = np.random.default_rng(1)
+    x = g.standard_normal((5000, 2))
+    y = x @ np.array([1.0, -2.0]) + g.standard_normal(5000)
+    p = tmp_path / "constant.csv"
+    np.savetxt(p, np.column_stack([x, np.full(5000, 0.1), y]), fmt="%.17g", delimiter=",",
+               header="a,b,c,y", comments="")
+    return str(p)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -112,6 +127,24 @@ class TestEstimate:
         code, _, err = run(capsys, ["estimate", "--input", str(p), "--target", "c"])
         assert code == 2
         assert "field larger than field limit" in err
+
+    def test_utf8_byte_order_mark_before_the_header(self, capsys, tmp_path, linear_csv):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + Path(linear_csv).read_bytes())
+        code, out, err = run(capsys, ["estimate", "--input", str(p), "--target", "a"])
+        assert (code, err) == (0, "")
+        _, want, _ = run(capsys, ["estimate", "--input", linear_csv, "--target", "a"])
+        assert json.loads(out)["records"] == json.loads(want)["records"]
+
+    def test_normalize_predictor_constant_up_to_rounding(self, capsys, constant_csv):
+        # without --normalize the constant predictor makes sigma_xx singular
+        code, _, err = run(capsys, ["estimate", "--input", constant_csv, "--target", "y"])
+        assert code == 3
+        code, out, err = run(
+            capsys, ["estimate", "--input", constant_csv, "--target", "y", "--normalize"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "specbeta: data error: column 'c' has zero variance; cannot normalize\n"
 
     def test_constant_target_is_data_error(self, capsys, tmp_path):
         # a target without signal is a property of the data, not a numeric failure
@@ -536,6 +569,11 @@ class TestShuffleTarget:
         assert len(payload["records"]) == 5
         # the last column is an exact linear function of the others
         assert payload["records"][4]["beta_hat"] <= 0.05
+
+    def test_normalize_column_constant_up_to_rounding(self, capsys, constant_csv):
+        code, out, err = run(capsys, ["shuffle-target", "--input", constant_csv, "--normalize"])
+        assert (code, out) == (2, "")
+        assert err == "specbeta: data error: column 'c' has zero variance; cannot normalize\n"
 
     def test_non_finite_cell_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "nan.csv"

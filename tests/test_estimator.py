@@ -261,7 +261,7 @@ class TestEstimateConfounding:
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
             ds = generate_samples(t, 10000, 0.0, g)
-            hits += estimate_confounding(empirical_covariance(ds.data)).beta_hat < 0.2
+            hits += estimate_confounding(empirical_covariance(ds)).beta_hat < 0.2
         assert hits >= 80
 
     def test_purely_confounded_estimates_high(self):
@@ -273,13 +273,13 @@ class TestEstimateConfounding:
             if not np.any(t.c):
                 continue
             ds = generate_samples(t, 10000, 0.0, g)
-            hits += estimate_confounding(empirical_covariance(ds.data)).beta_hat > 0.75
+            hits += estimate_confounding(empirical_covariance(ds)).beta_hat > 0.75
         assert hits >= 80
 
     def test_beta_theta_identity_as_stored(self, rng):
         t = sample_ground_truth(5, 5, np.random.default_rng(2))
         ds = generate_samples(t, 2000, 0.0, np.random.default_rng(2))
-        cov = empirical_covariance(ds.data)
+        cov = empirical_covariance(ds)
         est = estimate_confounding(cov)
         assert est.beta_hat == cov.tau_inv * est.theta_hat / (
             cov.tau_inv * est.theta_hat + 1.0
@@ -360,14 +360,14 @@ class TestInvariance:
             g = np.random.default_rng(seed)
             t = sample_ground_truth(5, 5, g)
             ds = generate_samples(t, 1500, 0.0, g)
-            base = estimate_confounding(empirical_covariance(ds.data)).beta_hat
+            base = estimate_confounding(empirical_covariance(ds)).beta_hat
             c = float(g.uniform(0.1, 10.0))
             scaled = estimate_confounding(
-                empirical_covariance(DataMatrix(x=c * ds.data.x, y=ds.data.y))
+                empirical_covariance(DataMatrix(x=c * ds.x, y=ds.y))
             ).beta_hat
             u = random_orthogonal(5, g)
             rotated = estimate_confounding(
-                empirical_covariance(DataMatrix(x=ds.data.x @ u.T, y=ds.data.y))
+                empirical_covariance(DataMatrix(x=ds.x @ u.T, y=ds.y))
             ).beta_hat
             assert abs(scaled - base) <= 1e-6
             assert abs(rotated - base) <= 1e-6

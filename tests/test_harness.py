@@ -34,7 +34,7 @@ from specbeta import (
 )
 from specbeta import DataMatrix, cdtest, empirical_covariance, estimator, genmodel, harness
 from specbeta.errors import DataError
-from specbeta.harness import run_rng, shuffle_target_analysis, stable_json
+from specbeta.harness import run_rng, stable_json
 from specbeta.spectral import covariance_from_moments
 
 
@@ -58,6 +58,19 @@ class TestReadNumericCsv:
         data, names = read_numeric_csv(p)
         assert names == ["col0", "col1"]
         assert data.shape == (2, 2)
+
+    @pytest.mark.parametrize("header", ["", "a,b,y\n"], ids=["headerless", "header"])
+    def test_utf8_byte_order_mark(self, tmp_path, header):
+        # the mark is the file's encoding, not part of the first cell: a headerless
+        # file keeps its first row, and the first name is "a", not "\ufeffa"
+        text = header + "1.5,2.0,3.1\n2,1,0\n4,4,1\n0,3,2\n7,1,5\n"
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        data, names = read_numeric_csv(p)
+        want_data, want_names = read_numeric_csv(write_csv(tmp_path / "plain.csv", text))
+        assert names == want_names == (["a", "b", "y"] if header else ["col0", "col1", "col2"])
+        assert data.shape == (5, 3)
+        np.testing.assert_array_equal(data, want_data)
 
     def test_empty_file(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "")
@@ -240,6 +253,18 @@ class TestIngestCsv:
         with pytest.raises(ConstantColumnError):
             ingest_csv(p, 2, normalize=True)
 
+    def test_normalize_column_constant_up_to_rounding(self, tmp_path, rng):
+        # 5000 copies of 0.1 have a standard deviation of 1.4e-17, not 0
+        rows = np.column_stack([rng.standard_normal((5000, 2)), np.full(5000, 0.1)])
+        assert rows[:, 2].std() > 0.0
+        body = "\n".join(",".join(f"{float(v)!r}" for v in row) for row in rows)
+        p = write_csv(tmp_path / "f.csv", "a,b,c\n" + body + "\n")
+        with pytest.raises(ConstantColumnError, match="^column 'c' has zero variance"):
+            ingest_csv(p, "a", normalize=True)
+        # the other columns are divided by their standard deviation, as before
+        data = ingest_csv(p, "c", normalize=True)
+        np.testing.assert_array_equal(data.x, rows[:, :2] / rows[:, :2].std(axis=0))
+
 
 # The ExperimentConfig fields each mode reads, besides output_path and fmt.
 CONFIG_READS = {
@@ -307,8 +332,10 @@ class TestExperimentConfig:
             {"mode": "test", "target": 0},
             {"mode": "estimate", "input_path": "data.csv"},
             {"mode": "test", "input_path": "data.csv"},
+            {"mode": "shuffle_target"},
         ],
-        ids=["format", "estimate-input", "test-input", "estimate-target", "test-target"],
+        ids=["format", "estimate-input", "test-input", "estimate-target", "test-target",
+             "shuffle_target-input"],
     )
     def test_rejects_a_config_that_would_fail_late(self, fields):
         # each of these is found before the operation runs, not after it
@@ -319,8 +346,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field", sorted(NON_DEFAULT))
     def test_a_field_its_mode_does_not_read_is_rejected(self, mode, field):
         fields = {"mode": mode, "output_path": "r.csv", field: NON_DEFAULT[field]}
-        if mode in ("estimate", "test"):
-            fields = {"input_path": "data.csv", "target": "y", **fields}
+        required = {"input_path": "data.csv", "target": "y"}  # where the mode reads them
+        fields = {**{k: v for k, v in required.items() if k in CONFIG_READS[mode]}, **fields}
         if field in CONFIG_READS[mode] | {"output_path", "fmt"}:
             assert getattr(ExperimentConfig(**fields), field) == NON_DEFAULT[field]
         else:
@@ -410,6 +437,21 @@ class TestStudies:
         assert [e["n"] for e in rep.summary["per_sample_size"]] == [20, 50]
         for e in rep.summary["per_sample_size"]:
             assert sum(e["histogram"]) == e["count"] == 10
+
+    def test_overfit_sample_size_without_a_successful_run(self, monkeypatch):
+        # one run at each of 10 sample sizes: one failure stays under the abort bound
+        fail_on_calls(monkeypatch, genmodel, "sample_causal_truth", {3})
+        cfg = ExperimentConfig(mode="overfit_study", d=3, runs=1, seed=0, null_count=100,
+                               sample_sizes=tuple(range(20, 120, 10)))
+        rep = run(cfg)
+        assert rep.summary["failures"] == 1
+        per_n = rep.summary["per_sample_size"]
+        assert [e["count"] for e in per_n] == [1, 1, 1, 0, 1, 1, 1, 1, 1, 1]
+        assert per_n[3]["n"] == 50
+        assert math.isnan(per_n[3]["fraction_below_alpha"])
+        assert per_n[3]["histogram"] == [0] * 10
+        assert '{"n":50,"count":0,"fraction_below_alpha":"nan","histogram":[0,0,0,0,0,0,0,0,0,0]}' \
+            in stable_json(rep.summary)
 
     @pytest.mark.parametrize("study", sorted(FAILING_STUDIES))
     def test_too_many_failures_abort(self, monkeypatch, study):
@@ -749,37 +791,40 @@ class TestStudyDriver:
             assert len(got) == 20
 
 
+def shuffle_target_analysis(tmp_path, matrix, **fields):
+    """harness.shuffle_target_analysis of ``matrix``, written to a headerless CSV.
+
+    Cells are written with 17 significant digits, so each reads back exactly.
+    """
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+    np.testing.assert_array_equal(read_numeric_csv(path)[0], matrix)
+    config = ExperimentConfig(mode="shuffle_target", input_path=str(path), **fields)
+    return harness.shuffle_target_analysis(config)
+
+
 class TestShuffleTarget:
-    def test_exact_linear_column_scores_zero(self):
+    def test_exact_linear_column_scores_zero(self, tmp_path):
         g = np.random.default_rng(3)
         base = g.standard_normal((2000, 4))
         target = base @ np.array([1.0, -2.0, 0.5, 1.5])
         matrix = np.column_stack([base, target])
-        cfg = ExperimentConfig(mode="shuffle_target", seed=0, null_count=100)
-        records, _ = shuffle_target_analysis(matrix, cfg)
+        records, _ = shuffle_target_analysis(tmp_path, matrix, seed=0, null_count=100)
         assert len(records) == 5
         assert records[4]["beta_hat"] == 0.0
 
-    def test_run_needs_an_input_path(self):
-        # shuffle_target_analysis takes this config; run() has nothing to read
-        with pytest.raises(ValueError, match="input path"):
-            harness.run(ExperimentConfig(mode="shuffle_target"))
-
-    def test_requires_three_columns(self):
-        cfg = ExperimentConfig(mode="shuffle_target")
+    def test_requires_three_columns(self, tmp_path):
         with pytest.raises(BadDimensionsError):
-            shuffle_target_analysis(np.ones((10, 2)), cfg)
+            shuffle_target_analysis(tmp_path, np.ones((10, 2)))
 
-    def test_zero_signal_flagged(self):
-        cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
-        records, _ = shuffle_target_analysis(self.ZERO_SIGNAL, cfg)
+    def test_zero_signal_flagged(self, tmp_path):
+        records, _ = shuffle_target_analysis(tmp_path, self.ZERO_SIGNAL, null_count=100)
         assert all(rec.get("zero_signal") for rec in records)
 
-    def test_constant_column_flagged_as_zero_signal(self):
+    def test_constant_column_flagged_as_zero_signal(self, tmp_path):
         g = np.random.default_rng(4)
         matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
-        cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
-        records, _ = shuffle_target_analysis(matrix, cfg)
+        records, _ = shuffle_target_analysis(tmp_path, matrix, null_count=100)
         assert records[3] == {"column": 3, "name": "col3", "zero_signal": True}
 
     ZERO_SIGNAL = np.array(
@@ -792,7 +837,7 @@ class TestShuffleTarget:
     )
 
     @pytest.mark.parametrize("which", ["random", "zero_signal"])
-    def test_joint_blocks_match_per_column_covariance(self, monkeypatch, which):
+    def test_joint_blocks_match_per_column_covariance(self, monkeypatch, tmp_path, which):
         scales = [1.0, 3.0, 0.2, 1.0, 8.0, 1.0]
         m = (
             np.random.default_rng(7).standard_normal((400, 6)) * scales
@@ -806,8 +851,7 @@ class TestShuffleTarget:
             return models[-1]
 
         monkeypatch.setattr(harness, "covariance_from_moments", keep)
-        cfg = ExperimentConfig(mode="shuffle_target", null_count=100)
-        shuffle_target_analysis(m, cfg)
+        shuffle_target_analysis(tmp_path, m, null_count=100)
         assert len(models) == m.shape[1]
         for j, got in enumerate(models):
             want = empirical_covariance(DataMatrix(np.delete(m, j, 1), m[:, j]))

@@ -27,13 +27,11 @@ from .spectral import CovarianceModel, _unit, direction_coords
 
 # Likelihood maximization.  The scan grid spans [GRID_LO, GRID_HI] times the
 # median eigenvalue, which makes it covariant under global rescaling of the
-# predictors; bisection on the sign of the slope then narrows the bracket
-# around the best grid point to a width of BISECT_REL_TOL relative to its
-# upper end.
+# predictors; Newton steps refine its best point to within REFINE_REL_TOL.
 GRID_LO = 1e-6
 GRID_HI = 1e6
 GRID_POINTS = 200
-BISECT_REL_TOL = 1e-13
+REFINE_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -116,16 +114,23 @@ def direction_density(a_matrix: NDArray[np.float64], v: NDArray[np.float64]) -> 
     return 1.0 / (det * float(np.linalg.norm(inv_v)) ** d)
 
 
-def _rising(theta: float, u2: NDArray[np.float64], lam: NDArray[np.float64]) -> bool:
-    """Whether the log-likelihood has a positive slope at ``theta``.
+def _newton(theta: float, u2: NDArray[np.float64], lam: NDArray[np.float64]) -> tuple[bool, float]:
+    """Whether the log-likelihood rises at ``theta``, and the Newton step -l'/l'' there.
 
-    With r_j = 1 + theta/lambda_j and q_j = u_j^2 / r_j the slope is
-    1/2 [ d sum_j q_j/(lambda_j r_j) / sum_j q_j - sum_j 1/(lambda_j r_j) ];
-    at theta = 0 it is 1/2 d^{3/2} T, so this is the sign of ``statistic_T``.
+    With w_j = u_j^2 lambda_j, S_k = sum_j w_j/(lambda_j+theta)^k and A_k =
+    sum_j (lambda_j+theta)^-k: 2 l' = d S_2/S_1 - A_1 and 2 l'' = A_2 +
+    d (S_2^2/S_1^2 - 2 S_3/S_1).  At theta = 0 the slope is 1/2 d^{3/2} T,
+    so the sign is that of ``statistic_T``.  The step is NaN where l'' >= 0
+    and, being a Python float, inf without a warning where it overflows.
     """
-    q = u2 / (1.0 + theta / lam)
-    inv = 1.0 / (lam + theta)  # 1 / (lambda_j r_j)
-    return bool(lam.size * np.dot(q, inv) > np.sum(inv) * np.sum(q))
+    q = u2 / (1.0 + theta / lam)  # w_j / (lambda_j + theta)
+    inv = 1.0 / (lam + theta)
+    d, s1, s2, a1 = lam.size, float(q.sum()), float(q.dot(inv)), float(inv.sum())
+    t = inv / a1  # in units of A_1 no power of 1/(lambda_j + theta) overflows
+    m1, m2 = s2 / (a1 * s1), float(q.dot(t * t)) / s1
+    curvature = float(t.dot(t)) + d * (m1 * m1 - 2.0 * m2)  # 2 l'' / A_1^2
+    step = (1.0 - d * m1) / curvature / a1 if curvature < 0.0 else math.nan
+    return d * s2 > a1 * s1, step
 
 
 def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate:
@@ -133,14 +138,16 @@ def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate
     eigenbasis coordinates ``u``, and map the maximizer to beta.
 
     Scores {0} union a logarithmic grid spanning [1e-6, 1e6] x median(lambda)
-    in one call, then bisects the bracket around the best grid point on the
-    sign of the closed-form slope.  Where the slope does not rise at the
-    lower end, or still rises at the upper end, that end is the refined
-    point, so a likelihood that falls from theta = 0 gives exactly 0.  The
-    answer is the better of the best grid point and the refined point, ties
-    toward smaller theta.  ``boundary`` is set when the maximum sits at the
-    upper end of the scan range.  A ``u`` that is not a unit vector is a
-    ValueError.
+    in one call.  Where the slope does not rise at the lower end of the
+    bracket around the best grid point, or still rises at its upper end, that
+    end is the refined point, so a likelihood that falls from theta = 0 gives
+    exactly 0.  Otherwise each step from the best grid point shrinks the
+    bracket on the slope's sign and takes a Newton step, or the midpoint where
+    that would leave the bracket or l'' >= 0, until the bracket or the step is
+    within REFINE_REL_TOL of its upper end.  The answer is the better of the
+    best grid point and the refined point, ties toward smaller theta.
+    ``boundary`` is set when the maximum sits at the upper end of the scan
+    range.  A ``u`` that is not a unit vector is a ValueError.
     """
     u = _unit(u)
     lam = cov.eigenvalues
@@ -153,16 +160,19 @@ def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, len(grid) - 1)])
     u2 = u**2
-    if not _rising(lo, u2, lam):
+    if not _newton(lo, u2, lam)[0]:
         hi = lo
-    elif _rising(hi, u2, lam):
+    elif _newton(hi, u2, lam)[0]:
         lo = hi
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _rising(mid, u2, lam) else (lo, mid)
-    refined = 0.5 * (lo + hi)
+    theta = float(grid[best]) if lo < grid[best] < hi else 0.5 * (lo + hi)
+    while hi - lo > REFINE_REL_TOL * hi:
+        rising, step = _newton(theta, u2, lam)
+        lo, hi = (theta, hi) if rising else (lo, theta)
+        if abs(step) <= REFINE_REL_TOL * hi:
+            break
+        theta = theta + step if lo < theta + step < hi else 0.5 * (lo + hi)  # NaN: midpoint
     candidates = [(grid[best], vals[best])]
-    candidates.append((refined, log_direction_density(refined, u, cov)))
+    candidates.append((theta, log_direction_density(theta, u, cov)))
     theta_hat, loglik = min(candidates, key=lambda p: (-p[1], p[0]))
     theta_hat = float(theta_hat)
     boundary = bool(theta_hat >= grid[-1] * (1.0 - 1e-9))

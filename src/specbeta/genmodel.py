@@ -45,9 +45,6 @@ class GroundTruth:
             raise BadDimensionsError("a/c lengths do not match mixing matrix shape")
         if self.sigma_a < 0 or self.sigma_c < 0:
             raise ValueError("scales must be nonnegative")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise BadDimensionsError("mixing matrix is not of full row rank")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
@@ -194,7 +191,7 @@ def true_beta(truth: GroundTruth) -> float:
     Raises
     ------
     DegenerateModelError
-        If a = 0 and c = 0.
+        If a = 0 and c = 0, or if M lacks full row rank (``_confounding_vector``).
     """
     a2 = float(truth.a @ truth.a)
     c_any = bool(np.any(truth.c != 0.0))
@@ -217,11 +214,17 @@ def _confounding_vector(
     For such M, M^+T = (M M^T)^-1 M, and with the reduced QR M^T = Q R
     this is R^-1 Q^T c.  No normal equations are formed, so the condition
     number is never squared: cond(R) = cond(M).
+
+    Raises DegenerateModelError where min |R_ii| <= 1e-10 max |R_ii| (a ratio
+    >= 1/cond(M)): M lacks full row rank.  A study's covariance check is stricter.
     """
     d = m.shape[0]
     # The triangular factor of [M^T c] is [[R, Q^T c], [0, *]], so one
     # factorization gives both and Q is never formed.
     r = np.linalg.qr(np.column_stack([m.T, c]), mode="r")
+    pivots = np.abs(np.diag(r)[:d])
+    if pivots.min() <= 1e-10 * pivots.max():
+        raise DegenerateModelError("mixing matrix is not of full row rank")
     return np.linalg.solve(r[:d, :d], r[:d, d])
 
 

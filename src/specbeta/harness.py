@@ -11,6 +11,7 @@ import collections
 import csv
 import itertools
 import json
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -158,14 +159,19 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
     Raises
     ------
     ParseError
-        On an empty file, ragged rows or a row the csv module cannot read,
+        On an empty file, ragged rows, non-UTF-8 bytes or a row the csv module cannot read,
         such as a cell over ``csv.field_size_limit()`` (coordinates reported).
     NonNumericError
         On a non-numeric cell outside the header (location reported).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            row = next((n for n, s in enumerate(fh, 1) if re.search("[\udc80-\udcff]", s)), "?")
+        raise ParseError(f"{path}: row {row}: not UTF-8 ({err.reason})") from None
     rows = _csv_rows(path, lines)
     first = next(rows, None)
     if first is None:

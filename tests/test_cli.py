@@ -136,6 +136,23 @@ class TestEstimate:
         _, want, _ = run(capsys, ["estimate", "--input", linear_csv, "--target", "a"])
         assert json.loads(out)["records"] == json.loads(want)["records"]
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("a,b\xe9,y\n1,2,3\n4,5,7\n2,1,1\n", 1),  # a Latin-1 header
+            ("a,b,y\n1,2,3\r\n\n4,\xe9,7\n2,1,1\n5,3,2\n", 4),  # blank lines count
+        ],
+        ids=["header", "data-row"],
+    )
+    def test_non_utf8_byte_is_data_error_naming_file_and_row(self, capsys, tmp_path, text, row):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(text.encode("latin-1"))
+        code, out, err = run(capsys, ["estimate", "--input", str(p), "--target", "y"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"specbeta: data error: {p}: row {row}: not UTF-8 (invalid continuation byte)\n"
+        )
+
     def test_normalize_predictor_constant_up_to_rounding(self, capsys, constant_csv):
         # without --normalize the constant predictor makes sigma_xx singular
         code, _, err = run(capsys, ["estimate", "--input", constant_csv, "--target", "y"])

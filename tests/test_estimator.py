@@ -30,9 +30,11 @@ from specbeta import (
     statistic_T,
     unit_direction,
 )
+from specbeta import estimator
 from specbeta import test_nonconfounding as run_nonconfounding_test
-from specbeta.estimator import GRID_HI, GRID_LO, GRID_POINTS
-from specbeta.genmodel import GroundTruth
+from specbeta.estimator import GRID_HI, GRID_LO, GRID_POINTS, REFINE_REL_TOL
+from specbeta.genmodel import GroundTruth, sample_covariance
+from specbeta.harness import run_rng
 from specbeta.spectral import RANK_EPS
 
 from conftest import cov_from_spectrum, eigvec_coords, random_orthogonal
@@ -50,6 +52,72 @@ def scan_grid(cov, points=GRID_POINTS):
     return np.concatenate(
         [[0.0], np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, points)]
     )
+
+
+def bisection_reference(u, cov):
+    """(theta_hat, loglik) of ``estimate_theta`` with its refinement done by bisection.
+
+    This is the refinement ``estimate_theta`` used before its Newton steps:
+    the same grid, end rules and final choice, with the bracket halved on
+    the sign of the slope until its width is within REFINE_REL_TOL of its
+    upper end, about 42 halvings.
+    """
+    lam = cov.eigenvalues
+    grid = scan_grid(cov)
+    vals = log_direction_density(grid, u, cov)
+    best = int(np.argmax(vals))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    u2 = u**2
+
+    def rising(theta):
+        q = u2 / (1.0 + theta / lam)
+        inv = 1.0 / (lam + theta)
+        return bool(lam.size * np.dot(q, inv) > np.sum(inv) * np.sum(q))
+
+    if not rising(lo):
+        hi = lo
+    elif rising(hi):
+        lo = hi
+    while hi - lo > REFINE_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+    refined = 0.5 * (lo + hi)
+    candidates = [(grid[best], vals[best])]
+    candidates.append((refined, log_direction_density(refined, u, cov)))
+    theta_hat, loglik = min(candidates, key=lambda p: (-p[1], p[0]))
+    return float(theta_hat), float(loglik)
+
+
+def slope_rounding_band(theta, u, cov):
+    """Width in theta within which rounding can hide the sign of the slope.
+
+    The closed-form slope 1/2 (d S_2/S_1 - A_1) is a difference of terms of
+    size A_1, each summed over d terms, so its rounding error is about
+    d eps A_1; divided by |l''| that is a width in theta.  Any refinement on
+    the computed slope, the reference's bisection included, can stop
+    anywhere in it.
+    """
+    lam = cov.eigenvalues
+    inv = 1.0 / (lam + theta)
+    q = u**2 * lam * inv
+    s1, s2, s3 = q.sum(), q @ inv, q @ inv**2
+    curvature = 0.5 * (inv @ inv + cov.d * ((s2 / s1) ** 2 - 2.0 * s3 / s1))
+    return cov.d * np.finfo(float).eps * inv.sum() / abs(curvature)
+
+
+def recorded_newton_steps(monkeypatch):
+    """A list that collects (theta, step) of every ``_newton`` call that follows."""
+    calls = []
+    newton = estimator._newton
+
+    def recorded(theta, *args):
+        rising, step = newton(theta, *args)
+        calls.append((theta, step))
+        return rising, step
+
+    monkeypatch.setattr(estimator, "_newton", recorded)
+    return calls
 
 
 class TestLogDirectionDensity:
@@ -170,7 +238,7 @@ class TestEstimateTheta:
         log_theta=st.one_of(st.none(), st.floats(-4.0, 4.0)),
     )
     def test_matches_dense_grid_maximum(self, d, seed, log_theta):
-        # the coarse scan plus bisection on the slope reaches the maximum of a
+        # the coarse scan plus the refinement on the slope reaches the maximum of a
         # 20,001-point grid on the same range; directions are uniform
         # (log_theta None) or drawn from the theta' = 10**log_theta law
         g = np.random.default_rng(seed)
@@ -184,6 +252,80 @@ class TestEstimateTheta:
         est = estimate_theta(u, cov)
         dense_max = float(log_direction_density(scan_grid(cov, 20_001), u, cov).max())
         assert est.loglik >= dense_max - 1e-9 * (1.0 + abs(dense_max))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        log_theta=st.one_of(st.none(), st.floats(-4.0, 4.0)),
+    )
+    def test_matches_bisection_reference(self, d, seed, log_theta):
+        # the spectra and directions of test_matches_dense_grid_maximum; the
+        # Newton refinement lands where the bisection did, to within 1e-11
+        # plus the band where rounding hides the slope's sign, which is wide
+        # only where the likelihood is flat at its maximum
+        g = np.random.default_rng(seed)
+        lam = 10.0 ** g.uniform(-3.0, 3.0, size=d)
+        lam[:2] = 1e-3, 1e3
+        cov = cov_from_spectrum(lam)
+        coords = g.standard_normal(d)
+        if log_theta is not None:
+            coords *= np.sqrt(1.0 + 10.0**log_theta / cov.eigenvalues)
+        u = unit_direction(coords)
+        est = estimate_theta(u, cov)
+        theta, loglik = bisection_reference(u, cov)
+        if theta == 0.0 or est.theta_hat == 0.0:
+            assert est.theta_hat == theta
+        else:
+            band = slope_rounding_band(theta, u, cov)
+            assert abs(est.theta_hat - theta) <= 1e-11 * theta + 256 * band
+        assert est.loglik >= loglik - 1e-13 * (1.0 + abs(loglik))
+
+    @pytest.mark.parametrize(
+        "lam, w2, fallback",
+        [
+            ([1.0, 1e-9], [0.1, 0.9], "curvature"),  # l'' >= 0 at the first point
+            ([1.0, 1e-7], [0.4, 0.6], "outside"),  # the first step leaves the bracket
+        ],
+    )
+    def test_midpoint_fallback(self, monkeypatch, lam, w2, fallback):
+        # the best grid point is theta = 0 and the maximum lies just above
+        # it, where the likelihood bends over sharply: the first Newton step
+        # from the bracket's midpoint is of no use, so the refinement bisects
+        # instead, never leaves the bracket, and reaches the reference's
+        # maximum
+        cov = cov_from_spectrum(lam)
+        u = cov.eigenvectors.T @ unit_direction(np.sqrt(w2))
+        calls = recorded_newton_steps(monkeypatch)
+        est = estimate_theta(u, cov)
+        grid = scan_grid(cov)
+        assert np.argmax(log_direction_density(grid, u, cov)) == 0
+        (lo, _), (hi, _), (theta, step) = calls[:3]  # the bracket's ends, then the first step
+        assert (lo, hi, theta) == (0.0, grid[1], 0.5 * grid[1])
+        if fallback == "curvature":
+            assert math.isnan(step)
+        else:
+            assert not lo < theta + step < hi
+        assert all(lo <= t <= hi for t, _ in calls)
+        ref_theta, ref_loglik = bisection_reference(u, cov)
+        assert est.theta_hat > 0.0
+        assert est.theta_hat == pytest.approx(ref_theta, rel=1e-11)
+        assert est.loglik >= ref_loglik - 1e-13 * (1.0 + abs(ref_loglik))
+
+    def test_few_newton_steps_on_simulated_fits(self, monkeypatch):
+        # 300 fits shaped like simulate --dim 10 --latent 12 --samples 10000,
+        # seed 0: a handful of Newton steps each, where bisection takes ~42
+        calls = recorded_newton_steps(monkeypatch)
+        steps = []
+        for i in range(300):
+            rng = run_rng(0, i)
+            cov, _ = sample_covariance(sample_ground_truth(10, 12, rng), 10_000, 0.0, rng)
+            calls.clear()
+            estimate_confounding(cov)
+            if len(calls) > 2:  # two calls test the bracket's ends, the rest are steps
+                steps.append(len(calls) - 2)
+        assert len(steps) >= 150
+        assert np.median(steps) <= 8 and max(steps) <= 40
 
     @pytest.mark.parametrize(
         "lam, w2",

@@ -64,8 +64,9 @@ class TestGroundTruth:
 
     def test_rejects_rank_deficient_mixing(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(BadDimensionsError):
-            GroundTruth(m=m, a=np.zeros(2), c=np.zeros(2), sigma_a=1.0, sigma_c=1.0)
+        truth = GroundTruth(m=m, a=np.ones(2), c=np.ones(2), sigma_a=1.0, sigma_c=1.0)
+        with pytest.raises(DegenerateModelError, match="not of full row rank"):
+            true_beta(truth)
 
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError):
@@ -291,7 +292,7 @@ class TestTrueBeta:
 
 
 class TestConfoundingVector:
-    # condition numbers up to 10^9.5, inside GroundTruth's 1e-10 rank bound
+    # condition numbers up to 10^9.5, inside _confounding_vector's 1e-10 rank bound
     @pytest.mark.parametrize("log_cond", [8.0, 9.5])
     def test_matches_svd_formula_when_ill_conditioned(self, rng, log_cond):
         d, ell = 6, 8

@@ -63,10 +63,14 @@ def test_nonconfounding(
     Computes the regression direction, evaluates the statistic, draws
     ``null_count`` samples of the exact sphere null and returns the
     add-one upper-tail p-value (1 + #{null >= observed}) / (1 + count),
-    which is valid and never exactly zero.
+    which is valid and never exactly zero.  A null draw within the
+    statistic's rounding, sqrt(d) eps (1/lambda_min + tau), below the
+    observed value counts as >= it, so a flat spectrum, where every
+    statistic is rounding noise around 0, gives p = 1.
     """
     t_obs = statistic_T(direction_coords(cov), cov)
     null = null_samples_sphere(cov, null_count, rng)
-    p = (1 + int(np.sum(null >= t_obs))) / (1 + null_count)
+    rounding = np.sqrt(cov.d) * np.finfo(float).eps * (1.0 / cov.eigenvalues.min() + cov.tau_inv)
+    p = (1 + int(np.sum(null >= t_obs - rounding))) / (1 + null_count)
     return TestResult(t_observed=t_obs, p_value=p)
 

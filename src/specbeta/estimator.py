@@ -145,7 +145,10 @@ def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate
     bracket on the slope's sign and takes a Newton step, or the midpoint where
     that would leave the bracket or l'' >= 0, until the bracket or the step is
     within REFINE_REL_TOL of its upper end.  The answer is the better of the
-    best grid point and the refined point, ties toward smaller theta.
+    best grid point and the refined point, ties toward smaller theta.  A
+    gain over l(0) = 0 of at most d eps (1 + sum_j log(1 + theta/lambda_j)),
+    the rounding of the two terms the log-density cancels, is a tie with
+    theta = 0, so a flat likelihood (an isotropic spectrum) gives exactly 0.
     ``boundary`` is set when the maximum sits at the upper end of the scan
     range.  A ``u`` that is not a unit vector is a ValueError.
     """
@@ -175,6 +178,9 @@ def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate
     candidates.append((theta, log_direction_density(theta, u, cov)))
     theta_hat, loglik = min(candidates, key=lambda p: (-p[1], p[0]))
     theta_hat = float(theta_hat)
+    # the log-density's two terms cancel; a gain over l(0) = 0 within their rounding is a tie
+    if loglik <= lam.size * np.finfo(float).eps * (1.0 + float(np.sum(np.log1p(theta_hat / lam)))):
+        theta_hat, loglik = 0.0, 0.0
     boundary = bool(theta_hat >= grid[-1] * (1.0 - 1e-9))
     return BetaEstimate(theta_hat, beta_from_theta(theta_hat, cov), float(loglik), boundary)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import itertools
 import json
 import re
@@ -32,18 +33,25 @@ from .errors import (
 )
 from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empirical_covariance
 
-# Mode: (its operation in this module, the ExperimentConfig fields it reads).
-# Every mode also reads output_path and fmt, which say where its report goes.
-OPERATIONS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "estimate": ("run_estimate", ("input_path", "target", "normalize")),
-    "test": ("run_test", ("input_path", "target", "normalize", "seed", "alpha", "null_count")),
-    "simulate": ("run_simulation_study", ("d", "latent", "n", "runs", "noise_sd", "seed")),
+# Mode: (its operation in this module, the ExperimentConfig fields it reads,
+# the fields fit_record gives each of its records, in report order).  Every
+# mode also reads output_path and fmt, which say where its report goes.
+OPERATIONS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "estimate": ("run_estimate", ("input_path", "target", "normalize"),
+                 ("beta_hat", "theta_hat", "tau_inv", "boundary", "d", "n")),
+    "test": ("run_test", ("input_path", "target", "normalize", "seed", "alpha", "null_count"),
+             ("t_observed", "p_value", "null_count", "reject_at_alpha")),
+    "simulate": ("run_simulation_study", ("d", "latent", "n", "runs", "noise_sd", "seed"),
+                 ("true_beta", "beta_hat", "theta_hat", "boundary")),
     "rejection_study": ("run_rejection_study",
-                        ("d", "latent", "n", "runs", "noise_sd", "seed", "alpha", "null_count")),
+                        ("d", "latent", "n", "runs", "noise_sd", "seed", "alpha", "null_count"),
+                        ("true_beta", "t_observed", "p_value")),
     "overfit_study": ("run_overfit_study",
-                      ("d", "runs", "noise_sd", "sample_sizes", "seed", "alpha", "null_count")),
+                      ("d", "runs", "noise_sd", "sample_sizes", "seed", "alpha", "null_count"),
+                      ("p_value",)),
     "shuffle_target": ("shuffle_target_analysis",
-                       ("input_path", "normalize", "seed", "null_count")),
+                       ("input_path", "normalize", "seed", "null_count"),
+                       ("beta_hat", "theta_hat", "boundary", "t_observed", "p_value")),
 }
 
 DEFAULT_SAMPLE_SIZES = (20, 100, 1000, 10000)
@@ -321,32 +329,39 @@ def run(config: ExperimentConfig) -> Report:
     return Report(echo, records, summary)
 
 
+def fit_record(config: ExperimentConfig, rng: np.random.Generator, cov: CovarianceModel,
+               true_beta: float | None = None) -> dict:
+    """The record fields OPERATIONS lists for ``config.mode``, in order, of one fit.
+
+    The estimate runs where the record holds beta_hat, then the test, which
+    continues ``rng``, where it holds p_value.  ``true_beta`` is the known
+    strength of a study's model.
+    """
+    names = OPERATIONS[config.mode][2]
+    values = {"true_beta": true_beta, "tau_inv": cov.tau_inv, "d": cov.d, "n": cov.n,
+              "null_count": config.null_count}
+    if "beta_hat" in names:
+        est = estimator.estimate_confounding(cov)
+        values.update(beta_hat=est.beta_hat, theta_hat=est.theta_hat, boundary=est.boundary)
+    if "p_value" in names:
+        res = cdtest.test_nonconfounding(cov, config.null_count, rng)
+        values.update(t_observed=res.t_observed, p_value=res.p_value,
+                      reject_at_alpha=res.p_value <= config.alpha)
+    return {name: values[name] for name in names}
+
+
 def run_estimate(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Estimate confounding strength of the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
-    est = estimator.estimate_confounding(cov)
-    record = {
-        "beta_hat": est.beta_hat,
-        "theta_hat": est.theta_hat,
-        "tau_inv": cov.tau_inv,
-        "boundary": est.boundary,
-        "d": cov.d,
-        "n": cov.n,
-    }
-    return [record], {"beta_hat": est.beta_hat}
+    record = fit_record(config, run_rng(config.seed), cov)
+    return [record], {"beta_hat": record["beta_hat"]}
 
 
 def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Test the no-confounding null on the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
-    res = cdtest.test_nonconfounding(cov, config.null_count, run_rng(config.seed))
-    record = {
-        "t_observed": res.t_observed,
-        "p_value": res.p_value,
-        "null_count": config.null_count,
-        "reject_at_alpha": res.p_value <= config.alpha,
-    }
-    return [record], {"p_value": res.p_value}
+    record = fit_record(config, run_rng(config.seed), cov)
+    return [record], {"p_value": record["p_value"]}
 
 
 # Runs a study starts ahead of the one it settles: enough that the calling
@@ -437,31 +452,20 @@ def _run_study(
     return records, failures
 
 
-def _source_mixing(config: ExperimentConfig) -> Callable[..., tuple]:
-    """Model step of the simulate and rejection studies: a source-mixing model per run."""
+def _source_mixing_study(config: ExperimentConfig) -> tuple[list[dict], int]:
+    """(records, failures) of a simulate or rejection study: a source-mixing model per run."""
     noise_sd = config.noise_sd or 0.0
 
     def model(rng: np.random.Generator, **_) -> tuple[genmodel.GroundTruth, int, float]:
         return genmodel.sample_ground_truth(config.d, config.ell, rng), config.n, noise_sd
 
-    return model
+    keys = [{"run": i} for i in range(config.runs)]
+    return _run_study(config.seed, keys, model, functools.partial(fit_record, config))
 
 
 def run_simulation_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Draw random models, estimate beta on fresh samples, report (beta, beta_hat) pairs."""
-
-    def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
-        est = estimator.estimate_confounding(cov)
-        return {
-            "true_beta": beta,
-            "beta_hat": est.beta_hat,
-            "theta_hat": est.theta_hat,
-            "boundary": est.boundary,
-        }
-
-    records, failures = _run_study(
-        config.seed, [{"run": i} for i in range(config.runs)], _source_mixing(config), fit
-    )
+    records, failures = _source_mixing_study(config)
     ok = [r for r in records if "error" not in r]  # never empty: _run_study aborts first
     betas = np.array([r["true_beta"] for r in ok])
     bhats = np.array([r["beta_hat"] for r in ok])
@@ -480,14 +484,7 @@ def run_simulation_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
 def run_rejection_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Per run: true beta and test p-value; summarize rejection fractions per beta bin."""
-
-    def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
-        res = cdtest.test_nonconfounding(cov, config.null_count, rng)
-        return {"true_beta": beta, "t_observed": res.t_observed, "p_value": res.p_value}
-
-    records, failures = _run_study(
-        config.seed, [{"run": i} for i in range(config.runs)], _source_mixing(config), fit
-    )
+    records, failures = _source_mixing_study(config)
     ok = [r for r in records if "error" not in r]  # never empty: _run_study aborts first
     betas = np.array([r["true_beta"] for r in ok])
     pvals = np.array([r["p_value"] for r in ok])
@@ -527,11 +524,8 @@ def run_overfit_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
     def model(rng: np.random.Generator, n: int, **_) -> tuple[genmodel.GroundTruth, int, float]:
         return genmodel.sample_causal_truth(config.d, rng), n, noise_sd
 
-    def fit(rng: np.random.Generator, cov: CovarianceModel, beta: float) -> dict:
-        return {"p_value": cdtest.test_nonconfounding(cov, config.null_count, rng).p_value}
-
     keys = [{"n": n, "run": i} for n in config.sample_sizes for i in range(config.runs)]
-    records, failures = _run_study(config.seed, keys, model, fit)
+    records, failures = _run_study(config.seed, keys, model, functools.partial(fit_record, config))
     ok = [r for r in records if "error" not in r]
     per_n = []
     edges = np.linspace(0.0, 1.0, 11)
@@ -579,26 +573,17 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
         joint = (centered.T @ centered) / n
     records: list[dict] = []
     for j in range(ncols):
-        rng = run_rng(config.seed, j)
         rest = np.delete(np.arange(ncols), j)
-        record: dict = {"column": j, "name": names[j]}
+        key = {"column": j, "name": names[j]}
         try:
             cov = covariance_from_moments(
                 joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n
             )
-            est = estimator.estimate_confounding(cov)
-            record.update(
-                beta_hat=est.beta_hat,
-                theta_hat=est.theta_hat,
-                boundary=est.boundary,
-            )
-            res = cdtest.test_nonconfounding(cov, config.null_count, rng)
-            record.update(t_observed=res.t_observed, p_value=res.p_value)
+            records.append({**key, **fit_record(config, run_rng(config.seed, j), cov)})
         except ZeroSignalError:
-            record["zero_signal"] = True
+            records.append({**key, "zero_signal": True})
         except SpecbetaError as err:
-            record["error"] = str(err)
-        records.append(record)
+            records.append({**key, "error": str(err)})
     ok = [r for r in records if "beta_hat" in r]
     summary = {
         "columns": ncols,

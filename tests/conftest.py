@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from specbeta import CovarianceModel
+from specbeta import CovarianceModel, DataMatrix, empirical_covariance
 
 
 def cov_from_spectrum(eigenvalues, sigma_xy=None, n=0):
@@ -12,6 +14,17 @@ def cov_from_spectrum(eigenvalues, sigma_xy=None, n=0):
     if sigma_xy is None:
         sigma_xy = np.zeros(lam.size)
     return CovarianceModel.from_matrices(np.diag(lam), sigma_xy, n=n)
+
+
+def factorial_cov(seed):
+    """Fitted model of a 2^3 factorial design repeated 4 times and y = x . [1, 2, 3] + N(0, 1).
+
+    The design's columns are orthogonal with mean 0, so X'X = 32 I: every
+    eigenvalue is exactly 1 and the direction likelihood is flat.
+    """
+    x = np.tile(list(itertools.product([-1.0, 1.0], repeat=3)), (4, 1))
+    y = x @ np.array([1.0, 2.0, 3.0]) + np.random.default_rng(seed).standard_normal(32)
+    return empirical_covariance(DataMatrix(x, y))
 
 
 def eigvec_coords(cov, eigenvalue):

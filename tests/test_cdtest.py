@@ -19,7 +19,7 @@ from specbeta import (
 from specbeta import test_nonconfounding as run_nonconfounding_test
 from specbeta.genmodel import GroundTruth
 
-from conftest import cov_from_spectrum, eigvec_coords, random_orthogonal
+from conftest import cov_from_spectrum, eigvec_coords, factorial_cov, random_orthogonal
 
 
 class TestStatistic:
@@ -122,6 +122,17 @@ class TestNonconfoundingTest:
         assert null.shape == (500,)
         assert res.p_value == recomputed
         assert 0.0 < res.p_value <= 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_orthogonal_design_gives_p_one(self, seed):
+        # on a flat spectrum the observed statistic and every null draw are rounding noise
+        res = run_nonconfounding_test(factorial_cov(seed), 1000, np.random.default_rng(seed))
+        assert res.p_value == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-120, 1e-3, 1.0, 1e5, 1e120])
+    def test_isotropic_spectrum_gives_p_one(self, rng, scale):
+        cov = cov_from_spectrum([scale] * 7, sigma_xy=scale * rng.standard_normal(7), n=100)
+        assert run_nonconfounding_test(cov, 1000, rng).p_value == 1.0
 
     def test_confounded_data_rejects(self):
         rejections = 0

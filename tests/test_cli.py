@@ -153,6 +153,14 @@ class TestEstimate:
             f"specbeta: data error: {p}: row {row}: not UTF-8 (invalid continuation byte)\n"
         )
 
+    def test_target_name_two_columns_share_is_data_error(self, capsys, tmp_path):
+        # the name does not say which of the two columns is the target
+        p = tmp_path / "same_names.csv"
+        p.write_text("a,a,y\n1,2,3\n4,5,7\n2,1,1\n5,3,2\n")
+        code, out, err = run(capsys, ["estimate", "--input", str(p), "--target", "a"])
+        assert (code, out) == (2, "")
+        assert err == "specbeta: data error: target name 'a' matches columns [0, 1] (zero-based)\n"
+
     def test_normalize_predictor_constant_up_to_rounding(self, capsys, constant_csv):
         # without --normalize the constant predictor makes sigma_xx singular
         code, _, err = run(capsys, ["estimate", "--input", constant_csv, "--target", "y"])
@@ -461,6 +469,20 @@ class TestTest:
         assert code == 0
         payload = json.loads(out)
         assert 0.0 < payload["summary"]["p_value"] <= 1.0
+
+    def test_scaled_apart_gives_the_unit_scale_p_value(self, capsys, scaled_csv):
+        # x scaled by 1e-80 and y by 1e80 put beta near 1e160, whose square
+        # overflows in its norm: the direction is still found, and quietly
+        p_values = []
+        for path in (scaled_csv(1.0, 1.0), scaled_csv(1e-80, 1e80)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(
+                    capsys, ["test", "--input", path, "--target", "y", "--null-samples", "100"]
+                )
+            assert (code, err) == (0, "")
+            p_values.append(json.loads(out)["summary"]["p_value"])
+        assert p_values[1] == p_values[0]
 
 
 class TestSimulationCommands:

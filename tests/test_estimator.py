@@ -37,7 +37,7 @@ from specbeta.genmodel import GroundTruth, sample_covariance
 from specbeta.harness import run_rng
 from specbeta.spectral import RANK_EPS
 
-from conftest import cov_from_spectrum, eigvec_coords, random_orthogonal
+from conftest import cov_from_spectrum, eigvec_coords, factorial_cov, random_orthogonal
 
 
 def sqrt_r_theta(theta, cov):
@@ -222,6 +222,12 @@ class TestEstimateTheta:
         est = estimate_theta(u, cov)
         assert est.loglik == log_direction_density(est.theta_hat, u, cov)
         assert est.loglik >= log_direction_density(scan_grid(cov), u, cov).max()
+
+    def test_isotropic_spectrum_gives_zero(self):
+        # the log-likelihood is 0 at every theta; its rounding noise is no maximum
+        cov = cov_from_spectrum([2.0] * 4)
+        est = estimate_theta(cov.eigenvectors.T @ unit_direction(np.array([1.0, 2, 3, 4])), cov)
+        assert (est.theta_hat, est.beta_hat, est.loglik) == (0.0, 0.0, 0.0)
 
     def test_upper_grid_boundary(self):
         # mass on the lowest eigenvector: the likelihood rises in theta over
@@ -433,6 +439,14 @@ class TestEstimateConfounding:
         data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
         with pytest.raises(ZeroSignalError):
             estimate_confounding(empirical_covariance(data))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_orthogonal_design_gives_zero(self, seed):
+        # X'X is proportional to I: a flat spectrum has no low-eigenvalue space
+        cov = factorial_cov(seed)
+        np.testing.assert_array_equal(cov.eigenvalues, [1.0, 1.0, 1.0])
+        est = estimate_confounding(cov)
+        assert (est.theta_hat, est.beta_hat, est.loglik) == (0.0, 0.0, 0.0)
 
     def test_no_confounding_answer_is_exact_zero(self):
         # where the likelihood falls from theta = 0 the estimate is exactly 0,

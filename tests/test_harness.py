@@ -397,6 +397,28 @@ FAILING_STUDIES = {
 }
 
 
+# The keys of each mode's records, in order: its run key, then the fields of its fit.
+RECORD_KEYS = {
+    "estimate": ((), ("beta_hat", "theta_hat", "tau_inv", "boundary", "d", "n")),
+    "test": ((), ("t_observed", "p_value", "null_count", "reject_at_alpha")),
+    "simulate": (("run",), ("true_beta", "beta_hat", "theta_hat", "boundary")),
+    "rejection_study": (("run",), ("true_beta", "t_observed", "p_value")),
+    "overfit_study": (("n", "run"), ("p_value",)),
+    "shuffle_target": (("column", "name"),
+                       ("beta_hat", "theta_hat", "boundary", "t_observed", "p_value")),
+}
+
+SAMPLE_CSV = str(ROOT / "tests" / "data" / "sample.csv")
+RECORD_CONFIGS = {
+    "estimate": {"input_path": SAMPLE_CSV, "target": "y"},
+    "test": {"input_path": SAMPLE_CSV, "target": "y", "null_count": 100},
+    "simulate": {"d": 3, "n": 300, "runs": 2, "seed": 1},
+    "rejection_study": {"d": 3, "n": 300, "runs": 2, "null_count": 100},
+    "overfit_study": {"d": 3, "runs": 2, "sample_sizes": (20, 50), "null_count": 100},
+    "shuffle_target": {"input_path": SAMPLE_CSV, "null_count": 100},
+}
+
+
 class TestStudies:
     def test_simulation_study_deterministic(self):
         cfg = ExperimentConfig(mode="simulate", d=4, n=400, runs=3, seed=8)
@@ -406,11 +428,24 @@ class TestStudies:
         assert r1.summary == r2.summary
         assert len(r1.records) == 3
 
-    def test_simulation_study_record_fields(self):
-        cfg = ExperimentConfig(mode="simulate", d=3, n=300, runs=2, seed=1)
-        rep = run(cfg)
-        for rec in rep.records:
-            assert {"run", "true_beta", "beta_hat", "theta_hat", "boundary"} <= set(rec)
+    def test_the_table_gives_each_mode_its_record_fields(self):
+        fields = {mode: fit for mode, (_, fit) in RECORD_KEYS.items()}
+        assert {mode: op[2] for mode, op in harness.OPERATIONS.items()} == fields
+
+    @pytest.mark.parametrize("mode", sorted(RECORD_KEYS))
+    def test_record_fields(self, mode):
+        key, fit = RECORD_KEYS[mode]
+        records = run(ExperimentConfig(mode=mode, **RECORD_CONFIGS[mode])).records
+        assert records and [list(r) for r in records] == [[*key, *fit]] * len(records)
+
+    def test_shuffle_zero_signal_and_error_record_fields(self, tmp_path):
+        # the constant column has no signal, and makes every other column's predictors singular
+        g = np.random.default_rng(4)
+        matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
+        records, _ = shuffle_target_analysis(tmp_path, matrix, null_count=100)
+        assert [list(r) for r in records] == (
+            [["column", "name", "error"]] * 3 + [["column", "name", "zero_signal"]]
+        )
 
     def test_rejection_study_nested_levels(self):
         cfg = ExperimentConfig(

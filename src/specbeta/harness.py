@@ -8,12 +8,13 @@ a whole report is byte-identical across repeats.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import functools
 import itertools
 import json
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -171,6 +172,8 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
         such as a cell over ``csv.field_size_limit()`` (coordinates reported).
     NonNumericError
         On a non-numeric cell outside the header (location reported).
+    DataError
+        On a NaN or infinite cell, such as ``nan`` or ``1e999`` (location reported).
     """
     path = Path(path)
     try:
@@ -193,7 +196,14 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
         names = [cell.strip() for cell in first[1]]
         data = _loadtxt_rows(lines[first[0]:], ncols)
     if data is None:
-        data = _convert_rows(path, list(rows), ncols)
+        rows = list(rows)
+        data = _convert_rows(path, rows, ncols)
+    if not np.isfinite(data).all():
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        line, cells = list(rows)[i]
+        raise DataError(
+            f"{path}: non-finite entries in data: {cells[j]!r} at row {line}, column {j + 1}"
+        )
     return data, names
 
 
@@ -329,13 +339,14 @@ def run(config: ExperimentConfig) -> Report:
     return Report(echo, records, summary)
 
 
-def fit_record(config: ExperimentConfig, rng: np.random.Generator, cov: CovarianceModel,
-               true_beta: float | None = None) -> dict:
+def fit_record(config: ExperimentConfig, normals: Callable[..., NDArray[np.float64]],
+               cov: CovarianceModel, true_beta: float | None = None) -> dict:
     """The record fields OPERATIONS lists for ``config.mode``, in order, of one fit.
 
-    The estimate runs where the record holds beta_hat, then the test, which
-    continues ``rng``, where it holds p_value.  ``true_beta`` is the known
-    strength of a study's model.
+    The estimate runs where the record holds beta_hat, then the test where
+    it holds p_value, on ``normals((null_count, d))``, a block of standard
+    normals: a run generator's ``standard_normal``, or a block drawn ahead.
+    ``true_beta`` is the known strength of a study's model.
     """
     names = OPERATIONS[config.mode][2]
     values = {"true_beta": true_beta, "tau_inv": cov.tau_inv, "d": cov.d, "n": cov.n,
@@ -344,7 +355,7 @@ def fit_record(config: ExperimentConfig, rng: np.random.Generator, cov: Covarian
         est = estimator.estimate_confounding(cov)
         values.update(beta_hat=est.beta_hat, theta_hat=est.theta_hat, boundary=est.boundary)
     if "p_value" in names:
-        res = cdtest.test_nonconfounding(cov, config.null_count, rng)
+        res = cdtest.test_nonconfounding(cov, normals((config.null_count, cov.d)))
         values.update(t_observed=res.t_observed, p_value=res.p_value,
                       reject_at_alpha=res.p_value <= config.alpha)
     return {name: values[name] for name in names}
@@ -353,28 +364,86 @@ def fit_record(config: ExperimentConfig, rng: np.random.Generator, cov: Covarian
 def run_estimate(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Estimate confounding strength of the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
-    record = fit_record(config, run_rng(config.seed), cov)
+    record = fit_record(config, run_rng(config.seed).standard_normal, cov)
     return [record], {"beta_hat": record["beta_hat"]}
 
 
 def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Test the no-confounding null on the CSV target named by ``config``."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
-    record = fit_record(config, run_rng(config.seed), cov)
+    record = fit_record(config, run_rng(config.seed).standard_normal, cov)
     return [record], {"p_value": record["p_value"]}
 
 
-# Runs a study starts ahead of the one it settles: enough that the calling
-# thread finds queued latent steps to draw (4 and 10 measured the same), few
-# enough that a long study holds little memory in flight.
+# Keys the driver starts ahead of the one it settles: enough that the calling
+# thread finds queued draws to take (4 and 10 measured the same), few enough
+# that a long study holds little memory in flight.
 LOOKAHEAD = 4
+
+
+def _drawn_ahead(
+    keys: Iterable, start: Callable[..., tuple], draw: Callable
+) -> Iterator[tuple[object, Callable[[], tuple], Callable[[], object]]]:
+    """``(key, started, drawn)`` for each key in order, its draw made ahead on a worker.
+
+    ``started()`` gives ``start(key)``, called on the calling thread when the
+    key is started, up to LOOKAHEAD keys ahead of the one yielded.
+    ``drawn()`` gives ``draw(*started())``, queued on one worker thread when
+    the key is started.  Each raises what its call raised, and ``drawn()``
+    raises what ``start`` raised.  While the draw ``drawn()`` asks for is not
+    done, the calling thread cancels the next draw the worker has not
+    started, in key order, and makes it itself, so each draw runs on one
+    thread, after its start.
+
+    Close the generator (``contextlib.closing``) where its caller stops early:
+    the draws started ahead are then dropped, those the worker has not
+    begun are cancelled, and the worker is joined.
+    """
+    # Imported here, not at the top: it would add to the CLI's start-up time.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    def called(fn: Callable, /, *args) -> Future:
+        """A future of ``fn(*args)``, called on this thread."""
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:  # raised by result(), when its key is settled
+            future.set_exception(err)
+        return future
+
+    worker = ThreadPoolExecutor(max_workers=1)
+
+    def begin(key) -> list:
+        started = called(start, key)
+        if started.exception():
+            return [key, started, started]
+        return [key, started, worker.submit(draw, *started.result())]
+
+    try:
+        todo = iter(keys)
+        ahead = collections.deque(map(begin, itertools.islice(todo, LOOKAHEAD)))
+        while ahead:
+            settling = ahead.popleft()
+            ahead.extend(map(begin, itertools.islice(todo, 1)))
+
+            def drawn(settling=settling) -> object:
+                for queued in (settling, *ahead):
+                    if settling[2].done():
+                        break
+                    if queued[2].cancel():  # only a draw the worker has not started
+                        queued[2] = called(draw, *queued[1].result())
+                return settling[2].result()
+
+            yield settling[0], settling[1].result, drawn
+    finally:
+        worker.shutdown(cancel_futures=True)
 
 
 def _run_study(
     seed: int,
     keys: list[dict],
     model: Callable[..., tuple[genmodel.GroundTruth, int, float]],
-    fit: Callable[[np.random.Generator, CovarianceModel, float], dict],
+    fit: Callable[[Callable[..., NDArray[np.float64]], CovarianceModel, float], dict],
 ) -> tuple[list[dict], int]:
     """Records and failure count of a seeded study, one run per key, in order.
 
@@ -385,57 +454,31 @@ def _run_study(
     2. the latent moments of ``genmodel.sample_covariance(truth, n,
        noise_sd, rng)`` are drawn;
     3. the rest of ``sample_covariance`` gives ``(cov, beta)``, and the
-       run's record is ``{**key, **fit(rng, cov, beta)}``.
+       run's record is ``{**key, **fit(rng.standard_normal, cov, beta)}``.
 
-    Steps 1 and 3 run on the calling thread, which starts runs up to LOOKAHEAD
-    ahead of the one it settles and queues their step 2 on one worker thread; a
-    run holds futures of its steps 1 and 2, each with the result or the
-    exception.  While the run to settle is not drawn, the calling thread
-    cancels the next step the worker has not started, in run order, and draws
-    it itself, so each step runs on one thread between its run's steps 1 and 3.
-    Runs settle in key order, so the result is a serial loop's: a
-    ``SpecbetaError`` in any step of a run leaves an ``error`` record, the
-    study aborts once more than MAX_FAILURE_FRACTION of the planned runs have
-    failed, and any other exception propagates when its run is settled.
+    Steps 1 and 3 run on the calling thread; ``_drawn_ahead`` starts runs
+    with step 1 and makes their step 2 on its worker, or on the calling
+    thread when the run to settle is not drawn yet.  Runs settle in key
+    order, so the result is a serial loop's: a ``SpecbetaError`` in any step
+    of a run leaves an ``error`` record, the study aborts once more than
+    MAX_FAILURE_FRACTION of the planned runs have failed, and any other
+    exception propagates when its run is settled.
     """
-    # Imported here, not at the top: it would add to the CLI's start-up time.
-    from concurrent.futures import Future, ThreadPoolExecutor
-
     records: list[dict] = []
     failures = 0
-    worker = ThreadPoolExecutor(max_workers=1)
 
-    def drawn(step: Callable, /, *args, **kwargs) -> Future:
-        """A future of ``step(*args, **kwargs)``, called on this thread."""
-        future = Future()
-        try:
-            future.set_result(step(*args, **kwargs))
-        except Exception as err:  # raised by result(), when its run is settled
-            future.set_exception(err)
-        return future
-
-    def start(key: dict) -> list:
-        """[key, rng, step 1, step 2 queued (step 1 again if that failed)]."""
+    def start(key: dict) -> tuple:
         rng = run_rng(seed, *key.values())
-        model_step = drawn(model, rng, **key)
-        latent_step = model_step if model_step.exception() else worker.submit(
-            genmodel._latent_moments, *model_step.result(), rng)
-        return [key, rng, model_step, latent_step]
+        return (*model(rng, **key), rng)
 
-    try:
-        todo = iter(keys)
-        ahead = collections.deque(map(start, itertools.islice(todo, LOOKAHEAD)))
-        while ahead:
-            key, rng, model_step, _ = settling = ahead.popleft()
-            ahead.extend(map(start, itertools.islice(todo, 1)))
+    # A run started ahead of an abort or an error is dropped unsettled, as a
+    # serial loop would not have reached it.
+    with contextlib.closing(_drawn_ahead(keys, start, genmodel._latent_moments)) as runs:
+        for key, started, drawn in runs:
             try:
-                for queued in (settling, *ahead):
-                    if settling[3].done():
-                        break
-                    if queued[3].cancel():  # only a step the worker has not started
-                        queued[3] = drawn(genmodel._latent_moments, *queued[2].result(), queued[1])
-                cov, beta = genmodel._fitted_model(model_step.result()[0], *settling[3].result())
-                records.append({**key, **fit(rng, cov, beta)})
+                truth, *_, rng = started()
+                cov, beta = genmodel._fitted_model(truth, *drawn())
+                records.append({**key, **fit(rng.standard_normal, cov, beta)})
             except SpecbetaError as err:
                 failures += 1
                 if failures > MAX_FAILURE_FRACTION * len(keys):
@@ -444,11 +487,6 @@ def _run_study(
                         f"(> {MAX_FAILURE_FRACTION:.0%})"
                     )
                 records.append({**key, "error": str(err)})
-    finally:
-        # A run started ahead of an abort or an error is dropped unsettled, as
-        # a serial loop would not have reached it: its queued step is
-        # cancelled, and the worker is joined.
-        worker.shutdown(cancel_futures=True)
     return records, failures
 
 
@@ -555,7 +593,10 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
 
     Emits one record per column, in column order, with the estimate and the
     non-confounding test p-value.  A vanishing cross-covariance is reported
-    as a ``zero_signal`` flag rather than a number.
+    as a ``zero_signal`` flag rather than a number.  Column j's null block,
+    ``run_rng(seed, j).standard_normal((null_count, d))``, depends on no
+    data, so ``_drawn_ahead`` draws it on its worker while the calling
+    thread fits the columns before it and column j's estimate.
     """
     matrix, names = read_numeric_csv(config.input_path)
     n, ncols = matrix.shape
@@ -571,19 +612,24 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
     with np.errstate(over="ignore", invalid="ignore"):
         centered = matrix - matrix.mean(axis=0)
         joint = (centered.T @ centered) / n
+
+    def null_block(j: int) -> NDArray[np.float64]:
+        return run_rng(config.seed, j).standard_normal((config.null_count, ncols - 1))
+
     records: list[dict] = []
-    for j in range(ncols):
-        rest = np.delete(np.arange(ncols), j)
-        key = {"column": j, "name": names[j]}
-        try:
-            cov = covariance_from_moments(
-                joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n
-            )
-            records.append({**key, **fit_record(config, run_rng(config.seed, j), cov)})
-        except ZeroSignalError:
-            records.append({**key, "zero_signal": True})
-        except SpecbetaError as err:
-            records.append({**key, "error": str(err)})
+    with contextlib.closing(_drawn_ahead(range(ncols), lambda j: (j,), null_block)) as columns:
+        for j, _, block in columns:
+            rest = np.delete(np.arange(ncols), j)
+            key = {"column": j, "name": names[j]}
+            try:
+                cov = covariance_from_moments(
+                    joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n
+                )
+                records.append({**key, **fit_record(config, lambda shape: block(), cov)})
+            except ZeroSignalError:
+                records.append({**key, "zero_signal": True})
+            except SpecbetaError as err:
+                records.append({**key, "error": str(err)})
     ok = [r for r in records if "beta_hat" in r]
     summary = {
         "columns": ncols,

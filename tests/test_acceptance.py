@@ -189,7 +189,8 @@ def test_c06_overfit_pvalues_small_n_and_uniform_large_n():
     for i in range(500):
         g = run_rng(0, 20, i)
         ds = overfit_dataset(10, 20, g)
-        res = run_nonconfounding_test(empirical_covariance(ds), 1000, g)
+        cov = empirical_covariance(ds)
+        res = run_nonconfounding_test(cov, g.standard_normal((1000, cov.d)))
         independent.append(res.p_value)
     assert np.mean(np.asarray(independent) <= cfg.alpha) > 0.5
 
@@ -205,7 +206,8 @@ def test_c07_test_level_calibration():
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
         ds = generate_samples(t, 10000, 0.0, g)
         try:
-            res = run_nonconfounding_test(empirical_covariance(ds), 1000, g)
+            cov = empirical_covariance(ds)
+            res = run_nonconfounding_test(cov, g.standard_normal((1000, cov.d)))
             pvals.append(res.p_value)
         except RankDeficientError:
             # a nearly singular random mixing matrix does not yield a

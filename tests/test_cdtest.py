@@ -17,6 +17,7 @@ from specbeta import (
     unit_direction,
 )
 from specbeta import test_nonconfounding as run_nonconfounding_test
+from specbeta.cdtest import MIN_NULL_COUNT
 from specbeta.genmodel import GroundTruth
 
 from conftest import cov_from_spectrum, eigvec_coords, factorial_cov, random_orthogonal
@@ -64,18 +65,20 @@ class TestStatistic:
 class TestNullSamplers:
     def test_sphere_identity_covariance_all_zero(self):
         cov = cov_from_spectrum([1.0, 1.0, 1.0])
-        samples = null_samples_sphere(cov, 500, np.random.default_rng(0))
+        samples = null_samples_sphere(cov, np.random.default_rng(0).standard_normal((500, cov.d)))
         np.testing.assert_allclose(samples, 0.0, atol=1e-14)
 
     def test_sphere_mean_zero(self, rng):
         cov = cov_from_spectrum(rng.uniform(0.3, 4.0, size=8))
-        samples = null_samples_sphere(cov, 100000, np.random.default_rng(1))
+        samples = null_samples_sphere(
+            cov, np.random.default_rng(1).standard_normal((100000, cov.d)))
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean()) <= 3 * se
 
     def test_sphere_two_dim_range(self):
         cov = cov_from_spectrum([1.0, 4.0])
-        samples = null_samples_sphere(cov, 100000, np.random.default_rng(2))
+        samples = null_samples_sphere(
+            cov, np.random.default_rng(2).standard_normal((100000, cov.d)))
         assert samples.min() >= -0.2652 and samples.max() <= 0.2652
 
     # the in-place squaring must give the bytes of the formula written out
@@ -91,33 +94,57 @@ class TestNullSamplers:
         w2 = b * b
         w2 = w2 / w2.sum(axis=1, keepdims=True)
         sphere = (w2 @ inv - cov.tau_inv) / root_d
-        assert null_samples_sphere(cov, 300, np.random.default_rng(seed)).tobytes() == sphere.tobytes()
+        normals = np.random.default_rng(seed).standard_normal((300, cov.d))
+        assert null_samples_sphere(cov, normals).tobytes() == sphere.tobytes()
 
     def test_count_floor(self):
         cov = cov_from_spectrum([1.0, 2.0])
         with pytest.raises(ValueError):
-            null_samples_sphere(cov, 99, np.random.default_rng(0))
+            null_samples_sphere(cov, np.random.default_rng(0).standard_normal((99, cov.d)))
+
+    @pytest.mark.parametrize("shape", [(100, 1), (100, 3), (100,), (1, 100, 2)])
+    def test_block_of_the_wrong_shape(self, shape):
+        cov = cov_from_spectrum([1.0, 2.0])
+        with pytest.raises(ValueError, match="null block must be"):
+            null_samples_sphere(cov, np.ones(shape))
+
+    @pytest.mark.parametrize("rows", [0, 1, 99])
+    def test_block_of_too_few_rows(self, rows):
+        cov = cov_from_spectrum([1.0, 2.0])
+        with pytest.raises(ValueError, match=f"must be >= {MIN_NULL_COUNT}, got {rows}$"):
+            null_samples_sphere(cov, np.ones((rows, 2)))
+        with pytest.raises(ValueError, match=f"must be >= {MIN_NULL_COUNT}, got {rows}$"):
+            run_nonconfounding_test(cov_from_spectrum([1.0, 2.0], sigma_xy=[1.0, 1.0]),
+                                    np.ones((rows, 2)))
+
+    def test_the_block_is_scratch_space(self):
+        # overwritten with the squared unit directions, so a block reused would be no sample
+        cov = cov_from_spectrum([1.0, 2.0, 5.0])
+        normals = np.random.default_rng(3).standard_normal((200, 3))
+        directions = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+        null_samples_sphere(cov, normals)
+        np.testing.assert_allclose(normals, directions**2, rtol=1e-14)
 
 
 class TestNonconfoundingTest:
     def test_deterministic(self):
         t = sample_ground_truth(5, 5, np.random.default_rng(3))
         cov = empirical_covariance(generate_samples(t, 2000, 0.0, np.random.default_rng(3)))
-        r1 = run_nonconfounding_test(cov, 1000, np.random.default_rng(42))
-        r2 = run_nonconfounding_test(cov, 1000, np.random.default_rng(42))
+        r1 = run_nonconfounding_test(cov, np.random.default_rng(42).standard_normal((1000, cov.d)))
+        r2 = run_nonconfounding_test(cov, np.random.default_rng(42).standard_normal((1000, cov.d)))
         assert r1.t_observed == r2.t_observed
         assert r1.p_value == r2.p_value
         # the statistic draws nothing, so the test's null is this stream's first draw
-        null1 = null_samples_sphere(cov, 1000, np.random.default_rng(42))
-        null2 = null_samples_sphere(cov, 1000, np.random.default_rng(42))
+        null1 = null_samples_sphere(cov, np.random.default_rng(42).standard_normal((1000, cov.d)))
+        null2 = null_samples_sphere(cov, np.random.default_rng(42).standard_normal((1000, cov.d)))
         np.testing.assert_array_equal(null1, null2)
         assert r1.p_value == (1 + int(np.sum(null1 >= r1.t_observed))) / 1001
 
     def test_p_value_formula_and_range(self):
         t = sample_ground_truth(6, 6, np.random.default_rng(1))
         cov = empirical_covariance(generate_samples(t, 3000, 0.0, np.random.default_rng(1)))
-        res = run_nonconfounding_test(cov, 500, np.random.default_rng(0))
-        null = null_samples_sphere(cov, 500, np.random.default_rng(0))
+        res = run_nonconfounding_test(cov, np.random.default_rng(0).standard_normal((500, cov.d)))
+        null = null_samples_sphere(cov, np.random.default_rng(0).standard_normal((500, cov.d)))
         recomputed = (1 + int(np.sum(null >= res.t_observed))) / 501
         assert null.shape == (500,)
         assert res.p_value == recomputed
@@ -126,13 +153,15 @@ class TestNonconfoundingTest:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orthogonal_design_gives_p_one(self, seed):
         # on a flat spectrum the observed statistic and every null draw are rounding noise
-        res = run_nonconfounding_test(factorial_cov(seed), 1000, np.random.default_rng(seed))
+        cov = factorial_cov(seed)
+        res = run_nonconfounding_test(
+            cov, np.random.default_rng(seed).standard_normal((1000, cov.d)))
         assert res.p_value == 1.0
 
     @pytest.mark.parametrize("scale", [1e-120, 1e-3, 1.0, 1e5, 1e120])
     def test_isotropic_spectrum_gives_p_one(self, rng, scale):
         cov = cov_from_spectrum([scale] * 7, sigma_xy=scale * rng.standard_normal(7), n=100)
-        assert run_nonconfounding_test(cov, 1000, rng).p_value == 1.0
+        assert run_nonconfounding_test(cov, rng.standard_normal((1000, cov.d))).p_value == 1.0
 
     def test_confounded_data_rejects(self):
         rejections = 0
@@ -141,7 +170,7 @@ class TestNonconfoundingTest:
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c, sigma_a=0.0, sigma_c=max(t.sigma_c, 0.2))
             cov = empirical_covariance(generate_samples(t, 10000, 0.0, g))
-            res = run_nonconfounding_test(cov, 1000, g)
+            res = run_nonconfounding_test(cov, g.standard_normal((1000, cov.d)))
             rejections += res.p_value < 0.05
         # observed rate is about 0.75 over these seeds; a clear majority
         assert rejections >= 130
@@ -152,10 +181,12 @@ class TestNonconfoundingTest:
         )
         y = np.array([1.0, -1.0, -1.0, 1.0])
         with pytest.raises(ZeroSignalError):
-            run_nonconfounding_test(empirical_covariance(DataMatrix(x=x, y=y)), 200, np.random.default_rng(0))
+            run_nonconfounding_test(empirical_covariance(DataMatrix(x=x, y=y)),
+                                    np.random.default_rng(0).standard_normal((200, 2)))
 
     @pytest.mark.parametrize("value", [0.1, 1e5 / 3])
     def test_constant_target_is_zero_signal(self, rng, value):
         data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
         with pytest.raises(ZeroSignalError):
-            run_nonconfounding_test(empirical_covariance(data), 200, np.random.default_rng(0))
+            run_nonconfounding_test(empirical_covariance(data),
+                                    np.random.default_rng(0).standard_normal((200, 3)))

@@ -622,6 +622,21 @@ class TestShuffleTarget:
         assert out == ""
         assert "non-finite entries in data" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "test", "shuffle-target"])
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_named(self, capsys, tmp_path, command, header, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text("a,b,c\n" * header + f"1,2,3\n4,{cell},6\n7,8,10\n2,1,0\n")
+        argv = [command, "--input", str(p)]
+        if command != "shuffle-target":
+            argv += ["--target", "c" if header else "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        row = 2 + header  # the line in the file
+        assert err == (f"specbeta: data error: {p}: non-finite entries in data: "
+                       f"'{cell}' at row {row}, column 2\n")
+
     def test_two_columns_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "two.csv"
         p.write_text("a,b\n1,2\n2,5\n3,4\n4,9\n")

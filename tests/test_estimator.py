@@ -596,7 +596,8 @@ class TestIllConditioning:
             warnings.simplefilter("error")
             cov = CovarianceModel.from_matrices(s, s @ a, n=10 * d)
             est = estimate_confounding(cov)
-            res = run_nonconfounding_test(cov, 200, np.random.default_rng(0))
+            res = run_nonconfounding_test(
+                cov, np.random.default_rng(0).standard_normal((200, cov.d)))
         assert math.isfinite(est.theta_hat) and est.theta_hat >= 0.0
         assert 0.0 <= est.beta_hat <= 1.0
         assert 0.0 < res.p_value <= 1.0

@@ -33,7 +33,7 @@ from specbeta import (
     run,
 )
 from specbeta import DataMatrix, cdtest, empirical_covariance, estimator, genmodel, harness
-from specbeta.errors import DataError
+from specbeta.errors import DataError, ZeroSignalError
 from specbeta.harness import run_rng, stable_json
 from specbeta.spectral import covariance_from_moments
 
@@ -110,6 +110,20 @@ class TestReadNumericCsv:
         with pytest.raises(ParseError, match="row 4: field larger than field limit"):
             read_numeric_csv(p)
 
+    # quoted and padded cells leave np.loadtxt to the row loop; both name the same cell
+    @pytest.mark.parametrize("text, cell, row, column", [
+        ("a,b\n1,2\n\n3,1e999\n", "1e999", 4, 2),
+        ('a,b\n1,2\n"-Infinity",4\n', "-Infinity", 3, 1),
+        ("1,2\n3, nan \n", " nan ", 2, 2),
+    ])
+    def test_non_finite_cell_reports_position(self, tmp_path, text, cell, row, column):
+        p = write_csv(tmp_path / "f.csv", text)
+        with pytest.raises(DataError) as err:
+            read_numeric_csv(p)
+        assert str(err.value) == (
+            f"{p}: non-finite entries in data: {cell!r} at row {row}, column {column}"
+        )
+
     def test_oversized_header_cell_is_parse_error(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "\na," + "b" * 140_001 + "\n1,2\n")
         with pytest.raises(ParseError, match="row 2: field larger than field limit"):
@@ -156,6 +170,7 @@ CSV_EDGE_CASES = {
     "header narrower than rows": "a,b\n1,2,3\n",
     "padded cells": "a,b\n 1 ,\t2\n3 , 4\n",
     "special floats": "a,b\nnan,-inf\nInfinity,-0\n1e308,4.9e-324\n",
+    "finite extremes": "a,b\n-0,1e308\n4.9e-324,-1.7976931348623157e308\n",
     "empty cell": "a,b\n1,\n",
     "no final newline": "a,b\n1,2\n3,4",
     "text cell": "a,b\n1,2\n3,x\n",
@@ -548,7 +563,8 @@ def serial_study(config):
                 fit = {"true_beta": beta, "beta_hat": est.beta_hat,
                        "theta_hat": est.theta_hat, "boundary": est.boundary}
             else:
-                res = cdtest.test_nonconfounding(cov, config.null_count, rng)
+                normals = rng.standard_normal((config.null_count, cov.d))
+                res = cdtest.test_nonconfounding(cov, normals)
                 fit = {"p_value": res.p_value}
                 if config.mode == "rejection_study":
                     fit = {"true_beta": beta, "t_observed": res.t_observed, **fit}
@@ -620,6 +636,70 @@ def hold_the_worker(monkeypatch, steals=2, timeout=10.0):
     return stolen
 
 
+@pytest.fixture
+def shuffle_config(tmp_path):
+    """A shuffle-target config on a headerless CSV of 300 rows and 9 correlated columns."""
+    g = np.random.default_rng(6)
+    path = tmp_path / "columns.csv"
+    np.savetxt(path, g.standard_normal((300, 11)) @ g.standard_normal((11, 9)),
+               fmt="%.17g", delimiter=",")
+    return ExperimentConfig(mode="shuffle_target", input_path=str(path), seed=5, null_count=100)
+
+
+def serial_shuffle(config):
+    """Records of shuffle-target from a plain loop over public calls, column by column.
+
+    Column j's covariance is the joint covariance's block, and its null block
+    is the first draw of ``run_rng(seed, j)``.
+    """
+    matrix, names = read_numeric_csv(config.input_path)
+    n, ncols = matrix.shape
+    centered = matrix - matrix.mean(axis=0)
+    joint = (centered.T @ centered) / n
+    records = []
+    for j in range(ncols):
+        rest = np.delete(np.arange(ncols), j)
+        key = {"column": j, "name": names[j]}
+        try:
+            cov = covariance_from_moments(
+                joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n)
+            est = estimator.estimate_confounding(cov)
+            normals = run_rng(config.seed, j).standard_normal((config.null_count, cov.d))
+            res = cdtest.test_nonconfounding(cov, normals)
+            records.append({**key, "beta_hat": est.beta_hat, "theta_hat": est.theta_hat,
+                            "boundary": est.boundary, "t_observed": res.t_observed,
+                            "p_value": res.p_value})
+        except ZeroSignalError:
+            records.append({**key, "zero_signal": True})
+        except SpecbetaError as err:
+            records.append({**key, "error": str(err)})
+    return records
+
+
+def hold_the_shuffle_worker(monkeypatch, steals=2, timeout=10.0):
+    """Hold the worker in its first null block until the calling thread has drawn ``steals``.
+
+    Returns the columns whose block the calling thread drew.
+    """
+    original = harness.run_rng
+    caller = threading.get_ident()
+    stolen, taken, released = [], threading.Event(), threading.Event()
+
+    def rng(seed, column):
+        if threading.get_ident() == caller:
+            stolen.append(column)
+            if len(stolen) >= steals:
+                released.set()
+        elif not taken.is_set():
+            taken.set()
+            if not released.wait(timeout):
+                raise TimeoutError("the calling thread drew no null block")
+        return original(seed, column)
+
+    monkeypatch.setattr(harness, "run_rng", rng)
+    return stolen
+
+
 def outcome(records_of, config):
     """The study's records, or the message of the RuntimeError that aborted it."""
     try:
@@ -648,7 +728,7 @@ class TestStudyDriver:
             sys.setswitchinterval(interval)
         assert {stable_json(r) for r in records} == {stable_json(serial_study(config))}
 
-    def test_traced_functions_stay_on_the_calling_thread(self):
+    def test_traced_functions_stay_on_the_calling_thread(self, shuffle_config):
         importlib.import_module("specbeta.cli")  # the tracer patches every traced module
         spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
         spans = importlib.util.module_from_spec(spec)
@@ -667,11 +747,11 @@ class TestStudyDriver:
 
         tracer = ThreadTracer()
         with tracer.installed():
-            for config in DRIVER_CONFIGS.values():
+            for config in (*DRIVER_CONFIGS.values(), shuffle_config):
                 harness.run(config)
         assert {
-            "harness.study", "genmodel.sample_ground_truth", "genmodel.true_beta",
-            "spectral.from_matrices", "estimator.estimate_confounding",
+            "harness.study", "harness.read_numeric_csv", "genmodel.sample_ground_truth",
+            "genmodel.true_beta", "spectral.from_matrices", "estimator.estimate_confounding",
             "cdtest.test_nonconfounding", "cdtest.null_samples_sphere",
         } <= set(threads)
         assert {name: ids for name, ids in threads.items()
@@ -824,6 +904,67 @@ class TestStudyDriver:
         else:
             assert [r["run"] for r in got if "error" in r] == sorted(failing)
             assert len(got) == 20
+
+    def test_shuffle_records_equal_a_serial_loop(self, shuffle_config):
+        records = harness.run(shuffle_config).records
+        assert len(records) == 9 and all("p_value" in r for r in records)
+        assert stable_json(records) == stable_json(serial_shuffle(shuffle_config))
+
+    def test_shuffle_blocks_are_drawn_on_the_worker_or_the_calling_thread(
+        self, monkeypatch, shuffle_config
+    ):
+        original, drawn = harness.run_rng, []
+
+        def recorded(seed, column):
+            drawn.append((column, threading.current_thread()))
+            return original(seed, column)
+
+        monkeypatch.setattr(harness, "run_rng", recorded)
+        harness.run(shuffle_config)
+        assert sorted(column for column, _ in drawn) == list(range(9))
+        workers = {thread for _, thread in drawn} - {threading.current_thread()}
+        assert len(workers) <= 1 and not any(w.is_alive() for w in workers)
+
+    @pytest.mark.parametrize("steals", [2, 4])
+    def test_shuffle_records_equal_a_serial_loop_when_the_caller_steals(
+        self, monkeypatch, shuffle_config, steals
+    ):
+        expected = serial_shuffle(shuffle_config)
+        with monkeypatch.context() as m:
+            stolen = hold_the_shuffle_worker(m, steals)
+            records = harness.run(shuffle_config).records
+        assert len(stolen) >= steals
+        assert stable_json(records) == stable_json(expected)
+
+    def test_shuffle_records_survive_fast_thread_switching(self, shuffle_config):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = [harness.run(shuffle_config).records for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert {stable_json(r) for r in records} == {stable_json(serial_shuffle(shuffle_config))}
+
+    @pytest.mark.parametrize("ending", ["returns", "flags", "raises in a fit", "raises in a draw"])
+    def test_no_thread_outlives_shuffle_target(self, monkeypatch, tmp_path, shuffle_config, ending):
+        before = set(threading.enumerate())
+        if ending == "returns":
+            harness.run(shuffle_config)
+        elif ending == "flags":
+            # the constant column has no signal, and makes every other column's predictors singular
+            g = np.random.default_rng(4)
+            matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
+            records, _ = shuffle_target_analysis(tmp_path, matrix, null_count=100)
+            assert [list(r)[-1] for r in records] == ["error"] * 3 + ["zero_signal"]
+        else:
+            if ending == "raises in a fit":
+                fail_on_calls(monkeypatch, estimator, "estimate_confounding", {2},
+                              error=ArithmeticError)
+            else:
+                fail_on_calls(monkeypatch, harness, "run_rng", {3}, error=ArithmeticError)
+            with pytest.raises(ArithmeticError, match="^injected$"):
+                harness.run(shuffle_config)
+        assert set(threading.enumerate()) == before
 
 
 def shuffle_target_analysis(tmp_path, matrix, **fields):

@@ -259,18 +259,16 @@ def sample_aprime_def2(
 def overfit_dataset(d: int, n: int, rng: np.random.Generator) -> DataMatrix:
     """Independent predictor/target samples, where regression overfits.
 
-    X is produced by a random square mixing matrix applied to standard
-    Gaussian sources and Y is drawn independently N(0,1).  There is no
+    ``generate_samples`` of a model with a = c = 0 and unit noise: X = MZ for a
+    random square M, and Y is N(0,1) noise independent of X.  There is no
     structural confounding, so the true beta is 0 even though finite-sample
     regression on such data behaves like pure confounding.
     """
     if n <= d + 1:
         raise ValueError(f"need n > d + 1, got n={n}, d={d}")
-    m = rng.standard_normal((d, d))
-    z = rng.standard_normal((d, n))
-    x = (m @ z).T
-    y = rng.standard_normal(n)
-    return DataMatrix(x=x, y=y)
+    zero = np.zeros(d)
+    truth = GroundTruth(m=rng.standard_normal((d, d)), a=zero, c=zero, sigma_a=0.0, sigma_c=0.0)
+    return generate_samples(truth, n, 1.0, rng)
 
 
 def sample_causal_truth(d: int, rng: np.random.Generator) -> GroundTruth:

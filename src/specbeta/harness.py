@@ -10,9 +10,9 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
-import functools
 import itertools
 import json
+import math
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
@@ -38,9 +38,9 @@ from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empi
 # the fields fit_record gives each of its records, in report order).  Every
 # mode also reads output_path and fmt, which say where its report goes.
 OPERATIONS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
-    "estimate": ("run_estimate", ("input_path", "target", "normalize"),
+    "estimate": ("fit_csv_target", ("input_path", "target", "normalize"),
                  ("beta_hat", "theta_hat", "tau_inv", "boundary", "d", "n")),
-    "test": ("run_test", ("input_path", "target", "normalize", "seed", "alpha", "null_count"),
+    "test": ("fit_csv_target", ("input_path", "target", "normalize", "seed", "alpha", "null_count"),
              ("t_observed", "p_value", "null_count", "reject_at_alpha")),
     "simulate": ("run_simulation_study", ("d", "latent", "n", "runs", "noise_sd", "seed"),
                  ("true_beta", "beta_hat", "theta_hat", "boundary")),
@@ -163,7 +163,8 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
     """Parse a numeric CSV with an optional, auto-detected single header row.
 
     A first row whose cells are not all numeric is taken as the header;
-    otherwise columns are named col0, col1, ...
+    otherwise columns are named col0, col1, ...  Of several bad cells or
+    rows, the first in file order is reported.
 
     Raises
     ------
@@ -195,15 +196,8 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
     else:
         names = [cell.strip() for cell in first[1]]
         data = _loadtxt_rows(lines[first[0]:], ncols)
-    if data is None:
-        rows = list(rows)
+    if data is None or not np.isfinite(data).all():
         data = _convert_rows(path, rows, ncols)
-    if not np.isfinite(data).all():
-        i, j = np.argwhere(~np.isfinite(data))[0]
-        line, cells = list(rows)[i]
-        raise DataError(
-            f"{path}: non-finite entries in data: {cells[j]!r} at row {line}, column {j + 1}"
-        )
     return data, names
 
 
@@ -242,26 +236,29 @@ def _loadtxt_rows(lines: list[str], ncols: int) -> NDArray[np.float64] | None:
 
 
 def _convert_rows(
-    path: Path, rows: list[tuple[int, list[str]]], ncols: int
+    path: Path, rows: Iterable[tuple[int, list[str]]], ncols: int
 ) -> NDArray[np.float64]:
-    """Convert (line, cells) rows cell by cell, reporting the first bad one."""
-    if not rows:
-        raise ParseError(f"{path}: header but no data rows")
-    data = np.empty((len(rows), ncols), dtype=np.float64)
-    for i, (line, row) in enumerate(rows):
+    """Convert (line, cells) rows cell by cell, reporting the first bad one in file order."""
+    data = []
+    for line, row in rows:
         if len(row) != ncols:
-            raise ParseError(
-                f"{path}: row {line} has {len(row)} cells, expected {ncols}"
-            )
+            raise ParseError(f"{path}: row {line} has {len(row)} cells, expected {ncols}")
+        values = []
         for j, cell in enumerate(row):
             try:
-                data[i, j] = float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise NonNumericError(
-                    f"{path}: non-numeric cell {cell!r} at row {line}, "
-                    f"column {j + 1}"
+                    f"{path}: non-numeric cell {cell!r} at row {line}, column {j + 1}"
                 ) from None
-    return data
+            if not math.isfinite(values[-1]):
+                raise DataError(
+                    f"{path}: non-finite entries in data: {cell!r} at row {line}, column {j + 1}"
+                )
+        data.append(values)
+    if not data:
+        raise ParseError(f"{path}: header but no data rows")
+    return np.array(data, dtype=np.float64)
 
 
 def ingest_csv(
@@ -361,18 +358,11 @@ def fit_record(config: ExperimentConfig, normals: Callable[..., NDArray[np.float
     return {name: values[name] for name in names}
 
 
-def run_estimate(config: ExperimentConfig) -> tuple[list[dict], dict]:
-    """Estimate confounding strength of the CSV target named by ``config``."""
+def fit_csv_target(config: ExperimentConfig) -> tuple[list[dict], dict]:
+    """Fit the CSV target named by ``config``: its estimate or its test, by mode."""
     cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
     record = fit_record(config, run_rng(config.seed).standard_normal, cov)
-    return [record], {"beta_hat": record["beta_hat"]}
-
-
-def run_test(config: ExperimentConfig) -> tuple[list[dict], dict]:
-    """Test the no-confounding null on the CSV target named by ``config``."""
-    cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
-    record = fit_record(config, run_rng(config.seed).standard_normal, cov)
-    return [record], {"p_value": record["p_value"]}
+    return [record], {key: record[key] for key in ("beta_hat", "p_value") if key in record}
 
 
 # Keys the driver starts ahead of the one it settles: enough that the calling
@@ -440,21 +430,21 @@ def _drawn_ahead(
 
 
 def _run_study(
-    seed: int,
+    config: ExperimentConfig,
     keys: list[dict],
     model: Callable[..., tuple[genmodel.GroundTruth, int, float]],
-    fit: Callable[[Callable[..., NDArray[np.float64]], CovarianceModel, float], dict],
 ) -> tuple[list[dict], int]:
-    """Records and failure count of a seeded study, one run per key, in order.
+    """Records and failure count of ``config``'s seeded study, one run per key, in order.
 
-    A run's generator ``rng``, seeded from ``seed`` and the key's values in
-    order, is continued by three steps, one after another:
+    A run's generator ``rng``, seeded from ``config.seed`` and the key's
+    values in order, is continued by three steps, one after another:
 
     1. ``model(rng, **key)`` gives ``(truth, n, noise_sd)``;
     2. the latent moments of ``genmodel.sample_covariance(truth, n,
        noise_sd, rng)`` are drawn;
     3. the rest of ``sample_covariance`` gives ``(cov, beta)``, and the
-       run's record is ``{**key, **fit(rng.standard_normal, cov, beta)}``.
+       run's record is ``{**key, **fit_record(config, rng.standard_normal,
+       cov, beta)}``.
 
     Steps 1 and 3 run on the calling thread; ``_drawn_ahead`` starts runs
     with step 1 and makes their step 2 on its worker, or on the calling
@@ -468,7 +458,7 @@ def _run_study(
     failures = 0
 
     def start(key: dict) -> tuple:
-        rng = run_rng(seed, *key.values())
+        rng = run_rng(config.seed, *key.values())
         return (*model(rng, **key), rng)
 
     # A run started ahead of an abort or an error is dropped unsettled, as a
@@ -478,7 +468,7 @@ def _run_study(
             try:
                 truth, *_, rng = started()
                 cov, beta = genmodel._fitted_model(truth, *drawn())
-                records.append({**key, **fit(rng.standard_normal, cov, beta)})
+                records.append({**key, **fit_record(config, rng.standard_normal, cov, beta)})
             except SpecbetaError as err:
                 failures += 1
                 if failures > MAX_FAILURE_FRACTION * len(keys):
@@ -498,7 +488,7 @@ def _source_mixing_study(config: ExperimentConfig) -> tuple[list[dict], int]:
         return genmodel.sample_ground_truth(config.d, config.ell, rng), config.n, noise_sd
 
     keys = [{"run": i} for i in range(config.runs)]
-    return _run_study(config.seed, keys, model, functools.partial(fit_record, config))
+    return _run_study(config, keys, model)
 
 
 def run_simulation_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -563,7 +553,7 @@ def run_overfit_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
         return genmodel.sample_causal_truth(config.d, rng), n, noise_sd
 
     keys = [{"n": n, "run": i} for n in config.sample_sizes for i in range(config.runs)]
-    records, failures = _run_study(config.seed, keys, model, functools.partial(fit_record, config))
+    records, failures = _run_study(config, keys, model)
     ok = [r for r in records if "error" not in r]
     per_n = []
     edges = np.linspace(0.0, 1.0, 11)

@@ -372,6 +372,17 @@ class TestOverfitDataset:
         np.testing.assert_array_equal(ds.x, (m @ z).T)
         np.testing.assert_array_equal(ds.y, g.standard_normal(30))
 
+    @pytest.mark.parametrize("d, n, seed", [(1, 3, 0), (4, 30, 7), (10, 200, 11)])
+    def test_is_generate_samples_of_a_signal_free_model(self, d, n, seed):
+        # the mixing matrix is the first draw, then generate_samples continues the generator
+        ds = overfit_dataset(d, n, np.random.default_rng(seed))
+        g = np.random.default_rng(seed)
+        truth = GroundTruth(m=g.standard_normal((d, d)), a=np.zeros(d), c=np.zeros(d),
+                            sigma_a=0.0, sigma_c=0.0)
+        want = generate_samples(truth, n, 1.0, g)
+        assert ds.x.tobytes() == want.x.tobytes()
+        assert ds.y.tobytes() == want.y.tobytes()
+
     def test_deterministic(self):
         d1 = overfit_dataset(4, 30, np.random.default_rng(5))
         d2 = overfit_dataset(4, 30, np.random.default_rng(5))

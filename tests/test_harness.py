@@ -110,11 +110,18 @@ class TestReadNumericCsv:
         with pytest.raises(ParseError, match="row 4: field larger than field limit"):
             read_numeric_csv(p)
 
-    # quoted and padded cells leave np.loadtxt to the row loop; both name the same cell
+    # quoted and padded cells leave np.loadtxt to the row loop; both name the same
+    # cell.  Of several bad cells the first in file order is named, whatever the
+    # later one is: a text cell, a ragged row, or a cell the csv module cannot read.
     @pytest.mark.parametrize("text, cell, row, column", [
         ("a,b\n1,2\n\n3,1e999\n", "1e999", 4, 2),
         ('a,b\n1,2\n"-Infinity",4\n', "-Infinity", 3, 1),
         ("1,2\n3, nan \n", " nan ", 2, 2),
+        ("a,b\n1,nan\n3,x\n", "nan", 2, 2),
+        ("1,2\n-inf,x\n", "-inf", 2, 1),
+        ("a,b\n1,2\ninf,4\n5\n", "inf", 3, 1),
+        pytest.param("a,b\nnan,2\n" + "1" * 140_001 + ",3\n", "nan", 2, 1,
+                     id="nan-before-oversized-cell"),
     ])
     def test_non_finite_cell_reports_position(self, tmp_path, text, cell, row, column):
         p = write_csv(tmp_path / "f.csv", text)
@@ -174,6 +181,7 @@ CSV_EDGE_CASES = {
     "empty cell": "a,b\n1,\n",
     "no final newline": "a,b\n1,2\n3,4",
     "text cell": "a,b\n1,2\n3,x\n",
+    "nan before text cell": "a,b\n1,nan\n3,x\n",
     "ascii separators": "a,b\n1\x1c,2\n",
     "unicode digit": "a,b\n\u0661,2\n",
 }
@@ -834,10 +842,11 @@ class TestStudyDriver:
 
         if hold:  # the calling thread draws runs 1 to 4
             hold_the_worker(monkeypatch, steals=4)
-        keys = [{"run": i} for i in range(20)]
+        config = ExperimentConfig(mode="simulate", d=3, n=50, runs=20, seed=0)
+        keys = [{"run": i} for i in range(config.runs)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records, failures = harness._run_study(0, keys, model, lambda *_: {})
+            records, failures = harness._run_study(config, keys, model)
         assert failures == 1
         assert records[3] == {"run": 3, "error": "noise moments overflow at noise_sd=1e+200"}
         assert [r for r in records if "error" in r] == [records[3]]

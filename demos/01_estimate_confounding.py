@@ -33,10 +33,8 @@ def main():
     truth = sample_ground_truth(d=10, ell=10, rng=rng)
     from specbeta.genmodel import GroundTruth
 
-    causal = GroundTruth(m=truth.m, a=truth.a, c=np.zeros(10),
-                         sigma_a=truth.sigma_a, sigma_c=0.0)
-    confounded = GroundTruth(m=truth.m, a=np.zeros(10), c=truth.c,
-                             sigma_a=0.0, sigma_c=max(truth.sigma_c, 0.3))
+    causal = GroundTruth(m=truth.m, a=truth.a, c=np.zeros(10))
+    confounded = GroundTruth(m=truth.m, a=np.zeros(10), c=truth.c)
     for label, t in [("purely causal", causal), ("purely confounded", confounded)]:
         data = generate_samples(t, n=10000, noise_sd=0.0, rng=rng)
         est = estimate_confounding(empirical_covariance(data))

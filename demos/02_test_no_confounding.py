@@ -35,7 +35,7 @@ def main():
     for seed in range(40):
         g = np.random.default_rng(1000 + seed)
         t = sample_ground_truth(10, 10, g)
-        t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10), sigma_a=t.sigma_a, sigma_c=0.0)
+        t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10))
         data = generate_samples(t, n=10000, noise_sd=0.0, rng=g)
         cov = empirical_covariance(data)
         res = test_nonconfounding(cov, g.standard_normal((1000, cov.d)))

@@ -21,7 +21,7 @@ def main():
     rep = run(cfg)
     print("causal-only data, d = 10, 200 runs per sample size")
     print("n       frac p<=0.05   p-value histogram (10 bins)")
-    for entry in rep.summary["per_sample_size"]:
+    for entry in rep["summary"]["per_sample_size"]:
         hist = " ".join(f"{h:3d}" for h in entry["histogram"])
         print(f"{entry['n']:<7d} {entry['fraction_below_alpha']:12.3f}   {hist}")
     print()

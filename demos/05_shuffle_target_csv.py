@@ -39,7 +39,7 @@ def main():
         )
         rep = run(cfg)
         print("column  beta_hat  p-value")
-        for rec in rep.records:
+        for rec in rep["records"]:
             if "beta_hat" in rec:
                 print(f"{rec['name']:>6}  {rec['beta_hat']:8.3f}  {rec['p_value']:.4f}")
             else:

@@ -52,7 +52,6 @@ from .genmodel import (
 )
 from .harness import (
     ExperimentConfig,
-    Report,
     emit_report,
     ingest_csv,
     read_numeric_csv,

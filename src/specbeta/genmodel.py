@@ -24,15 +24,13 @@ class GroundTruth:
     """A synthetic model with known causal and confounding coefficients.
 
     ``m`` is the d x ell mixing matrix from the ell latent sources to the d
-    predictors, ``a`` the causal coefficients, ``c`` the source-to-target
-    coefficients, and ``sigma_a``/``sigma_c`` the scales they were drawn with.
+    predictors, ``a`` the causal coefficients and ``c`` the source-to-target
+    coefficients.
     """
 
     m: NDArray[np.float64]
     a: NDArray[np.float64]
     c: NDArray[np.float64]
-    sigma_a: float
-    sigma_c: float
 
     def __post_init__(self) -> None:
         m = np.asarray(self.m, dtype=np.float64)
@@ -43,8 +41,6 @@ class GroundTruth:
             raise BadDimensionsError(f"need ell >= d, got d={d}, ell={ell}")
         if a.shape[0] != d or c.shape[0] != ell:
             raise BadDimensionsError("a/c lengths do not match mixing matrix shape")
-        if self.sigma_a < 0 or self.sigma_c < 0:
-            raise ValueError("scales must be nonnegative")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
@@ -71,7 +67,7 @@ def sample_ground_truth(d: int, ell: int, rng: np.random.Generator) -> GroundTru
     sigma_c = float(rng.uniform(0.0, 1.0))
     a = sigma_a * rng.standard_normal(d)
     c = sigma_c * rng.standard_normal(ell)
-    return GroundTruth(m=m, a=a, c=c, sigma_a=sigma_a, sigma_c=sigma_c)
+    return GroundTruth(m=m, a=a, c=c)
 
 
 def generate_samples(
@@ -228,16 +224,21 @@ def _confounding_vector(
     return np.linalg.solve(r[:d, :d], r[:d, d])
 
 
-def sample_aprime_def1(truth: GroundTruth, rng: np.random.Generator) -> NDArray[np.float64]:
-    """Draw a fresh regression vector a' = a + M^+T c from the source-mixing model.
+def sample_aprime_def1(
+    m: NDArray[np.float64],
+    sigma_a: float,
+    sigma_c: float,
+    rng: np.random.Generator,
+) -> NDArray[np.float64]:
+    """Draw a regression vector a' = a + M^+T c from the source-mixing model.
 
-    Fresh coefficient vectors a and c are drawn with the scales stored in
-    ``truth``; the mixing matrix is kept fixed.  M^+T c is computed as
+    a ~ N(0, sigma_a^2 I) and c ~ N(0, sigma_c^2 I) are drawn, in that order,
+    for the fixed d x ell mixing matrix ``m``.  M^+T c is computed as
     R^-1 Q^T c from one reduced QR of M^T, as in ``true_beta``.
     """
-    a = truth.sigma_a * rng.standard_normal(truth.d)
-    c = truth.sigma_c * rng.standard_normal(truth.ell)
-    return a + _confounding_vector(truth.m, c)
+    a = sigma_a * rng.standard_normal(m.shape[0])
+    c = sigma_c * rng.standard_normal(m.shape[1])
+    return a + _confounding_vector(m, c)
 
 
 def sample_aprime_def2(
@@ -267,7 +268,7 @@ def overfit_dataset(d: int, n: int, rng: np.random.Generator) -> DataMatrix:
     if n <= d + 1:
         raise ValueError(f"need n > d + 1, got n={n}, d={d}")
     zero = np.zeros(d)
-    truth = GroundTruth(m=rng.standard_normal((d, d)), a=zero, c=zero, sigma_a=0.0, sigma_c=0.0)
+    truth = GroundTruth(m=rng.standard_normal((d, d)), a=zero, c=zero)
     return generate_samples(truth, n, 1.0, rng)
 
 
@@ -278,5 +279,5 @@ def sample_causal_truth(d: int, rng: np.random.Generator) -> GroundTruth:
     """
     m = rng.standard_normal((d, d))
     a = rng.standard_normal(d)
-    return GroundTruth(m=m, a=a, c=np.zeros(d), sigma_a=1.0, sigma_c=0.0)
+    return GroundTruth(m=m, a=a, c=np.zeros(d))
 

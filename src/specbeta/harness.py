@@ -128,23 +128,12 @@ class ExperimentConfig:
         return self.d if self.latent is None else self.latent
 
 
-@dataclass
-class Report:
-    """Config echo, per-run records and summary statistics."""
-
-    config: dict
-    records: list[dict]
-    summary: dict
-
-
 def run_rng(master_seed: int, *index: int) -> np.random.Generator:
     """Independent, reproducible generator for one run of an operation.
 
     A study's run is keyed by its index values; a single test has none.
     """
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((master_seed, *index)))
-    )
+    return np.random.default_rng((master_seed, *index))
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +313,16 @@ def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.fl
 # Operations
 
 
-def run(config: ExperimentConfig) -> Report:
-    """Run the operation of ``config.mode`` and report its records and summary.
+def run(config: ExperimentConfig) -> dict:
+    """The report of ``config``'s operation: ``{"config", "records", "summary"}``, in order.
 
-    The report's config echo leaves out the output path: where a report is
-    written must not change its bytes.
+    The config echo leaves out the output path: where a report is written
+    must not change its bytes.
     """
     # Looked up per call, so wrappers installed on this module's names are honoured.
     records, summary = globals()[OPERATIONS[config.mode][0]](config)
     echo = {key: value for key, value in asdict(config).items() if key != "output_path"}
-    return Report(echo, records, summary)
+    return {"config": echo, "records": records, "summary": summary}
 
 
 def fit_record(config: ExperimentConfig, normals: Callable[..., NDArray[np.float64]],
@@ -633,8 +622,8 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
 # Report emission
 
 
-def emit_report(report: Report, path: str | Path | None = None, fmt: str = "json") -> None:
-    """Write a report as JSON (single object) or CSV (+ summary sidecar).
+def emit_report(report: dict, path: str | Path | None = None, fmt: str = "json") -> None:
+    """Write ``run``'s report as JSON (single object) or CSV (+ summary sidecar).
 
     Without ``path`` a JSON report goes to stdout; CSV needs a path.  Floats
     are serialized with 17 significant digits, so re-parsing reproduces them
@@ -642,24 +631,19 @@ def emit_report(report: Report, path: str | Path | None = None, fmt: str = "json
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    payload = {
-        "config": report.config,
-        "records": report.records,
-        "summary": report.summary,
-    }
     if path is None:
         if fmt == "csv":
             raise ValueError("csv format needs an output path")
-        print(stable_json(payload))
+        print(stable_json(report))
     elif fmt == "json":
-        Path(path).write_text(stable_json(payload) + "\n")
+        Path(path).write_text(stable_json(report) + "\n")
     else:
         path = Path(path)
-        _write_records_csv(report.records, path)
+        _write_records_csv(report["records"], path)
         sidecar = path.with_name(
             path.stem + ".summary.csv" if path.suffix == ".csv" else path.name + ".summary.csv"
         )
-        _write_summary_csv(report.summary, sidecar)
+        _write_summary_csv(report["summary"], sidecar)
 
 
 def stable_json(obj) -> str:

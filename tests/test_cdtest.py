@@ -168,7 +168,7 @@ class TestNonconfoundingTest:
         for seed in range(200):
             g = np.random.default_rng(seed)
             t = sample_ground_truth(10, 10, g)
-            t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c, sigma_a=0.0, sigma_c=max(t.sigma_c, 0.2))
+            t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c)
             cov = empirical_covariance(generate_samples(t, 10000, 0.0, g))
             res = run_nonconfounding_test(cov, g.standard_normal((1000, cov.d)))
             rejections += res.p_value < 0.05

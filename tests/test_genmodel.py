@@ -36,8 +36,6 @@ class TestGroundTruth:
             m=rng.standard_normal((3, 5)),
             a=np.zeros(3),
             c=np.zeros(5),
-            sigma_a=1.0,
-            sigma_c=1.0,
         )
         assert t.d == 3 and t.ell == 5
 
@@ -47,8 +45,6 @@ class TestGroundTruth:
                 m=rng.standard_normal((5, 3)),
                 a=np.zeros(5),
                 c=np.zeros(3),
-                sigma_a=1.0,
-                sigma_c=1.0,
             )
 
     @pytest.mark.parametrize("a_len, c_len", [(2, 5), (3, 4), (4, 6)])
@@ -58,19 +54,13 @@ class TestGroundTruth:
                 m=rng.standard_normal((3, 5)),
                 a=np.zeros(a_len),
                 c=np.zeros(c_len),
-                sigma_a=1.0,
-                sigma_c=1.0,
             )
 
     def test_rejects_rank_deficient_mixing(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
-        truth = GroundTruth(m=m, a=np.ones(2), c=np.ones(2), sigma_a=1.0, sigma_c=1.0)
+        truth = GroundTruth(m=m, a=np.ones(2), c=np.ones(2))
         with pytest.raises(DegenerateModelError, match="not of full row rank"):
             true_beta(truth)
-
-    def test_rejects_negative_scale(self):
-        with pytest.raises(ValueError):
-            GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2), sigma_a=-1.0, sigma_c=0.0)
 
 
 class TestSampleGroundTruth:
@@ -80,10 +70,18 @@ class TestSampleGroundTruth:
         np.testing.assert_array_equal(t1.m, t2.m)
         np.testing.assert_array_equal(t1.a, t2.a)
         np.testing.assert_array_equal(t1.c, t2.c)
-        assert t1.sigma_a == t2.sigma_a and t1.sigma_c == t2.sigma_c
 
     def test_scale_mean_is_half(self):
-        vals = [sample_ground_truth(10, 10, np.random.default_rng(s)).sigma_a for s in range(1000)]
+        # replays the draws (M, sigma_a, sigma_c, a, c): a and c are the scales times normals
+        vals = []
+        for s in range(1000):
+            t = sample_ground_truth(10, 10, np.random.default_rng(s))
+            g = np.random.default_rng(s)
+            g.standard_normal((10, 10))
+            sigma_a, sigma_c = g.uniform(0.0, 1.0), g.uniform(0.0, 1.0)
+            assert t.a.tobytes() == (sigma_a * g.standard_normal(10)).tobytes()
+            assert t.c.tobytes() == (sigma_c * g.standard_normal(10)).tobytes()
+            vals.append(sigma_a)
         assert abs(np.mean(vals) - 0.5) < 0.03
 
     def test_bad_dimensions(self):
@@ -93,7 +91,7 @@ class TestSampleGroundTruth:
 
 class TestGenerateSamples:
     def test_degenerate_truth_gives_zero_target(self):
-        t = GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2), sigma_a=0.0, sigma_c=0.0)
+        t = GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2))
         ds = generate_samples(t, 50, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(ds.y, np.zeros(50))
         # true_beta is undefined; the fitted model of the same draws records NaN
@@ -102,9 +100,7 @@ class TestGenerateSamples:
         assert math.isnan(sample_covariance(t, 50, 0.0, np.random.default_rng(0))[1])
 
     def test_pure_causal_structural_equation(self):
-        t = GroundTruth(
-            m=np.eye(2), a=np.array([1.0, 0.0]), c=np.zeros(2), sigma_a=1.0, sigma_c=0.0
-        )
+        t = GroundTruth(m=np.eye(2), a=np.array([1.0, 0.0]), c=np.zeros(2))
         ds = generate_samples(t, 100, 0.0, np.random.default_rng(3))
         np.testing.assert_array_equal(ds.y, ds.x[:, 0])
         assert true_beta(t) == 0.0
@@ -189,7 +185,7 @@ class TestSampleCovariance:
         t = sample_ground_truth(4, 6, rng)
         a = np.zeros(4) if zero in ("a", "both") else t.a
         c = np.zeros(6) if zero in ("c", "both") else t.c
-        truth = GroundTruth(m=t.m, a=a, c=c, sigma_a=t.sigma_a, sigma_c=t.sigma_c)
+        truth = GroundTruth(m=t.m, a=a, c=c)
         self.assert_agree(truth, 50, noise_sd, 3)
         _, beta = sample_covariance(truth, 50, noise_sd, np.random.default_rng(3))
         if zero == "both":
@@ -247,8 +243,6 @@ class TestTrueBeta:
             m=rng.standard_normal((3, 3)) + 3 * np.eye(3),
             a=np.zeros(3),
             c=np.array([1.0, 2.0, 3.0]),
-            sigma_a=0.0,
-            sigma_c=1.0,
         )
         assert true_beta(t) == 1.0
 
@@ -257,20 +251,15 @@ class TestTrueBeta:
             m=rng.standard_normal((3, 3)) + 3 * np.eye(3),
             a=np.array([1.0, 2.0, 3.0]),
             c=np.zeros(3),
-            sigma_a=1.0,
-            sigma_c=0.0,
         )
         assert true_beta(t) == 0.0
 
     def test_balanced_identity_mixing(self):
-        t = GroundTruth(
-            m=np.eye(2), a=np.array([1.0, 0.0]), c=np.array([0.0, 1.0]),
-            sigma_a=1.0, sigma_c=1.0,
-        )
+        t = GroundTruth(m=np.eye(2), a=np.array([1.0, 0.0]), c=np.array([0.0, 1.0]))
         assert true_beta(t) == pytest.approx(0.5)
 
     def test_degenerate(self):
-        t = GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2), sigma_a=0.0, sigma_c=0.0)
+        t = GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2))
         with pytest.raises(DegenerateModelError):
             true_beta(t)
 
@@ -281,9 +270,7 @@ class TestTrueBeta:
         t = sample_ground_truth(4, 6, g)
         b = true_beta(t)
         assert 0.0 <= b <= 1.0
-        doubled = GroundTruth(
-            m=t.m, a=t.a, c=2.0 * t.c, sigma_a=t.sigma_a, sigma_c=t.sigma_c
-        )
+        doubled = GroundTruth(m=t.m, a=t.a, c=2.0 * t.c)
         b2 = true_beta(doubled)
         if 0.0 < b < 1.0:
             assert b2 > b
@@ -318,20 +305,14 @@ class TestConfoundingVector:
 
 class TestSamplers:
     def test_def1_no_confounding_is_isotropic(self):
-        t = GroundTruth(
-            m=np.eye(3), a=np.zeros(3), c=np.zeros(3), sigma_a=2.0, sigma_c=0.0
-        )
         g = np.random.default_rng(0)
-        draws = np.array([sample_aprime_def1(t, g) for _ in range(5000)])
+        draws = np.array([sample_aprime_def1(np.eye(3), 2.0, 0.0, g) for _ in range(5000)])
         np.testing.assert_allclose(draws.var(axis=0), 4.0, rtol=0.1)
 
     def test_def1_mixing_shrinks_coordinates(self):
-        t = GroundTruth(
-            m=np.diag([1.0, 10.0]), a=np.zeros(2), c=np.zeros(2),
-            sigma_a=0.0, sigma_c=1.0,
-        )
+        m = np.diag([1.0, 10.0])
         g = np.random.default_rng(1)
-        draws = np.array([sample_aprime_def1(t, g) for _ in range(10000)])
+        draws = np.array([sample_aprime_def1(m, 0.0, 1.0, g) for _ in range(10000)])
         assert abs(draws[:, 1].var() - 0.01) < 0.001
 
     def test_def2_identity_covariance(self):
@@ -377,8 +358,7 @@ class TestOverfitDataset:
         # the mixing matrix is the first draw, then generate_samples continues the generator
         ds = overfit_dataset(d, n, np.random.default_rng(seed))
         g = np.random.default_rng(seed)
-        truth = GroundTruth(m=g.standard_normal((d, d)), a=np.zeros(d), c=np.zeros(d),
-                            sigma_a=0.0, sigma_c=0.0)
+        truth = GroundTruth(m=g.standard_normal((d, d)), a=np.zeros(d), c=np.zeros(d))
         want = generate_samples(truth, n, 1.0, g)
         assert ds.x.tobytes() == want.x.tobytes()
         assert ds.y.tobytes() == want.y.tobytes()

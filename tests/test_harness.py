@@ -25,7 +25,6 @@ from specbeta import (
     MissingColumnError,
     NonNumericError,
     ParseError,
-    Report,
     SpecbetaError,
     emit_report,
     ingest_csv,
@@ -447,9 +446,9 @@ class TestStudies:
         cfg = ExperimentConfig(mode="simulate", d=4, n=400, runs=3, seed=8)
         r1 = run(cfg)
         r2 = run(cfg)
-        assert r1.records == r2.records
-        assert r1.summary == r2.summary
-        assert len(r1.records) == 3
+        assert r1["records"] == r2["records"]
+        assert r1["summary"] == r2["summary"]
+        assert len(r1["records"]) == 3
 
     def test_the_table_gives_each_mode_its_record_fields(self):
         fields = {mode: fit for mode, (_, fit) in RECORD_KEYS.items()}
@@ -458,7 +457,7 @@ class TestStudies:
     @pytest.mark.parametrize("mode", sorted(RECORD_KEYS))
     def test_record_fields(self, mode):
         key, fit = RECORD_KEYS[mode]
-        records = run(ExperimentConfig(mode=mode, **RECORD_CONFIGS[mode])).records
+        records = run(ExperimentConfig(mode=mode, **RECORD_CONFIGS[mode]))["records"]
         assert records and [list(r) for r in records] == [[*key, *fit]] * len(records)
 
     def test_shuffle_zero_signal_and_error_record_fields(self, tmp_path):
@@ -475,11 +474,11 @@ class TestStudies:
             mode="rejection_study", d=4, n=500, runs=40, seed=2, null_count=200
         )
         rep = run(cfg)
-        for b in rep.summary["bins"]:
+        for b in rep["summary"]["bins"]:
             r10, r05 = b["rejection_at_0.10"], b["rejection_at_0.05"]
             if not (math.isnan(r10) or math.isnan(r05)):
                 assert r10 >= r05
-        assert len(rep.summary["bins"]) == 10
+        assert len(rep["summary"]["bins"]) == 10
 
     def test_overfit_study_structure(self):
         cfg = ExperimentConfig(
@@ -491,9 +490,9 @@ class TestStudies:
             sample_sizes=(20, 50),
         )
         rep = run(cfg)
-        assert len(rep.records) == 20
-        assert [e["n"] for e in rep.summary["per_sample_size"]] == [20, 50]
-        for e in rep.summary["per_sample_size"]:
+        assert len(rep["records"]) == 20
+        assert [e["n"] for e in rep["summary"]["per_sample_size"]] == [20, 50]
+        for e in rep["summary"]["per_sample_size"]:
             assert sum(e["histogram"]) == e["count"] == 10
 
     def test_overfit_sample_size_without_a_successful_run(self, monkeypatch):
@@ -502,14 +501,14 @@ class TestStudies:
         cfg = ExperimentConfig(mode="overfit_study", d=3, runs=1, seed=0, null_count=100,
                                sample_sizes=tuple(range(20, 120, 10)))
         rep = run(cfg)
-        assert rep.summary["failures"] == 1
-        per_n = rep.summary["per_sample_size"]
+        assert rep["summary"]["failures"] == 1
+        per_n = rep["summary"]["per_sample_size"]
         assert [e["count"] for e in per_n] == [1, 1, 1, 0, 1, 1, 1, 1, 1, 1]
         assert per_n[3]["n"] == 50
         assert math.isnan(per_n[3]["fraction_below_alpha"])
         assert per_n[3]["histogram"] == [0] * 10
         assert '{"n":50,"count":0,"fraction_below_alpha":"nan","histogram":[0,0,0,0,0,0,0,0,0,0]}' \
-            in stable_json(rep.summary)
+            in stable_json(rep["summary"])
 
     @pytest.mark.parametrize("study", sorted(FAILING_STUDIES))
     def test_too_many_failures_abort(self, monkeypatch, study):
@@ -539,9 +538,9 @@ class TestStudies:
         monkeypatch.setattr(genmodel, draw, fail_first)
         cfg = ExperimentConfig(d=3, runs=20, seed=0, **fields)
         rep = run(cfg)
-        assert rep.summary["failures"] == 1
-        assert len(rep.records) == 20
-        errors = [r for r in rep.records if "error" in r]
+        assert rep["summary"]["failures"] == 1
+        assert len(rep["records"]) == 20
+        errors = [r for r in rep["records"] if "error" in r]
         assert stable_json(errors) == stable_json([{**key, "error": "injected"}])  # key order too
 
 
@@ -723,7 +722,7 @@ class TestStudyDriver:
     def test_records_equal_a_serial_loop(self, study):
         config = DRIVER_CONFIGS[study]
         report = harness.run(config)
-        assert stable_json(report.records) == stable_json(serial_study(config))
+        assert stable_json(report["records"]) == stable_json(serial_study(config))
 
     def test_records_survive_fast_thread_switching(self):
         # a generator used by both threads at once would give other draws
@@ -731,7 +730,7 @@ class TestStudyDriver:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            records = [harness.run(config).records for _ in range(3)]
+            records = [harness.run(config)["records"] for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         assert {stable_json(r) for r in records} == {stable_json(serial_study(config))}
@@ -783,7 +782,7 @@ class TestStudyDriver:
         config = DRIVER_CONFIGS[study]
         with monkeypatch.context() as m:
             stolen = hold_the_worker(m)
-            records = harness.run(config).records
+            records = harness.run(config)["records"]
         assert len(stolen) >= 2
         assert stable_json(records) == stable_json(serial_study(config))
 
@@ -793,11 +792,11 @@ class TestStudyDriver:
         config = DRIVER_CONFIGS["rejections"]
         truths = [genmodel.sample_ground_truth(config.d, config.ell, run_rng(config.seed, i))
                   for i in range(config.runs)]
-        failing_sigmas = {truths[i].sigma_a for i in failing}
+        failing_m00 = {truths[i].m[0, 0] for i in failing}
         original, failed_on = genmodel._latent_moments, []
 
         def fail_for_runs(truth, *args):
-            if truth.sigma_a in failing_sigmas:
+            if truth.m[0, 0] in failing_m00:
                 failed_on.append(threading.get_ident())
                 raise DegenerateModelError("injected")
             return original(truth, *args)
@@ -807,7 +806,7 @@ class TestStudyDriver:
         failed_on.clear()
         with monkeypatch.context() as m:
             hold_the_worker(m)
-            got = outcome(lambda c: run(c).records, config)
+            got = outcome(lambda c: run(c)["records"], config)
         assert stable_json(got) == stable_json(expected)
         assert threading.get_ident() in failed_on
         if len(failing) > 2:
@@ -826,7 +825,7 @@ class TestStudyDriver:
         with monkeypatch.context() as m:
             fail_on_calls(m, genmodel, "sample_ground_truth", failing)
             stolen = hold_the_worker(m)
-            got = outcome(lambda c: run(c).records, config)
+            got = outcome(lambda c: run(c)["records"], config)
         assert len(stolen) >= 2
         assert stable_json(got) == stable_json(expected)
         if len(failing) > 2:
@@ -906,7 +905,7 @@ class TestStudyDriver:
                 finished = fail_on_calls(m, cdtest, "test_nonconfounding", set())
                 return outcome(records_of, config), len(finished)
 
-        got, finished = injected(lambda c: run(c).records)
+        got, finished = injected(lambda c: run(c)["records"])
         assert stable_json((got, finished)) == stable_json(injected(serial_study))
         if len(failing) > 2:
             assert got == "3 of 20 planned runs failed (> 10%)"
@@ -915,7 +914,7 @@ class TestStudyDriver:
             assert len(got) == 20
 
     def test_shuffle_records_equal_a_serial_loop(self, shuffle_config):
-        records = harness.run(shuffle_config).records
+        records = harness.run(shuffle_config)["records"]
         assert len(records) == 9 and all("p_value" in r for r in records)
         assert stable_json(records) == stable_json(serial_shuffle(shuffle_config))
 
@@ -941,7 +940,7 @@ class TestStudyDriver:
         expected = serial_shuffle(shuffle_config)
         with monkeypatch.context() as m:
             stolen = hold_the_shuffle_worker(m, steals)
-            records = harness.run(shuffle_config).records
+            records = harness.run(shuffle_config)["records"]
         assert len(stolen) >= steals
         assert stable_json(records) == stable_json(expected)
 
@@ -949,7 +948,7 @@ class TestStudyDriver:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            records = [harness.run(shuffle_config).records for _ in range(3)]
+            records = [harness.run(shuffle_config)["records"] for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         assert {stable_json(r) for r in records} == {stable_json(serial_shuffle(shuffle_config))}
@@ -1058,15 +1057,15 @@ class TestEmitReport:
         out = tmp_path / "r.json"
         emit_report(rep, out, "json")
         parsed = json.loads(out.read_text())
-        assert parsed["records"] == rep.records
-        assert parsed["summary"] == rep.summary
+        assert parsed["records"] == rep["records"]
+        assert parsed["summary"] == rep["summary"]
 
     def test_csv_line_count_and_sidecar(self, tmp_path):
         rep = self._report()
         out = tmp_path / "r.csv"
         emit_report(rep, out, "csv")
         lines = out.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(rep.records)
+        assert len(lines) == 1 + len(rep["records"])
         assert (tmp_path / "r.summary.csv").exists()
 
     def test_byte_identical_across_runs(self, tmp_path):
@@ -1080,8 +1079,9 @@ class TestEmitReport:
             emit_report(self._report(), tmp_path / "r.xml", "xml")
 
     def test_csv_needs_a_path(self, capsys):
+        report = {"config": {"a": 1}, "records": [{"x": 1.5}], "summary": {"s": 2}}
         with pytest.raises(ValueError, match="csv format needs an output path"):
-            emit_report(Report({"a": 1}, [{"x": 1.5}], {"s": 2}), None, "csv")
+            emit_report(report, None, "csv")
         assert capsys.readouterr().out == ""
 
 

@@ -3,7 +3,8 @@
 Each ``data/<case>.json`` is the stdout of the command line in ``CASES``,
 run in ``data/`` on ``data/sample.csv``.  Key order, ints, bools, strings and
 nulls must match exactly; floats to a relative 1e-12, which absorbs the
-summation-order differences between BLAS builds.
+summation-order differences between BLAS builds.  The report ``harness.run``
+returns for the same command line serializes to those stdout bytes.
 """
 
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from specbeta.cli import main
+from specbeta import harness
+from specbeta.cli import _parse_config, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,3 +62,11 @@ def test_report_matches_reference(case, monkeypatch, capsys):
     got = json.loads(capsys.readouterr().out)
     want = json.loads((DATA / f"{case}.json").read_text())
     assert_same(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_library_returns_what_the_cli_prints(case, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    report = harness.run(_parse_config(CASES[case]))
+    assert main(CASES[case]) == 0
+    assert capsys.readouterr().out == harness.stable_json(report) + "\n"

@@ -29,9 +29,9 @@ def _parse_target(raw: str) -> str | int:
         return raw
 
 
-# The flag and argparse spec of each ExperimentConfig field.  The subparsers
-# suppress defaults, so a flag left out is absent from the parse and its field
-# keeps the ExperimentConfig default.
+# The flag and argparse spec of each ExperimentConfig field, and of the output
+# path, which the config does not hold.  The subparsers suppress defaults, so a
+# flag left out is absent from the parse and its field keeps its default.
 _FLAGS: dict[str, tuple[str, dict]] = {
     "input_path": ("--input", {"required": True, "metavar": "PATH"}),
     "target": ("--target", {"type": _parse_target, "required": True, "metavar": "NAME|INDEX"}),
@@ -45,7 +45,7 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "seed": ("--seed", {"type": int, "metavar": "U64"}),
     "alpha": ("--alpha", {"type": float, "metavar": "F"}),
     "null_count": ("--null-samples", {"type": int, "metavar": "N"}),
-    "output_path": ("--output", {"metavar": "PATH"}),
+    "output": ("--output", {"metavar": "PATH"}),
     "fmt": ("--format", {"choices": ["json", "csv"]}),
 }
 
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     for name, (mode, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.set_defaults(mode=mode)
-        for field in (*harness.OPERATIONS[mode][1], "output_path", "fmt"):
+        for field in (*harness.OPERATIONS[mode][1], "output", "fmt"):
             flag, spec = _FLAGS[field]
             p.add_argument(flag, dest=field, **spec)
             if field == "null_count":  # the null's method; _parse_config drops it
@@ -87,8 +87,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_config(argv: list[str] | None) -> harness.ExperimentConfig:
-    """Config from the command line; an invalid flag value is a usage error."""
+def _parse_config(argv: list[str] | None) -> tuple[harness.ExperimentConfig, Path | None]:
+    """Config and output path from the command line; an invalid flag value is a usage error."""
     parser = _build_parser()
     fields = vars(parser.parse_args(argv))
     # --null-method still parses, so existing command lines run, but it has
@@ -96,22 +96,24 @@ def _parse_config(argv: list[str] | None) -> harness.ExperimentConfig:
     fields.pop("method", None)
     if "sample_sizes" in fields:
         fields["sample_sizes"] = tuple(fields["sample_sizes"])
-    if "output_path" in fields:  # found here, not once the run is over
-        output = Path(fields["output_path"])
-        if output.is_dir():
-            parser.error(f"--output {output} is a directory")
-        if not output.parent.is_dir():
-            parser.error(f"--output {output}: {output.parent} is not a directory")
+    # where the report goes is found here, not once the run is over
+    output = Path(fields.pop("output")) if "output" in fields else None
+    if output is None and fields.get("fmt") == "csv":
+        parser.error("csv format needs an output path")
+    elif output is not None and output.is_dir():
+        parser.error(f"--output {output} is a directory")
+    elif output is not None and not output.parent.is_dir():
+        parser.error(f"--output {output}: {output.parent} is not a directory")
     try:
-        return harness.ExperimentConfig(**fields)
+        return harness.ExperimentConfig(**fields), output
     except (ValueError, BadDimensionsError) as err:
         parser.error(str(err))
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = _parse_config(argv)
+    config, output = _parse_config(argv)
     try:
-        harness.emit_report(harness.run(config), config.output_path, config.fmt)
+        harness.emit_report(harness.run(config), output)
     except (DataError, ValueError, OSError) as err:
         print(f"specbeta: data error: {err}", file=sys.stderr)
         return EXIT_DATA

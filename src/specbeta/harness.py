@@ -36,7 +36,7 @@ from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empi
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads,
 # the fields fit_record gives each of its records, in report order).  Every
-# mode also reads output_path and fmt, which say where its report goes.
+# mode also reads fmt, the format its report is written in.
 OPERATIONS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
     "estimate": ("fit_csv_target", ("input_path", "target", "normalize"),
                  ("beta_hat", "theta_hat", "tau_inv", "boundary", "d", "n")),
@@ -83,13 +83,12 @@ class ExperimentConfig:
     sample_sizes: tuple[int, ...] = DEFAULT_SAMPLE_SIZES
     target: str | int | None = None
     input_path: str | None = None
-    output_path: str | None = None
     fmt: str = "json"
 
     def __post_init__(self) -> None:
         if self.mode not in OPERATIONS:
             raise ValueError(f"unknown mode {self.mode!r}")
-        read = {"mode", *OPERATIONS[self.mode][1], "output_path", "fmt"}
+        read = {"mode", *OPERATIONS[self.mode][1], "fmt"}
         for f in fields(self):
             if f.name not in read and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.mode} does not read {f.name}")
@@ -105,8 +104,6 @@ class ExperimentConfig:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.fmt == "csv" and self.output_path is None:
-            raise ValueError("csv format needs an output path")
         reads = OPERATIONS[self.mode][1]
         for name, what in (("input_path", "an input path"), ("target", "a target column")):
             if name in reads and getattr(self, name) is None:
@@ -314,15 +311,10 @@ def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.fl
 
 
 def run(config: ExperimentConfig) -> dict:
-    """The report of ``config``'s operation: ``{"config", "records", "summary"}``, in order.
-
-    The config echo leaves out the output path: where a report is written
-    must not change its bytes.
-    """
+    """The report of ``config``'s operation: ``{"config", "records", "summary"}``, in order."""
     # Looked up per call, so wrappers installed on this module's names are honoured.
     records, summary = globals()[OPERATIONS[config.mode][0]](config)
-    echo = {key: value for key, value in asdict(config).items() if key != "output_path"}
-    return {"config": echo, "records": records, "summary": summary}
+    return {"config": asdict(config), "records": records, "summary": summary}
 
 
 def fit_record(config: ExperimentConfig, normals: Callable[..., NDArray[np.float64]],
@@ -622,13 +614,15 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
 # Report emission
 
 
-def emit_report(report: dict, path: str | Path | None = None, fmt: str = "json") -> None:
+def emit_report(report: dict, path: str | Path | None = None) -> None:
     """Write ``run``'s report as JSON (single object) or CSV (+ summary sidecar).
 
-    Without ``path`` a JSON report goes to stdout; CSV needs a path.  Floats
-    are serialized with 17 significant digits, so re-parsing reproduces them
-    exactly and identical reports yield identical bytes.
+    The format is the one its config echo names.  Without ``path`` a JSON
+    report goes to stdout; CSV needs a path.  Floats are serialized with 17
+    significant digits, so re-parsing reproduces them exactly and identical
+    reports yield identical bytes.
     """
+    fmt = report["config"]["fmt"]
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     if path is None:

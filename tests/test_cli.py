@@ -311,6 +311,15 @@ class TestUsageErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "a_file"]
         assert not any((tmp_path / "a_directory").iterdir())
 
+    def test_csv_without_output_is_found_before_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run", lambda config: pytest.fail("the run started"))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dim", "3", "--samples", "50", "--runs", "2", "--format", "csv"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and err.endswith(": csv format needs an output path\n")
+
+
 # Besides --output and --format, the flags of the settings each subcommand reads.
 READS = {
     "estimate": {"--input", "--target", "--normalize"},

@@ -288,7 +288,7 @@ class TestIngestCsv:
         np.testing.assert_array_equal(data.x, rows[:, :2] / rows[:, :2].std(axis=0))
 
 
-# The ExperimentConfig fields each mode reads, besides output_path and fmt.
+# The ExperimentConfig fields each mode reads, besides fmt.
 CONFIG_READS = {
     "estimate": {"input_path", "target", "normalize"},
     "test": {"input_path", "target", "normalize", "seed", "alpha", "null_count"},
@@ -302,7 +302,7 @@ CONFIG_READS = {
 NON_DEFAULT = {
     "d": 3, "latent": 12, "n": 500, "runs": 5, "seed": 7, "alpha": 0.1, "null_count": 200,
     "normalize": True, "noise_sd": 0.5, "sample_sizes": (30, 60), "target": 0,
-    "input_path": "other.csv", "output_path": "r.json", "fmt": "csv",
+    "input_path": "other.csv", "fmt": "csv",
 }
 
 
@@ -367,21 +367,22 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("mode", sorted(CONFIG_READS))
     @pytest.mark.parametrize("field", sorted(NON_DEFAULT))
     def test_a_field_its_mode_does_not_read_is_rejected(self, mode, field):
-        fields = {"mode": mode, "output_path": "r.csv", field: NON_DEFAULT[field]}
+        fields = {"mode": mode, field: NON_DEFAULT[field]}
         required = {"input_path": "data.csv", "target": "y"}  # where the mode reads them
         fields = {**{k: v for k, v in required.items() if k in CONFIG_READS[mode]}, **fields}
-        if field in CONFIG_READS[mode] | {"output_path", "fmt"}:
+        if field in CONFIG_READS[mode] | {"fmt"}:
             assert getattr(ExperimentConfig(**fields), field) == NON_DEFAULT[field]
         else:
             with pytest.raises(ValueError, match=f"^{mode} does not read {field}$"):
                 ExperimentConfig(**fields)
 
     def test_the_table_covers_every_setting(self):
-        # 46 of the 84 (mode, setting) pairs are read: the CLI's 50 flags less --null-method
+        # 40 of the 78 (mode, setting) pairs are read: the CLI's 50 flags less --null-method
+        # and --output, which goes to no config
         settable = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
         assert set(NON_DEFAULT) == settable - {"mode"}
         assert set(CONFIG_READS) == set(harness.OPERATIONS)
-        assert sum(len(reads) + 2 for reads in CONFIG_READS.values()) == 46
+        assert sum(len(reads) + 1 for reads in CONFIG_READS.values()) == 40
 
     @pytest.mark.parametrize("mode", ["simulate", "overfit_study"])
     @pytest.mark.parametrize("noise_sd", [-1.0, math.nan, math.inf, -math.inf])
@@ -459,6 +460,11 @@ class TestStudies:
         key, fit = RECORD_KEYS[mode]
         records = run(ExperimentConfig(mode=mode, **RECORD_CONFIGS[mode]))["records"]
         assert records and [list(r) for r in records] == [[*key, *fit]] * len(records)
+
+    @pytest.mark.parametrize("mode", sorted(RECORD_KEYS))
+    def test_the_config_echo_is_the_config(self, mode):
+        config = ExperimentConfig(mode=mode, **RECORD_CONFIGS[mode])
+        assert run(config)["config"] == dataclasses.asdict(config)
 
     def test_shuffle_zero_signal_and_error_record_fields(self, tmp_path):
         # the constant column has no signal, and makes every other column's predictors singular
@@ -1048,40 +1054,53 @@ class TestShuffleTarget:
 
 
 class TestEmitReport:
-    def _report(self):
-        cfg = ExperimentConfig(mode="simulate", d=3, n=300, runs=3, seed=4)
+    def _report(self, fmt="json"):
+        cfg = ExperimentConfig(mode="simulate", d=3, n=300, runs=3, seed=4, fmt=fmt)
         return run(cfg)
 
     def test_json_round_trip(self, tmp_path):
         rep = self._report()
         out = tmp_path / "r.json"
-        emit_report(rep, out, "json")
+        emit_report(rep, out)
         parsed = json.loads(out.read_text())
         assert parsed["records"] == rep["records"]
         assert parsed["summary"] == rep["summary"]
 
     def test_csv_line_count_and_sidecar(self, tmp_path):
-        rep = self._report()
+        rep = self._report("csv")
         out = tmp_path / "r.csv"
-        emit_report(rep, out, "csv")
+        emit_report(rep, out)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + len(rep["records"])
         assert (tmp_path / "r.summary.csv").exists()
 
     def test_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        emit_report(self._report(), out1, "json")
-        emit_report(self._report(), out2, "json")
+        emit_report(self._report(), out1)
+        emit_report(self._report(), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(self._report(), tmp_path / "r.xml", "xml")
+        report = self._report()
+        report["config"]["fmt"] = "xml"
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            emit_report(report, tmp_path / "r.xml")
+        assert not any(tmp_path.iterdir())
 
     def test_csv_needs_a_path(self, capsys):
-        report = {"config": {"a": 1}, "records": [{"x": 1.5}], "summary": {"s": 2}}
+        report = {"config": {"fmt": "csv"}, "records": [{"x": 1.5}], "summary": {"s": 2}}
         with pytest.raises(ValueError, match="csv format needs an output path"):
-            emit_report(report, None, "csv")
+            emit_report(report)
+        assert capsys.readouterr().out == ""
+
+    def test_writes_the_format_its_echo_names(self, tmp_path, capsys):
+        # a csv echo writes the records and the summary sidecar, and needs a path
+        report = self._report("csv")
+        emit_report(report, tmp_path / "r.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.summary.csv"]
+        assert (tmp_path / "r.csv").read_text().splitlines()[0] == ",".join(report["records"][0])
+        with pytest.raises(ValueError, match="^csv format needs an output path$"):
+            emit_report(report)
         assert capsys.readouterr().out == ""
 
 

@@ -67,6 +67,6 @@ def test_report_matches_reference(case, monkeypatch, capsys):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_library_returns_what_the_cli_prints(case, monkeypatch, capsys):
     monkeypatch.chdir(DATA)
-    report = harness.run(_parse_config(CASES[case]))
+    report = harness.run(_parse_config(CASES[case])[0])
     assert main(CASES[case]) == 0
     assert capsys.readouterr().out == harness.stable_json(report) + "\n"

@@ -296,14 +296,17 @@ def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.fl
 
     A column whose cells are all equal is constant even where its computed
     standard deviation is not exactly 0, as the rounded mean leaves noise.
+    Each column is first divided by the power of two that brings its largest
+    magnitude into [0.5, 1), which is exact, so the squares in ``std``
+    neither overflow nor underflow at any finite scale.
     """
-    sd = x.std(axis=0)
-    zero = np.flatnonzero((sd == 0.0) | (np.ptp(x, axis=0) == 0.0))
+    zero = np.flatnonzero(np.ptp(x, axis=0) == 0.0)
     if zero.size:
         raise ConstantColumnError(
             f"column {names[zero[0]]!r} has zero variance; cannot normalize"
         )
-    return x / sd
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=0))[1])
+    return x / x.std(axis=0)
 
 
 # ---------------------------------------------------------------------------

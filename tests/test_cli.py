@@ -182,18 +182,24 @@ class TestEstimate:
         assert "data error" in err
 
     @pytest.mark.parametrize(
-        "scale", [(1e100, 1e100), (1e-100, 1e-100), (1e-80, 1e80), (1e85, 1e-85)],
-        ids=["1e+100", "1e-100", "1e-80-1e+80", "1e+85-1e-85"],
+        "scale, flags",
+        [((1e100, 1e100), []), ((1e-100, 1e-100), []), ((1e-80, 1e80), []),
+         ((1e85, 1e-85), []), ((1e160, 1.0), ["--normalize"]), ((1e-170, 1.0), ["--normalize"])],
+        ids=["1e+100", "1e-100", "1e-80-1e+80", "1e+85-1e-85", "1e+160-normalize",
+             "1e-170-normalize"],
     )
-    def test_extreme_scale_gives_the_unit_scale_estimate(self, capsys, scaled_csv, scale):
+    def test_extreme_scale_gives_the_unit_scale_estimate(self, capsys, scaled_csv, scale, flags):
         # finite moments whose products over- or underflow: the zero-signal
         # rule must still see the signal, and numpy must not warn; x and y
-        # scaled apart put beta near 1e160 or 1e-170, whose squares do too
+        # scaled apart put beta near 1e160 or 1e-170, whose squares do too.
+        # Predictors whose squares over- or underflow are normalized to the unit scale's.
         beta_hats = []
         for path in (scaled_csv(1.0, 1.0), scaled_csv(*scale)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code, out, err = run(capsys, ["estimate", "--input", path, "--target", "y"])
+                code, out, err = run(
+                    capsys, ["estimate", "--input", path, "--target", "y", *flags]
+                )
             assert (code, err) == (0, "")
             beta_hats.append(json.loads(out)["summary"]["beta_hat"])
         assert beta_hats[1] == pytest.approx(beta_hats[0], rel=0, abs=1e-9)
@@ -670,6 +676,22 @@ class TestShuffleTarget:
         records = json.loads(out)["records"]
         assert [sorted(r) for r in records] == [["column", "error", "name"]] * 4
         assert all(r["error"].startswith("second moments overflow") for r in records)
+
+    def test_normalize_at_extreme_scale_gives_the_unit_scale_records(self, capsys, scaled_csv):
+        # predictors whose squares overflow are normalized to the unit scale's
+        reports = []
+        for path in (scaled_csv(1.0, 1.0), scaled_csv(1e160, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, ["shuffle-target", "--input", path, "--normalize",
+                                              "--null-samples", "100"])
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out)["records"])
+        unit, scaled = reports
+        assert [list(r) for r in scaled] == [list(r) for r in unit]
+        for got, want in zip(scaled, unit):
+            for key in ("beta_hat", "p_value"):
+                assert got[key] == pytest.approx(want[key], rel=0, abs=1e-9)
 
     def test_too_few_rows_leaves_one_error_per_column(self, capsys, tmp_path):
         p = tmp_path / "short.csv"

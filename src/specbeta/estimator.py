@@ -120,8 +120,12 @@ def _newton(theta: float, u2: NDArray[np.float64], lam: NDArray[np.float64]) -> 
     With w_j = u_j^2 lambda_j, S_k = sum_j w_j/(lambda_j+theta)^k and A_k =
     sum_j (lambda_j+theta)^-k: 2 l' = d S_2/S_1 - A_1 and 2 l'' = A_2 +
     d (S_2^2/S_1^2 - 2 S_3/S_1).  At theta = 0 the slope is 1/2 d^{3/2} T,
-    so the sign is that of ``statistic_T``.  The step is NaN where l'' >= 0
-    and, being a Python float, inf without a warning where it overflows.
+    so the sign is that of ``statistic_T``.  Above every lambda_j the two
+    terms of l' cancel to leading order; there 2 l' is summed as sum_j (d p_j
+    - 1) (1/(lambda_j+theta) - 1/theta), with p_j = w_j/((lambda_j+theta) S_1).
+    The two sums agree, as sum_j (d p_j - 1) = 0, and each term of the second
+    is the smaller.  The step is NaN where l'' >= 0 and, being a Python
+    float, inf without a warning where it overflows.
     """
     q = u2 / (1.0 + theta / lam)  # w_j / (lambda_j + theta)
     inv = 1.0 / (lam + theta)
@@ -129,8 +133,12 @@ def _newton(theta: float, u2: NDArray[np.float64], lam: NDArray[np.float64]) -> 
     t = inv / a1  # in units of A_1 no power of 1/(lambda_j + theta) overflows
     m1, m2 = s2 / (a1 * s1), float(q.dot(t * t)) / s1
     curvature = float(t.dot(t)) + d * (m1 * m1 - 2.0 * m2)  # 2 l'' / A_1^2
-    step = (1.0 - d * m1) / curvature / a1 if curvature < 0.0 else math.nan
-    return d * s2 > a1 * s1, step
+    rising, slope = d * s2 > a1 * s1, d * m1 - 1.0  # slope: 2 l' / A_1
+    if theta > lam[0]:  # lam descends; 1/(lambda_j+theta) - 1/theta = -lambda_j inv_j/theta
+        slope = float((d * q / s1 - 1.0).dot(lam * t)) / -theta
+        rising = slope > 0.0
+    step = -slope / curvature / a1 if curvature < 0.0 else math.nan
+    return rising, step
 
 
 def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -104,6 +105,33 @@ def slope_rounding_band(theta, u, cov):
     s1, s2, s3 = q.sum(), q @ inv, q @ inv**2
     curvature = 0.5 * (inv @ inv + cov.d * ((s2 / s1) ** 2 - 2.0 * s3 / s1))
     return cov.d * np.finfo(float).eps * inv.sum() / abs(curvature)
+
+
+def decimal_maximizer(theta, u, cov):
+    """The root of the log-likelihood's slope within 0.1% of ``theta``, in 50-digit arithmetic.
+
+    The slope has the sign of d S_2 - A_1 S_1 (see ``estimator._newton``).
+    Summed with ``decimal`` at 50 digits from the floats u and lambda, no
+    rounding hides that sign, and bisection narrows the root to 1e-30
+    relative.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam = [Decimal(float(x)) for x in cov.eigenvalues]
+        w = [Decimal(float(x)) ** 2 * lj for x, lj in zip(u, lam)]
+
+        def rising(th):
+            inv = [1 / (lj + th) for lj in lam]
+            s1 = sum(wj * ij for wj, ij in zip(w, inv))
+            s2 = sum(wj * ij * ij for wj, ij in zip(w, inv))
+            return cov.d * s2 > sum(inv) * s1
+
+        lo, hi = Decimal(theta) * Decimal("0.999"), Decimal(theta) * Decimal("1.001")
+        assert rising(lo) and not rising(hi)
+        while hi - lo > hi * Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        return float(lo)
 
 
 def recorded_newton_steps(monkeypatch):
@@ -286,6 +314,34 @@ class TestEstimateTheta:
             band = slope_rounding_band(theta, u, cov)
             assert abs(est.theta_hat - theta) <= 1e-11 * theta + 256 * band
         assert est.loglik >= loglik - 1e-13 * (1.0 + abs(loglik))
+
+    @pytest.mark.parametrize("where, bound", [("above", 2e-13), ("below", 1e-9)])
+    def test_matches_a_50_digit_maximizer(self, where, bound):
+        # interior fits on 6-decade spectra.  Above: directions from the theta'
+        # law with theta' 1e2 to 1e5.5 times the median eigenvalue, so that
+        # theta_hat lies above most eigenvalues, where d S_2/S_1 - A_1 cancels.
+        # Below: directions tilted slightly toward the smallest eigenvalue, so
+        # that theta_hat lies far below every eigenvalue, where a slope summed
+        # against 1/theta would cancel instead.
+        errors = []
+        for seed in range(80):
+            g = np.random.default_rng(seed)
+            lam = 10.0 ** g.uniform(-3.0, 3.0, size=10)
+            lam[:2] = 1e-3, 1e3
+            cov = cov_from_spectrum(lam)
+            if where == "above":
+                theta = 10.0 ** g.uniform(2.0, 5.5) * float(np.median(cov.eigenvalues))
+                coords = np.sqrt(1.0 + theta / cov.eigenvalues) * g.standard_normal(10)
+            else:
+                tilt = 10.0 ** g.uniform(-5.0, -1.0)
+                coords = np.sqrt(1.0 + tilt * cov.eigenvalues[-1] / cov.eigenvalues)
+            u = unit_direction(coords)
+            est = estimate_theta(u, cov)
+            if est.theta_hat > 0.0 and not est.boundary:
+                theta = decimal_maximizer(est.theta_hat, u, cov)
+                errors.append(abs(est.theta_hat - theta) / theta)
+        assert len(errors) >= 30
+        assert max(errors) <= bound
 
     @pytest.mark.parametrize(
         "lam, w2, fallback",

@@ -53,7 +53,6 @@ from .genmodel import (
 from .harness import (
     ExperimentConfig,
     emit_report,
-    ingest_csv,
     read_numeric_csv,
     run,
 )

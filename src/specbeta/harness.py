@@ -32,7 +32,7 @@ from .errors import (
     SpecbetaError,
     ZeroSignalError,
 )
-from .spectral import CovarianceModel, DataMatrix, covariance_from_moments, empirical_covariance
+from .spectral import CovarianceModel, covariance_from_moments
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads,
 # the fields fit_record gives each of its records, in report order).  Every
@@ -247,48 +247,55 @@ def _convert_rows(
     return np.array(data, dtype=np.float64)
 
 
-def ingest_csv(
-    path: str | Path,
-    target_column: str | int,
-    normalize: bool = False,
-) -> DataMatrix:
-    """Load a CSV and split off the designated target column.
+def _csv_covariance(
+    config: ExperimentConfig,
+) -> tuple[NDArray[np.float64], int, list[str], int | None]:
+    """``(joint, n, names, target)``: the 1/n centered covariance of the CSV's columns.
 
-    The remaining columns become the predictors in file order.  With
-    ``normalize`` each predictor column is divided by its sample standard
-    deviation (centering always happens downstream).
-
-    Raises
-    ------
-    MissingColumnError
-        If the target name or index does not exist.
-    DataError
-        If the target name matches more than one column.
-    ConstantColumnError
-        If ``normalize`` is set and a predictor column has zero variance.
+    ``target`` indexes ``config.target``, or is None for shuffle-target.
+    ``normalize`` scales every column but the target: shuffle-target's whole
+    matrix as parsed, since a copy's memory layout moves the last bits.  Of
+    several faults the first is raised: the file's, the target's or too few
+    columns, a column ``normalize`` finds constant, then n < 2 or d < 1.
     """
-    data, names = read_numeric_csv(path)
-    if isinstance(target_column, int):
-        if not (0 <= target_column < len(names)):
+    matrix, names = read_numeric_csv(config.input_path)
+    n, ncols = matrix.shape
+    target = None if config.target is None else _target_index(config.target, names)
+    if target is None and ncols < 3:
+        raise BadDimensionsError("shuffle-target needs at least 3 columns")
+    if config.normalize and target is None:
+        matrix = normalize_columns(matrix, names)
+    elif config.normalize:
+        rest = np.delete(np.arange(ncols), target)
+        matrix[:, rest] = normalize_columns(matrix[:, rest], [names[j] for j in rest])
+    if n < 2 or ncols < 2:
+        raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={ncols - 1}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
+        centered = matrix - matrix.mean(axis=0)
+        joint = (centered.T @ centered) / n
+    return joint, n, names, target
+
+
+def _target_index(target: str | int, names: list[str]) -> int:
+    """The column ``target`` names: an index, or else a name that exactly one column has."""
+    if isinstance(target, int):
+        if not (0 <= target < len(names)):
             raise MissingColumnError(
-                f"target index {target_column} out of range (have {len(names)} columns)"
+                f"target index {target} out of range (have {len(names)} columns)"
             )
-        idx = target_column
-    else:
-        matches = [j for j, name in enumerate(names) if name == target_column]
-        if not matches:
-            raise MissingColumnError(f"target column {target_column!r} not found in {names}")
-        if len(matches) > 1:
-            raise DataError(
-                f"target name {target_column!r} matches columns {matches} (zero-based)"
-            )
-        idx = matches[0]
-    y = data[:, idx]
-    x = np.delete(data, idx, axis=1)
-    x_names = [nm for j, nm in enumerate(names) if j != idx]
-    if normalize:
-        x = normalize_columns(x, x_names)
-    return DataMatrix(x=x, y=y, column_names=tuple(x_names))
+        return target
+    matches = [j for j, name in enumerate(names) if name == target]
+    if not matches:
+        raise MissingColumnError(f"target column {target!r} not found in {names}")
+    if len(matches) > 1:
+        raise DataError(f"target name {target!r} matches columns {matches} (zero-based)")
+    return matches[0]
+
+
+def _column_model(joint: NDArray[np.float64], j: int, n: int) -> CovarianceModel:
+    """The model of column j as the target of the others, from their ``joint`` covariance."""
+    rest = np.delete(np.arange(len(joint)), j)
+    return covariance_from_moments(joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n)
 
 
 def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.float64]:
@@ -344,7 +351,8 @@ def fit_record(config: ExperimentConfig, normals: Callable[..., NDArray[np.float
 
 def fit_csv_target(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Fit the CSV target named by ``config``: its estimate or its test, by mode."""
-    cov = empirical_covariance(ingest_csv(config.input_path, config.target, config.normalize))
+    joint, n, _, target = _csv_covariance(config)
+    cov = _column_model(joint, target, n)
     record = fit_record(config, run_rng(config.seed).standard_normal, cov)
     return [record], {key: record[key] for key in ("beta_hat", "p_value") if key in record}
 
@@ -563,29 +571,15 @@ def run_overfit_study(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
 
 def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]:
-    """Treat each column of the input CSV in turn as the target and estimate confounding.
+    """Each column of the input CSV in turn as the target: one record per column, in order.
 
-    Emits one record per column, in column order, with the estimate and the
-    non-confounding test p-value.  A vanishing cross-covariance is reported
-    as a ``zero_signal`` flag rather than a number.  Column j's null block,
-    ``run_rng(seed, j).standard_normal((null_count, d))``, depends on no
-    data, so ``_drawn_ahead`` draws it on its worker while the calling
-    thread fits the columns before it and column j's estimate.
+    A record holds the estimate and the test, or a ``zero_signal`` flag where
+    the cross-covariance vanishes.  Column j's null block, ``run_rng(seed,
+    j).standard_normal((null_count, d))``, reads no data, so ``_drawn_ahead``
+    draws it on its worker while the calling thread fits the columns before it.
     """
-    matrix, names = read_numeric_csv(config.input_path)
-    n, ncols = matrix.shape
-    if ncols < 3:
-        raise BadDimensionsError("shuffle-target needs at least 3 columns")
-    if config.normalize:
-        matrix = normalize_columns(matrix, names)
-    # DataMatrix's checks (n >= 2, finite cells) hold for every column once they
-    # hold for one split, so they run once, before any column.
-    DataMatrix(x=matrix[:, 1:], y=matrix[:, 0])
-    # Each column's (sigma_xx, sigma_xy, sigma_yy) is a block of one covariance,
-    # whose overflow covariance_from_moments reports for each column.
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = matrix - matrix.mean(axis=0)
-        joint = (centered.T @ centered) / n
+    joint, n, names, _ = _csv_covariance(config)
+    ncols = len(names)
 
     def null_block(j: int) -> NDArray[np.float64]:
         return run_rng(config.seed, j).standard_normal((config.null_count, ncols - 1))
@@ -593,12 +587,9 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
     records: list[dict] = []
     with contextlib.closing(_drawn_ahead(range(ncols), lambda j: (j,), null_block)) as columns:
         for j, _, block in columns:
-            rest = np.delete(np.arange(ncols), j)
             key = {"column": j, "name": names[j]}
             try:
-                cov = covariance_from_moments(
-                    joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n
-                )
+                cov = _column_model(joint, j, n)
                 records.append({**key, **fit_record(config, lambda shape: block(), cov)})
             except ZeroSignalError:
                 records.append({**key, "zero_signal": True})

@@ -38,13 +38,10 @@ class DataMatrix:
         Predictor samples, one row per sample.
     y : ndarray, shape (n,)
         Target samples.
-    column_names : sequence of str, optional
-        Names for the d predictor columns.
     """
 
     x: NDArray[np.float64]
     y: NDArray[np.float64]
-    column_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=np.float64)
@@ -60,12 +57,8 @@ class DataMatrix:
             raise ValueError(f"x has {n} rows but y has {y.shape[0]} entries")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValueError("non-finite entries in data")
-        if self.column_names is not None and len(self.column_names) != d:
-            raise ValueError("column_names length does not match d")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.column_names is not None:
-            object.__setattr__(self, "column_names", tuple(self.column_names))
 
     @property
     def n(self) -> int:

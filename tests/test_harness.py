@@ -27,7 +27,6 @@ from specbeta import (
     ParseError,
     SpecbetaError,
     emit_report,
-    ingest_csv,
     read_numeric_csv,
     run,
 )
@@ -232,60 +231,115 @@ class TestReadNumericCsvPaths:
         assert fast == slow
 
 
-class TestIngestCsv:
-    def test_target_by_name_preserves_order(self, tmp_path):
-        p = write_csv(tmp_path / "f.csv", "a,b,y\n1,2,3\n4,5,6\n7,8,9\n")
-        data = ingest_csv(p, "y")
-        assert data.d == 2
-        assert data.column_names == ("a", "b")
-        np.testing.assert_array_equal(data.y, [3, 6, 9])
+class Taken(Exception):
+    """Raised in place of the model, once fit_csv_target has formed its moments."""
 
-    def test_target_by_index(self, tmp_path):
-        p = write_csv(tmp_path / "f.csv", "1,2,3\n4,5,6\n")
-        data = ingest_csv(p, 0)
-        np.testing.assert_array_equal(data.y, [1, 4])
-        np.testing.assert_array_equal(data.x[:, 0], [2, 5])
+
+def fitted_moments(path, target, normalize=False):
+    """``(sigma_xx, sigma_xy, sigma_yy, n)`` that fit_csv_target fits for ``target``."""
+    moments = []
+
+    def take(*args):
+        moments.append(args)
+        raise Taken
+
+    config = ExperimentConfig(mode="estimate", input_path=str(path), target=target,
+                              normalize=normalize)
+    with pytest.MonkeyPatch.context() as monkeypatch, pytest.raises(Taken):
+        monkeypatch.setattr(harness, "covariance_from_moments", take)
+        harness.fit_csv_target(config)
+    return moments[0]
+
+
+def assert_moments(moments, x, y):
+    """``moments`` are those of predictors ``x`` (columns in order) and target ``y``."""
+    sigma_xx, sigma_xy, sigma_yy, n = moments
+    joint = np.cov(np.column_stack([x, y]), rowvar=False, bias=True)
+    np.testing.assert_allclose(sigma_xx, joint[:-1, :-1], rtol=1e-12)
+    np.testing.assert_allclose(sigma_xy, joint[:-1, -1], rtol=1e-12)
+    assert sigma_yy == pytest.approx(joint[-1, -1], rel=1e-12)
+    assert n == len(y)
+
+
+def matrix_csv(path, matrix, header=""):
+    """``matrix`` written with 17 significant digits, so that it reads back exactly."""
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=header, comments="")
+    return str(path)
+
+
+class TestFitCsvTarget:
+    """estimate and test fit their target's block of the CSV's joint covariance."""
+
+    def test_target_by_name_takes_the_other_columns_in_order(self, tmp_path, rng):
+        m = rng.standard_normal((40, 3)) * np.array([1.0, 10.0, 0.1])
+        p = matrix_csv(tmp_path / "f.csv", m, "a,b,y")
+        assert_moments(fitted_moments(p, "y"), m[:, :2], m[:, 2])
+
+    def test_target_by_index(self, tmp_path, rng):
+        m = rng.standard_normal((40, 3)) * np.array([1.0, 10.0, 0.1])
+        p = matrix_csv(tmp_path / "f.csv", m)
+        assert_moments(fitted_moments(p, 0), m[:, 1:], m[:, 0])
 
     def test_missing_name(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3,4\n")
         with pytest.raises(MissingColumnError):
-            ingest_csv(p, "zz")
+            fitted_moments(p, "zz")
 
-    def test_ambiguous_name(self, tmp_path):
+    def test_ambiguous_name(self, tmp_path, rng):
         # a name two columns share would silently pick the first as the target
-        p = write_csv(tmp_path / "f.csv", "a,a,y\n1,2,3\n4,5,6\n7,8,8\n")
+        m = rng.standard_normal((40, 3))
+        p = matrix_csv(tmp_path / "f.csv", m, "a,a,y")
         with pytest.raises(DataError, match=r"^target name 'a' matches columns \[0, 1\]"):
-            ingest_csv(p, "a")
-        np.testing.assert_array_equal(ingest_csv(p, 1).y, [2, 5, 8])
+            fitted_moments(p, "a")
+        assert_moments(fitted_moments(p, 1), m[:, [0, 2]], m[:, 1])
 
     def test_index_out_of_range(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "1,2\n3,4\n")
         with pytest.raises(MissingColumnError):
-            ingest_csv(p, 5)
+            fitted_moments(p, 5)
 
     def test_normalize_unit_variance(self, tmp_path, rng):
-        rows = rng.standard_normal((50, 3)) * np.array([1.0, 10.0, 0.1])
-        body = "\n".join(",".join(f"{float(v)!r}" for v in row) for row in rows)
-        p = write_csv(tmp_path / "f.csv", body + "\n")
-        data = ingest_csv(p, 2, normalize=True)
-        np.testing.assert_allclose(data.x.std(axis=0), 1.0, atol=1e-10)
+        # every predictor is scaled, and the target is not
+        m = rng.standard_normal((50, 3)) * np.array([1.0, 10.0, 0.1])
+        p = matrix_csv(tmp_path / "f.csv", m)
+        sigma_xx, _, sigma_yy, _ = fitted_moments(p, 2, normalize=True)
+        np.testing.assert_allclose(np.diagonal(sigma_xx), 1.0, atol=1e-10)
+        assert sigma_yy == pytest.approx(m[:, 2].var(), rel=1e-12)
 
     def test_normalize_constant_column(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "1,5,1\n2,5,0\n3,5,1\n")
         with pytest.raises(ConstantColumnError):
-            ingest_csv(p, 2, normalize=True)
+            fitted_moments(p, 2, normalize=True)
 
     def test_normalize_column_constant_up_to_rounding(self, tmp_path, rng):
         # 5000 copies of 0.1 have a standard deviation of 1.4e-17, not 0
         rows = np.column_stack([rng.standard_normal((5000, 2)), np.full(5000, 0.1)])
         assert rows[:, 2].std() > 0.0
-        body = "\n".join(",".join(f"{float(v)!r}" for v in row) for row in rows)
-        p = write_csv(tmp_path / "f.csv", "a,b,c\n" + body + "\n")
+        p = matrix_csv(tmp_path / "f.csv", rows, "a,b,c")
         with pytest.raises(ConstantColumnError, match="^column 'c' has zero variance"):
-            ingest_csv(p, "a", normalize=True)
+            fitted_moments(p, "a", normalize=True)
+        # a constant target is no predictor to normalize: it has no signal to fit
+        config = ExperimentConfig(mode="estimate", input_path=p, target="c", normalize=True)
+        with pytest.raises(ZeroSignalError):
+            harness.fit_csv_target(config)
         # the other columns are divided by their standard deviation, as before
-        data = ingest_csv(p, "c", normalize=True)
-        np.testing.assert_array_equal(data.x, rows[:, :2] / rows[:, :2].std(axis=0))
+        sigma_xx, *_ = fitted_moments(p, "c", normalize=True)
+        x = rows[:, :2] / rows[:, :2].std(axis=0)
+        np.testing.assert_allclose(sigma_xx, np.cov(x, rowvar=False, bias=True), rtol=1e-12)
+
+    @pytest.mark.parametrize("column", range(5))
+    def test_equals_shuffle_targets_record_bit_for_bit(self, column):
+        # all three fit a column from the same block of one joint covariance
+        sample = str(ROOT / "tests" / "data" / "sample.csv")
+        shuffled = run(ExperimentConfig(mode="shuffle_target", input_path=sample,
+                                        null_count=100))["records"][column]
+        estimated, = run(ExperimentConfig(mode="estimate", input_path=sample,
+                                          target=column))["records"]
+        tested, = run(ExperimentConfig(mode="test", input_path=sample, target=column,
+                                       null_count=100))["records"]
+        for key in ("beta_hat", "theta_hat", "boundary"):
+            assert estimated[key] == shuffled[key], key
+        assert tested["t_observed"] == shuffled["t_observed"]
 
 
 # The ExperimentConfig fields each mode reads, besides fmt.

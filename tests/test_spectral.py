@@ -59,10 +59,6 @@ class TestDataMatrix:
         with pytest.raises(ValueError, match=message):
             DataMatrix(x=x, y=y)
 
-    def test_rejects_bad_column_names(self):
-        with pytest.raises(ValueError):
-            DataMatrix(x=np.ones((4, 2)), y=np.zeros(4), column_names=("only",))
-
 
 class TestEmpiricalCovariance:
     def test_two_point_example(self):

@@ -3,13 +3,15 @@
 Subcommands map one-to-one onto the harness operations.  Each takes --output
 and --format plus the flags of the settings its operation reads; any other
 flag is a usage error.  Reports go to stdout as JSON unless --output is
-given.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+given.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+141 (128 + SIGPIPE) when the reader of the report stops before its end.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 
 def _parse_target(raw: str) -> str | int:
@@ -114,6 +117,13 @@ def main(argv: list[str] | None = None) -> int:
     config, output = _parse_config(argv)
     try:
         harness.emit_report(harness.run(config), output)
+        sys.stdout.flush()  # so that a reader gone early raises here, not at exit
+    except BrokenPipeError:
+        # no fault of the data; what is left of the report goes nowhere, so the
+        # interpreter's own flush at exit has nothing to report either
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except (DataError, ValueError, OSError) as err:
         print(f"specbeta: data error: {err}", file=sys.stderr)
         return EXIT_DATA

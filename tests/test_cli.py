@@ -532,6 +532,24 @@ class TestSimulationCommands:
         assert (code, out) == (3, "")
         assert err == "specbeta: numeric failure: 1 of 2 planned runs failed (> 10%)\n"
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_that_stops_early_ends_the_run_quietly(self, unbuffered):
+        # the reader of a 114 kB report, more than a pipe buffer's 64 KiB, takes
+        # 100 bytes and closes the pipe: no data error, and the status a shell
+        # gives a tool whose reader stopped
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "specbeta.cli", "simulate", "--dim", "3", "--samples",
+                "30", "--runs", "1000"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
     def test_simulate_byte_identical_outputs(self, capsys, tmp_path):
         argv = ["simulate", "--dim", "3", "--samples", "300", "--runs", "3", "--seed", "5"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"

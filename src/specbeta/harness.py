@@ -277,14 +277,20 @@ def _csv_covariance(
 
 
 def _target_index(target: str | int, names: list[str]) -> int:
-    """The column ``target`` names: an index, or else a name that exactly one column has."""
+    """The column ``target`` names: an index, or else a name that exactly one column has.
+
+    An index that is also the name of another column is ambiguous.
+    """
+    matches = [j for j, name in enumerate(names) if name == str(target)]
     if isinstance(target, int):
         if not (0 <= target < len(names)):
             raise MissingColumnError(
                 f"target index {target} out of range (have {len(names)} columns)"
             )
+        if set(matches) - {target}:
+            raise DataError(f"target {target} is ambiguous: the index of column {target} "
+                            f"and the name of columns {matches} (zero-based)")
         return target
-    matches = [j for j, name in enumerate(names) if name == target]
     if not matches:
         raise MissingColumnError(f"target column {target!r} not found in {names}")
     if len(matches) > 1:

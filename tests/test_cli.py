@@ -161,6 +161,22 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert err == "specbeta: data error: target name 'a' matches columns [0, 1] (zero-based)\n"
 
+    def test_index_that_names_another_column_is_data_error(self, capsys, tmp_path):
+        # "2" is column 2 by index and column 1 by name
+        p = tmp_path / "number_names.csv"
+        p.write_text("a,2,y\n1,2,3\n4,5,7\n2,1,1\n5,3,2\n")
+        code, out, err = run(capsys, ["estimate", "--input", str(p), "--target", "2"])
+        assert (code, out) == (2, "")
+        assert err == ("specbeta: data error: target 2 is ambiguous: the index of column 2 "
+                       "and the name of columns [1] (zero-based)\n")
+        code, out, _ = run(capsys, ["estimate", "--input", str(p), "--target", "y"])
+        assert code == 0
+        # a name at the index it reads as is no other reading
+        p.write_text("a,b,2\n1,2,3\n4,5,7\n2,1,1\n5,3,2\n")
+        code, named, _ = run(capsys, ["estimate", "--input", str(p), "--target", "2"])
+        assert code == 0
+        assert json.loads(named)["records"] == json.loads(out)["records"]
+
     def test_normalize_predictor_constant_up_to_rounding(self, capsys, constant_csv):
         # without --normalize the constant predictor makes sigma_xx singular
         code, _, err = run(capsys, ["estimate", "--input", constant_csv, "--target", "y"])

@@ -1036,14 +1036,10 @@ class TestStudyDriver:
 
 
 def shuffle_target_analysis(tmp_path, matrix, **fields):
-    """harness.shuffle_target_analysis of ``matrix``, written to a headerless CSV.
-
-    Cells are written with 17 significant digits, so each reads back exactly.
-    """
-    path = tmp_path / "matrix.csv"
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+    """harness.shuffle_target_analysis of ``matrix``, written to a headerless CSV."""
+    path = matrix_csv(tmp_path / "matrix.csv", matrix)
     np.testing.assert_array_equal(read_numeric_csv(path)[0], matrix)
-    config = ExperimentConfig(mode="shuffle_target", input_path=str(path), **fields)
+    config = ExperimentConfig(mode="shuffle_target", input_path=path, **fields)
     return harness.shuffle_target_analysis(config)
 
 

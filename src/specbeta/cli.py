@@ -25,19 +25,13 @@ EXIT_NUMERIC = 3
 EXIT_PIPE = 141
 
 
-def _parse_target(raw: str) -> str | int:
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
 # The flag and argparse spec of each ExperimentConfig field, and of the output
 # path, which the config does not hold.  The subparsers suppress defaults, so a
 # flag left out is absent from the parse and its field keeps its default.
 _FLAGS: dict[str, tuple[str, dict]] = {
     "input_path": ("--input", {"required": True, "metavar": "PATH"}),
-    "target": ("--target", {"type": _parse_target, "required": True, "metavar": "NAME|INDEX"}),
+    "target": ("--target", {"type": harness.parse_target, "required": True,
+                            "metavar": "NAME|INDEX"}),
     "normalize": ("--normalize", {"action": "store_true"}),
     "d": ("--dim", {"type": int, "metavar": "D"}),
     "latent": ("--latent", {"type": int, "metavar": "L"}),

@@ -254,7 +254,8 @@ def _csv_covariance(
 
     ``target`` indexes ``config.target``, or is None for shuffle-target.
     ``normalize`` scales every column but the target: shuffle-target's whole
-    matrix as parsed, since a copy's memory layout moves the last bits.  Of
+    matrix as parsed, and a row-major copy of estimate's predictors, since a
+    fancy-indexed copy's memory layout moves the last bits.  Of
     several faults the first is raised: the file's, the target's or too few
     columns, a column ``normalize`` finds constant, then n < 2 or d < 1.
     """
@@ -267,7 +268,8 @@ def _csv_covariance(
         matrix = normalize_columns(matrix, names)
     elif config.normalize:
         rest = np.delete(np.arange(ncols), target)
-        matrix[:, rest] = normalize_columns(matrix[:, rest], [names[j] for j in rest])
+        predictors = np.delete(matrix, target, axis=1)
+        matrix[:, rest] = normalize_columns(predictors, [names[j] for j in rest])
     if n < 2 or ncols < 2:
         raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={ncols - 1}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
@@ -276,12 +278,21 @@ def _csv_covariance(
     return joint, n, names, target
 
 
+def parse_target(text: str) -> str | int:
+    """The column index ``text`` reads as, as ``int`` reads it, or else ``text`` as a name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _target_index(target: str | int, names: list[str]) -> int:
     """The column ``target`` names: an index, or else a name that exactly one column has.
 
-    An index that is also the name of another column is ambiguous.
+    An index that another column's name also reads as (``02`` for 2) is ambiguous.
     """
-    matches = [j for j, name in enumerate(names) if name == str(target)]
+    reads = [parse_target(name) if isinstance(target, int) else name for name in names]
+    matches = [j for j, read in enumerate(reads) if read == target]
     if isinstance(target, int):
         if not (0 <= target < len(names)):
             raise MissingColumnError(

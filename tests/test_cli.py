@@ -177,6 +177,18 @@ class TestEstimate:
         assert code == 0
         assert json.loads(named)["records"] == json.loads(out)["records"]
 
+    @pytest.mark.parametrize("name, text", [("02", "2"), ("2", "02"), ("+2", "2"),
+                                            ("2", " 2"), ("2", "+2")])
+    def test_index_another_columns_name_reads_as_is_data_error(self, capsys, tmp_path,
+                                                               name, text):
+        # the name and the flag read as the same index, however each is spelled
+        p = tmp_path / "number_names.csv"
+        p.write_text(f"a,{name},y\n1,2,3\n4,5,7\n2,1,1\n5,3,2\n")
+        code, out, err = run(capsys, ["estimate", "--input", str(p), "--target", text])
+        assert (code, out) == (2, "")
+        assert err == ("specbeta: data error: target 2 is ambiguous: the index of column 2 "
+                       "and the name of columns [1] (zero-based)\n")
+
     def test_normalize_predictor_constant_up_to_rounding(self, capsys, constant_csv):
         # without --normalize the constant predictor makes sigma_xx singular
         code, _, err = run(capsys, ["estimate", "--input", constant_csv, "--target", "y"])

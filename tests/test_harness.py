@@ -251,14 +251,21 @@ def fitted_moments(path, target, normalize=False):
     return moments[0]
 
 
-def assert_moments(moments, x, y):
-    """``moments`` are those of predictors ``x`` (columns in order) and target ``y``."""
+def assert_moments(moments, matrix, j):
+    """``moments`` are, bit for bit, column j's block of ``matrix``'s joint covariance.
+
+    The joint covariance is formed as ``_csv_covariance`` forms it, over all
+    columns; np.cov checks that formula, to rounding.
+    """
     sigma_xx, sigma_xy, sigma_yy, n = moments
-    joint = np.cov(np.column_stack([x, y]), rowvar=False, bias=True)
-    np.testing.assert_allclose(sigma_xx, joint[:-1, :-1], rtol=1e-12)
-    np.testing.assert_allclose(sigma_xy, joint[:-1, -1], rtol=1e-12)
-    assert sigma_yy == pytest.approx(joint[-1, -1], rel=1e-12)
-    assert n == len(y)
+    centered = matrix - matrix.mean(axis=0)
+    joint = (centered.T @ centered) / len(matrix)
+    np.testing.assert_allclose(joint, np.cov(matrix, rowvar=False, bias=True), rtol=1e-12)
+    rest = np.delete(np.arange(matrix.shape[1]), j)
+    np.testing.assert_array_equal(sigma_xx, joint[np.ix_(rest, rest)])
+    np.testing.assert_array_equal(sigma_xy, joint[rest, j])
+    assert sigma_yy == joint[j, j]
+    assert n == len(matrix)
 
 
 def matrix_csv(path, matrix, header=""):
@@ -273,12 +280,12 @@ class TestFitCsvTarget:
     def test_target_by_name_takes_the_other_columns_in_order(self, tmp_path, rng):
         m = rng.standard_normal((40, 3)) * np.array([1.0, 10.0, 0.1])
         p = matrix_csv(tmp_path / "f.csv", m, "a,b,y")
-        assert_moments(fitted_moments(p, "y"), m[:, :2], m[:, 2])
+        assert_moments(fitted_moments(p, "y"), m, 2)
 
     def test_target_by_index(self, tmp_path, rng):
         m = rng.standard_normal((40, 3)) * np.array([1.0, 10.0, 0.1])
         p = matrix_csv(tmp_path / "f.csv", m)
-        assert_moments(fitted_moments(p, 0), m[:, 1:], m[:, 0])
+        assert_moments(fitted_moments(p, 0), m, 0)
 
     def test_missing_name(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3,4\n")
@@ -291,7 +298,7 @@ class TestFitCsvTarget:
         p = matrix_csv(tmp_path / "f.csv", m, "a,a,y")
         with pytest.raises(DataError, match=r"^target name 'a' matches columns \[0, 1\]"):
             fitted_moments(p, "a")
-        assert_moments(fitted_moments(p, 1), m[:, [0, 2]], m[:, 1])
+        assert_moments(fitted_moments(p, 1), m, 1)
 
     def test_index_out_of_range(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "1,2\n3,4\n")
@@ -323,9 +330,18 @@ class TestFitCsvTarget:
         with pytest.raises(ZeroSignalError):
             harness.fit_csv_target(config)
         # the other columns are divided by their standard deviation, as before
-        sigma_xx, *_ = fitted_moments(p, "c", normalize=True)
-        x = rows[:, :2] / rows[:, :2].std(axis=0)
-        np.testing.assert_allclose(sigma_xx, np.cov(x, rowvar=False, bias=True), rtol=1e-12)
+        normalized = []
+
+        def normalize(x, names):
+            normalized.append(harness_normalize(x, names))
+            return normalized[-1]
+
+        harness_normalize = harness.normalize_columns
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(harness, "normalize_columns", normalize)
+            moments = fitted_moments(p, "c", normalize=True)
+        np.testing.assert_array_equal(normalized, [rows[:, :2] / rows[:, :2].std(axis=0)])
+        assert_moments(moments, np.column_stack([normalized[0], rows[:, 2]]), 2)
 
     @pytest.mark.parametrize("column", range(5))
     def test_equals_shuffle_targets_record_bit_for_bit(self, column):

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NumericOverflowError, SingularMatrixError
-from .spectral import CovarianceModel, _unit, direction_coords
+from .spectral import CovarianceModel, _direction_coords, _dot, _stacked, _unit
 
 # Likelihood maximization.  The scan grid spans [GRID_LO, GRID_HI] times the
 # median eigenvalue, which makes it covariant under global rescaling of the
@@ -79,13 +79,24 @@ def log_direction_density(
     t = np.asarray(theta, dtype=np.float64)
     _check_theta(t)
     u = _unit(u)
-    r = 1.0 + t[..., None] / cov.eigenvalues
+    val = _log_density(t, u * u, cov.eigenvalues)
+    return float(val) if val.ndim == 0 else val
+
+
+def _log_density(
+    t: NDArray[np.float64], u2: NDArray[np.float64], lam: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """``log_direction_density`` at the thetas ``t`` of squared coordinates ``u2``.
+
+    ``u2`` and ``lam`` broadcast against ``t[..., None]``: (d,) for any
+    ``t``, or (R, 1, d) for a stack's (R, k) thetas, row by row.
+    """
+    r = 1.0 + t[..., None] / lam
     if not np.all(np.isfinite(r)):
         raise NumericOverflowError("theta / lambda_min overflowed")
     log_det = np.sum(np.log(r), axis=-1)
-    val = -0.5 * (log_det + cov.d * np.log(np.sum(u * u / r, axis=-1)))
-    val = np.where(t == 0.0, 0.0, val)
-    return float(val) if val.ndim == 0 else val
+    val = -0.5 * (log_det + lam.shape[-1] * np.log(np.sum(u2 / r, axis=-1)))
+    return np.where(t == 0.0, 0.0, val)
 
 
 def direction_density(a_matrix: NDArray[np.float64], v: NDArray[np.float64]) -> float:
@@ -114,31 +125,35 @@ def direction_density(a_matrix: NDArray[np.float64], v: NDArray[np.float64]) -> 
     return 1.0 / (det * float(np.linalg.norm(inv_v)) ** d)
 
 
-def _newton(theta: float, u2: NDArray[np.float64], lam: NDArray[np.float64]) -> tuple[bool, float]:
-    """Whether the log-likelihood rises at ``theta``, and the Newton step -l'/l'' there.
+def _newton(
+    theta: NDArray[np.float64], u2: NDArray[np.float64], lam: NDArray[np.float64]
+) -> tuple[NDArray[np.bool_], NDArray[np.float64]]:
+    """Whether the log-likelihood rises at each ``theta`` (k,), and the Newton step -l'/l'' there.
 
-    With w_j = u_j^2 lambda_j, S_k = sum_j w_j/(lambda_j+theta)^k and A_k =
+    Row i has squared coordinates ``u2[i]`` and eigenvalues ``lam[i]``.  With
+    w_j = u_j^2 lambda_j, S_k = sum_j w_j/(lambda_j+theta)^k and A_k =
     sum_j (lambda_j+theta)^-k: 2 l' = d S_2/S_1 - A_1 and 2 l'' = A_2 +
     d (S_2^2/S_1^2 - 2 S_3/S_1).  At theta = 0 the slope is 1/2 d^{3/2} T,
     so the sign is that of ``statistic_T``.  Above every lambda_j the two
     terms of l' cancel to leading order; there 2 l' is summed as sum_j (d p_j
     - 1) (1/(lambda_j+theta) - 1/theta), with p_j = w_j/((lambda_j+theta) S_1).
     The two sums agree, as sum_j (d p_j - 1) = 0, and each term of the second
-    is the smaller.  The step is NaN where l'' >= 0 and, being a Python
-    float, inf without a warning where it overflows.
+    is the smaller.  The step is NaN where l'' >= 0, and inf where it overflows.
     """
-    q = u2 / (1.0 + theta / lam)  # w_j / (lambda_j + theta)
-    inv = 1.0 / (lam + theta)
-    d, s1, s2, a1 = lam.size, float(q.sum()), float(q.dot(inv)), float(inv.sum())
-    t = inv / a1  # in units of A_1 no power of 1/(lambda_j + theta) overflows
-    m1, m2 = s2 / (a1 * s1), float(q.dot(t * t)) / s1
-    curvature = float(t.dot(t)) + d * (m1 * m1 - 2.0 * m2)  # 2 l'' / A_1^2
-    rising, slope = d * s2 > a1 * s1, d * m1 - 1.0  # slope: 2 l' / A_1
-    if theta > lam[0]:  # lam descends; 1/(lambda_j+theta) - 1/theta = -lambda_j inv_j/theta
-        slope = float((d * q / s1 - 1.0).dot(lam * t)) / -theta
-        rising = slope > 0.0
-    step = -slope / curvature / a1 if curvature < 0.0 else math.nan
-    return rising, step
+    d = lam.shape[-1]
+    q = u2 / (1.0 + theta[:, None] / lam)  # w_j / (lambda_j + theta)
+    inv = 1.0 / (lam + theta[:, None])
+    s1, s2, a1 = q.sum(axis=-1), _dot(q, inv), inv.sum(axis=-1)
+    t = inv / a1[:, None]  # in units of A_1 no power of 1/(lambda_j + theta) overflows
+    m1, m2 = s2 / (a1 * s1), _dot(q, t * t) / s1
+    curvature = _dot(t, t) + d * (m1 * m1 - 2.0 * m2)  # 2 l'' / A_1^2
+    above = theta > lam[:, 0]  # lam descends; 1/(lambda_j+theta) - 1/theta = -lambda_j inv_j/theta
+    # each form is taken only where it holds; the other may divide by theta = 0 or l'' = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = np.where(above, _dot(d * q / s1[:, None] - 1.0, lam * t) / -theta,
+                         d * m1 - 1.0)  # 2 l' / A_1
+        step = np.where(curvature < 0.0, -slope / curvature / a1, np.nan)
+    return np.where(above, slope > 0.0, d * s2 > a1 * s1), step
 
 
 def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate:
@@ -160,37 +175,63 @@ def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate
     ``boundary`` is set when the maximum sits at the upper end of the scan
     range.  A ``u`` that is not a unit vector is a ValueError.
     """
-    u = _unit(u)
+    return _first(_estimates(_unit(u)[None], _stacked(cov)))
+
+
+def _estimates(u: NDArray[np.float64], cov: CovarianceModel) -> tuple[NDArray, ...]:
+    """``estimate_theta`` of each row of the (R, d) unit coordinates ``u`` on its model
+    of the stack ``cov``, as (theta_hat, beta_hat, loglik, boundary) arrays.
+
+    Every row scores its own grid in one (R, 201, d) array and is refined by
+    Newton steps while its bracket is open, so each row gets, bit for bit,
+    the result it gets alone.
+    """
     lam = cov.eigenvalues
-    lam_med = float(np.median(lam))
+    rows = np.arange(len(u))
+    lam_med = np.median(lam, axis=-1)
     grid = np.concatenate(
-        [[0.0], np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, GRID_POINTS)]
+        [np.zeros((len(u), 1)),
+         np.geomspace(GRID_LO * lam_med, GRID_HI * lam_med, GRID_POINTS, axis=-1)],
+        axis=-1,
     )
-    vals = log_direction_density(grid, u, cov)
-    best = int(np.argmax(vals))  # first index on ties -> smaller theta
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    u2 = u**2
-    if not _newton(lo, u2, lam)[0]:
-        hi = lo
-    elif _newton(hi, u2, lam)[0]:
-        lo = hi
-    theta = float(grid[best]) if lo < grid[best] < hi else 0.5 * (lo + hi)
-    while hi - lo > REFINE_REL_TOL * hi:
-        rising, step = _newton(theta, u2, lam)
-        lo, hi = (theta, hi) if rising else (lo, theta)
-        if abs(step) <= REFINE_REL_TOL * hi:
-            break
-        theta = theta + step if lo < theta + step < hi else 0.5 * (lo + hi)  # NaN: midpoint
-    candidates = [(grid[best], vals[best])]
-    candidates.append((theta, log_direction_density(theta, u, cov)))
-    theta_hat, loglik = min(candidates, key=lambda p: (-p[1], p[0]))
-    theta_hat = float(theta_hat)
+    u2 = u * u
+    vals = _log_density(grid, u2[:, None, :], lam[:, None, :])
+    best = np.argmax(vals, axis=-1)  # first index on ties -> smaller theta
+    at_best, val_best = grid[rows, best], vals[rows, best]
+    lo = grid[rows, np.maximum(best - 1, 0)]
+    hi = grid[rows, np.minimum(best + 1, GRID_POINTS)]
+    rising_lo, rising_hi = _newton(lo, u2, lam)[0], _newton(hi, u2, lam)[0]
+    lo, hi = np.where(rising_lo & rising_hi, hi, lo), np.where(rising_lo, hi, lo)
+    theta = np.where((lo < at_best) & (at_best < hi), at_best, 0.5 * (lo + hi))
+    todo = np.flatnonzero(hi - lo > REFINE_REL_TOL * hi)
+    with np.errstate(invalid="ignore"):  # a NaN step compares false
+        while todo.size:
+            now = theta[todo]
+            rising, step = _newton(now, u2[todo], lam[todo])
+            lo[todo] = np.where(rising, now, lo[todo])
+            hi[todo] = np.where(rising, hi[todo], now)
+            done = np.abs(step) <= REFINE_REL_TOL * hi[todo]
+            new = now + step
+            inside = (lo[todo] < new) & (new < hi[todo])  # NaN: midpoint
+            theta[todo] = np.where(done, now, np.where(inside, new, 0.5 * (lo[todo] + hi[todo])))
+            todo = todo[~done & (hi[todo] - lo[todo] > REFINE_REL_TOL * hi[todo])]
+    refined = _log_density(theta[:, None], u2[:, None, :], lam[:, None, :])[:, 0]
+    grid_wins = (val_best > refined) | ((val_best == refined) & (at_best <= theta))
+    theta_hat = np.where(grid_wins, at_best, theta)
+    loglik = np.where(grid_wins, val_best, refined)
     # the log-density's two terms cancel; a gain over l(0) = 0 within their rounding is a tie
-    if loglik <= lam.size * np.finfo(float).eps * (1.0 + float(np.sum(np.log1p(theta_hat / lam)))):
-        theta_hat, loglik = 0.0, 0.0
-    boundary = bool(theta_hat >= grid[-1] * (1.0 - 1e-9))
-    return BetaEstimate(theta_hat, beta_from_theta(theta_hat, cov), float(loglik), boundary)
+    tie = loglik <= lam.shape[-1] * np.finfo(float).eps * (
+        1.0 + np.sum(np.log1p(theta_hat[:, None] / lam), axis=-1))
+    theta_hat, loglik = np.where(tie, 0.0, theta_hat), np.where(tie, 0.0, loglik)
+    boundary = theta_hat >= grid[:, -1] * (1.0 - 1e-9)
+    beta_hat = cov.tau_inv * theta_hat / (cov.tau_inv * theta_hat + 1.0)
+    return theta_hat, beta_hat, loglik, boundary
+
+
+def _first(estimates: tuple[NDArray, ...]) -> BetaEstimate:
+    """The first row of ``_estimates``' arrays."""
+    theta_hat, beta_hat, loglik, boundary = (float(x[0]) for x in estimates)
+    return BetaEstimate(theta_hat, beta_hat, loglik, bool(boundary))
 
 
 def beta_from_theta(theta: float, cov: CovarianceModel) -> float:
@@ -208,7 +249,12 @@ def estimate_confounding(cov: CovarianceModel) -> BetaEstimate:
 
     Raises ZeroSignalError (no direction) or NumericOverflowError (theta).
     """
-    return estimate_theta(direction_coords(cov), cov)
+    return _first(_confounding_estimates(_stacked(cov)))
+
+
+def _confounding_estimates(cov: CovarianceModel) -> tuple[NDArray, ...]:
+    """``estimate_confounding`` of each model of a stack, as ``_estimates`` gives it."""
+    return _estimates(_direction_coords(cov), cov)
 
 
 def concentrated_loglik(theta: float, theta_prime: float, cov: CovarianceModel) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadDimensionsError, DegenerateModelError, NumericOverflowError
-from .spectral import CovarianceModel, DataMatrix, covariance_from_moments
+from .spectral import CovarianceModel, DataMatrix, _dot, _from_moments, _row
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,8 @@ def sample_covariance(
     This agrees with ``empirical_covariance(generate_samples(...))`` up to
     rounding, not bit for bit.  Errors are those of that path.
     """
-    return _fitted_model(truth, *_latent_moments(truth, n, noise_sd, rng))
+    cov, beta = _fitted_models([truth], [_latent_moments(truth, n, noise_sd, rng)])
+    return _row(cov, 0), float(beta[0])
 
 
 def _latent_moments(
@@ -134,24 +135,36 @@ def _latent_moments(
     return gram, ze, ee, n
 
 
-def _fitted_model(
-    truth: GroundTruth,
-    gram: NDArray[np.float64],
-    ze: NDArray[np.float64] | None,
-    ee: float,
-    n: int,
-) -> tuple[CovarianceModel, float]:
-    """The fitted model and true beta from ``_latent_moments``' output."""
-    b = truth.m.T @ truth.a + truth.c
-    mg = truth.m @ gram
-    gb = gram @ b
-    sigma_xy = truth.m @ gb
-    sigma_yy = float(b @ gb)
-    if ze is not None:
-        sigma_xy = sigma_xy + truth.m @ ze
-        sigma_yy += 2.0 * float(b @ ze) + ee
-    cov = covariance_from_moments(mg @ truth.m.T, sigma_xy, sigma_yy, n)
-    return cov, _recorded_beta(truth)
+def _fitted_models(
+    truths: list[GroundTruth],
+    moments: list[tuple[NDArray[np.float64], NDArray[np.float64] | None, float, int]],
+) -> tuple[CovarianceModel, NDArray[np.float64]]:
+    """The stacked fitted models and true betas of runs' models and ``_latent_moments``.
+
+    One matmul chain forms every run's moments and one stacked ``eigh``
+    their models; each run gets, bit for bit, what it gets alone.  The true
+    beta is NaN where ``true_beta`` raises.  Raises the first error of
+    ``covariance_from_moments`` that any run has.
+    """
+    m = np.stack([truth.m for truth in truths])
+    a = np.stack([truth.a for truth in truths])
+    c = np.stack([truth.c for truth in truths])
+    gram = np.stack([moment[0] for moment in moments])
+    noisy = [i for i, moment in enumerate(moments) if moment[1] is not None]
+    mt = np.swapaxes(m, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _from_moments
+        b = (mt @ a[..., None])[..., 0] + c  # M'a + c
+        gb = gram @ b[..., None]
+        sigma_xy = (m @ gb)[..., 0]
+        sigma_yy = _dot(b, gb[..., 0])
+        if noisy:
+            ze = np.stack([moments[i][1] for i in noisy])
+            ee = np.array([moments[i][2] for i in noisy])
+            sigma_xy[noisy] += (m[noisy] @ ze[..., None])[..., 0]
+            sigma_yy[noisy] += 2.0 * _dot(b[noisy], ze) + ee
+        sigma_xx = (m @ gram) @ mt
+    cov = _from_moments(sigma_xx, sigma_xy, sigma_yy, np.array([moment[3] for moment in moments]))
+    return cov, _true_betas(m, a, c)
 
 
 def _draw_sources(
@@ -165,14 +178,6 @@ def _draw_sources(
     z = g.standard_normal((truth.ell, n))
     e = noise_sd * g.standard_normal(n) if noise_sd > 0 else None
     return z, e
-
-
-def _recorded_beta(truth: GroundTruth) -> float:
-    """true_beta, or NaN where a = 0, c = 0 (valid, all-zero target samples)."""
-    try:
-        return true_beta(truth)
-    except DegenerateModelError:
-        return float("nan")
 
 
 def true_beta(truth: GroundTruth) -> float:
@@ -189,17 +194,25 @@ def true_beta(truth: GroundTruth) -> float:
     DegenerateModelError
         If a = 0 and c = 0, or if M lacks full row rank (``_confounding_vector``).
     """
-    a2 = float(truth.a @ truth.a)
-    c_any = bool(np.any(truth.c != 0.0))
-    if a2 == 0.0 and not c_any:
+    if float(truth.a @ truth.a) == 0.0 and not np.any(truth.c != 0.0):
         raise DegenerateModelError("a = 0 and c = 0: confounding strength undefined")
-    if not c_any:
-        return 0.0
-    if a2 == 0.0:
-        return 1.0
-    mtc = _confounding_vector(truth.m, truth.c)
-    conf2 = float(mtc @ mtc)
-    return conf2 / (a2 + conf2)
+    beta = float(_true_betas(truth.m[None], truth.a[None], truth.c[None])[0])
+    if np.isnan(beta):
+        raise DegenerateModelError("mixing matrix is not of full row rank")
+    return beta
+
+
+def _true_betas(
+    m: NDArray[np.float64], a: NDArray[np.float64], c: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """``true_beta`` of each model of a stack, or NaN where it raises."""
+    a2 = _dot(a, a)
+    c_any = np.any(c != 0.0, axis=-1)
+    mtc, full_rank = _confounding_vectors(m, c)
+    conf2 = _dot(mtc, mtc)
+    with np.errstate(invalid="ignore"):  # 0/0 where a = 0 and c = 0: NaN below
+        beta = np.where(c_any, np.where(a2 == 0.0, 1.0, conf2 / (a2 + conf2)), 0.0)
+    return np.where((a2 == 0.0) & ~c_any | c_any & (a2 != 0.0) & ~full_rank, np.nan, beta)
 
 
 def _confounding_vector(
@@ -214,14 +227,29 @@ def _confounding_vector(
     Raises DegenerateModelError where min |R_ii| <= 1e-10 max |R_ii| (a ratio
     >= 1/cond(M)): M lacks full row rank.  A study's covariance check is stricter.
     """
-    d = m.shape[0]
+    mtc, full_rank = _confounding_vectors(m[None], c[None])
+    if not full_rank[0]:
+        raise DegenerateModelError("mixing matrix is not of full row rank")
+    return mtc[0]
+
+
+def _confounding_vectors(
+    m: NDArray[np.float64], c: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """``_confounding_vector`` of each (M, c) of a stack, and whether M has full row rank.
+
+    A row without it holds no answer, and raises nothing.
+    """
+    d = m.shape[-2]
     # The triangular factor of [M^T c] is [[R, Q^T c], [0, *]], so one
     # factorization gives both and Q is never formed.
-    r = np.linalg.qr(np.column_stack([m.T, c]), mode="r")
-    pivots = np.abs(np.diag(r)[:d])
-    if pivots.min() <= 1e-10 * pivots.max():
-        raise DegenerateModelError("mixing matrix is not of full row rank")
-    return np.linalg.solve(r[:d, :d], r[:d, d])
+    r = np.linalg.qr(np.concatenate([np.swapaxes(m, -1, -2), c[..., None]], axis=-1), mode="r")
+    pivots = np.abs(np.diagonal(r, 0, -2, -1)[:, :d])
+    full_rank = pivots.min(axis=-1) > 1e-10 * pivots.max(axis=-1)
+    square = r[:, :d, :d]
+    if not full_rank.all():  # solved against I instead, so that solve cannot fail
+        square = np.where(full_rank[:, None, None], square, np.eye(d))
+    return np.linalg.solve(square, r[:, :d, d:])[..., 0], full_rank
 
 
 def sample_aprime_def1(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -32,7 +33,7 @@ from .errors import (
     SpecbetaError,
     ZeroSignalError,
 )
-from .spectral import CovarianceModel, covariance_from_moments
+from .spectral import CovarianceModel, _from_moments, _row, _stacked, covariance_from_moments
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads,
 # the fields fit_record gives each of its records, in report order).  Every
@@ -59,6 +60,14 @@ DEFAULT_SAMPLE_SIZES = (20, 100, 1000, 10000)
 REJECTION_BINS = 10
 # A study aborts once more than this fraction of its planned runs has failed.
 MAX_FAILURE_FRACTION = 0.10
+# Runs, or shuffle-target columns, fitted as one stack: at most STACK_RUNS, and
+# at most STACK_ELEMENTS in the stack's (runs, theta grid, d) scan.  A stack
+# saves per-call overhead, which matters only at small d: 16 runs at d = 10,
+# 3 at d = 50, 1 at d = 100.  Larger stacks at large d measured slower (the
+# calling thread's fits come in blocks the worker cannot keep up with) and
+# held 4 MiB more.
+STACK_RUNS = 64
+STACK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -309,10 +318,10 @@ def _target_index(target: str | int, names: list[str]) -> int:
     return matches[0]
 
 
-def _column_model(joint: NDArray[np.float64], j: int, n: int) -> CovarianceModel:
-    """The model of column j as the target of the others, from their ``joint`` covariance."""
+def _column_moments(joint: NDArray[np.float64], j: int) -> tuple[NDArray[np.float64], ...]:
+    """(sigma_xx, sigma_xy, sigma_yy) of column j as the target of the others, from ``joint``."""
     rest = np.delete(np.arange(len(joint)), j)
-    return covariance_from_moments(joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j], n)
+    return joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j]
 
 
 def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.float64]:
@@ -351,25 +360,70 @@ def fit_record(config: ExperimentConfig, normals: Callable[..., NDArray[np.float
     The estimate runs where the record holds beta_hat, then the test where
     it holds p_value, on ``normals((null_count, d))``, a block of standard
     normals: a run generator's ``standard_normal``, or a block drawn ahead.
-    ``true_beta`` is the known strength of a study's model.
+    ``true_beta`` is the known strength of a study's model.  It is the
+    one-fit call of ``_fit_records``, which fits a stack.
+    """
+    return _fit_records(config, _stacked(cov), [true_beta])[0](normals)
+
+
+def _fit_records(config: ExperimentConfig, cov: CovarianceModel,
+                 true_betas: list[float | None]) -> list[Callable[..., dict]]:
+    """``fit_record`` of each model of a stack, as a function of its ``normals``.
+
+    The estimates of the whole stack are made here, and it raises if any
+    model's does.  A model's test runs, and draws its normals, only when its
+    function is called, so a study draws each run's null block in run order.
     """
     names = OPERATIONS[config.mode][2]
-    values = {"true_beta": true_beta, "tau_inv": cov.tau_inv, "d": cov.d, "n": cov.n,
-              "null_count": config.null_count}
+    columns = {"true_beta": true_betas, "tau_inv": cov.tau_inv.tolist(), "n": cov.n.tolist()}
     if "beta_hat" in names:
-        est = estimator.estimate_confounding(cov)
-        values.update(beta_hat=est.beta_hat, theta_hat=est.theta_hat, boundary=est.boundary)
-    if "p_value" in names:
-        res = cdtest.test_nonconfounding(cov, normals((config.null_count, cov.d)))
-        values.update(t_observed=res.t_observed, p_value=res.p_value,
-                      reject_at_alpha=res.p_value <= config.alpha)
-    return {name: values[name] for name in names}
+        theta_hat, beta_hat, _, boundary = estimator._confounding_estimates(cov)
+        columns.update(beta_hat=beta_hat.tolist(), theta_hat=theta_hat.tolist(),
+                       boundary=boundary.tolist())
+
+    def record(i: int, normals: Callable[..., NDArray[np.float64]]) -> dict:
+        values = {key: column[i] for key, column in columns.items()}
+        values.update(d=cov.d, null_count=config.null_count)
+        if "p_value" in names:
+            res = cdtest.test_nonconfounding(_row(cov, i),
+                                             normals((config.null_count, cov.d)))
+            values.update(t_observed=res.t_observed, p_value=res.p_value,
+                          reject_at_alpha=res.p_value <= config.alpha)
+        return {name: values[name] for name in names}
+
+    return [functools.partial(record, i) for i in range(len(true_betas))]
+
+
+def _stack_size(d: int) -> int:
+    """How many fits of d predictors make one stack."""
+    return max(1, min(STACK_RUNS, STACK_ELEMENTS // ((estimator.GRID_POINTS + 1) * d)))
+
+
+def _stacked_fits(fit: Callable[[list], list[Callable]], rows: list) -> list[Callable]:
+    """``fit(rows)``, a function per row; where that raises, each row fitted alone.
+
+    A row that raises alone gives a function that raises its error, so each
+    error surfaces when its row is settled, as in a loop over the rows.
+    """
+    if not rows:
+        return []
+    try:
+        return fit(rows)
+    except Exception as err:  # a row's own error is raised when the row settles
+        if len(rows) > 1:
+            return [fitted for row in rows for fitted in _stacked_fits(fit, [row])]
+        error = err
+
+        def raised(*_):
+            raise error
+
+        return [raised]
 
 
 def fit_csv_target(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Fit the CSV target named by ``config``: its estimate or its test, by mode."""
     joint, n, _, target = _csv_covariance(config)
-    cov = _column_model(joint, target, n)
+    cov = covariance_from_moments(*_column_moments(joint, target), n)
     record = fit_record(config, run_rng(config.seed).standard_normal, cov)
     return [record], {key: record[key] for key in ("beta_hat", "p_value") if key in record}
 
@@ -457,18 +511,46 @@ def _run_study(
 
     Steps 1 and 3 run on the calling thread; ``_drawn_ahead`` starts runs
     with step 1 and makes their step 2 on its worker, or on the calling
-    thread when the run to settle is not drawn yet.  Runs settle in key
-    order, so the result is a serial loop's: a ``SpecbetaError`` in any step
-    of a run leaves an ``error`` record, the study aborts once more than
+    thread when the run to settle is not drawn yet.  Step 3 fits the runs
+    drawn since the last stack as one stack, once ``_stack_size`` of them
+    are drawn, before a run whose step 1 or 2 fails, and at the end; where
+    the stack raises, its runs are fitted one by one.  Each record is, bit
+    for bit, that of the run fitted alone.  Runs settle in key order, so the
+    result is a serial loop's: a ``SpecbetaError`` in any step of a run
+    leaves an ``error`` record, the study aborts once more than
     MAX_FAILURE_FRACTION of the planned runs have failed, and any other
     exception propagates when its run is settled.
     """
     records: list[dict] = []
     failures = 0
+    stack: list[tuple] = []  # (key, rng, truth, moments) of the runs drawn since the last fit
 
     def start(key: dict) -> tuple:
         rng = run_rng(config.seed, *key.values())
         return (*model(rng, **key), rng)
+
+    def fit(runs: list[tuple]) -> list[Callable]:
+        cov, betas = genmodel._fitted_models(*zip(*runs))
+        return _fit_records(config, cov, betas.tolist())
+
+    def failed(key: dict, err: SpecbetaError) -> None:
+        nonlocal failures
+        failures += 1
+        if failures > MAX_FAILURE_FRACTION * len(keys):
+            raise RuntimeError(
+                f"{failures} of {len(keys)} planned runs failed "
+                f"(> {MAX_FAILURE_FRACTION:.0%})"
+            )
+        records.append({**key, "error": str(err)})
+
+    def settle_stack() -> None:
+        fits = _stacked_fits(fit, [(truth, moments) for _, _, truth, moments in stack])
+        for (key, rng, *_), fitted in zip(stack, fits):
+            try:
+                records.append({**key, **fitted(rng.standard_normal)})
+            except SpecbetaError as err:
+                failed(key, err)
+        stack.clear()
 
     # A run started ahead of an abort or an error is dropped unsettled, as a
     # serial loop would not have reached it.
@@ -476,16 +558,16 @@ def _run_study(
         for key, started, drawn in runs:
             try:
                 truth, *_, rng = started()
-                cov, beta = genmodel._fitted_model(truth, *drawn())
-                records.append({**key, **fit_record(config, rng.standard_normal, cov, beta)})
+                stack.append((key, rng, truth, drawn()))
             except SpecbetaError as err:
-                failures += 1
-                if failures > MAX_FAILURE_FRACTION * len(keys):
-                    raise RuntimeError(
-                        f"{failures} of {len(keys)} planned runs failed "
-                        f"(> {MAX_FAILURE_FRACTION:.0%})"
-                    )
-                records.append({**key, "error": str(err)})
+                settle_stack()
+                failed(key, err)
+            except Exception:
+                settle_stack()
+                raise
+            if len(stack) == _stack_size(config.d):
+                settle_stack()
+        settle_stack()
     return records, failures
 
 
@@ -591,9 +673,11 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
     """Each column of the input CSV in turn as the target: one record per column, in order.
 
     A record holds the estimate and the test, or a ``zero_signal`` flag where
-    the cross-covariance vanishes.  Column j's null block, ``run_rng(seed,
-    j).standard_normal((null_count, d))``, reads no data, so ``_drawn_ahead``
-    draws it on its worker while the calling thread fits the columns before it.
+    the cross-covariance vanishes.  The columns are fitted in stacks of
+    ``_stack_size``, each when its first column settles.  Column j's null
+    block, ``run_rng(seed, j).standard_normal((null_count, d))``, reads no
+    data, so ``_drawn_ahead`` draws it on its worker while the calling
+    thread fits the columns before it.
     """
     joint, n, names, _ = _csv_covariance(config)
     ncols = len(names)
@@ -601,13 +685,20 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
     def null_block(j: int) -> NDArray[np.float64]:
         return run_rng(config.seed, j).standard_normal((config.null_count, ncols - 1))
 
+    def fit(targets: list[int]) -> list[Callable]:
+        moments = [np.stack(m) for m in zip(*(_column_moments(joint, j) for j in targets))]
+        cov = _from_moments(*moments, np.full(len(targets), n))
+        return _fit_records(config, cov, [None] * len(targets))
+
     records: list[dict] = []
+    size = _stack_size(ncols - 1)
     with contextlib.closing(_drawn_ahead(range(ncols), lambda j: (j,), null_block)) as columns:
         for j, _, block in columns:
+            if j % size == 0:  # the stack of columns j, j + 1, ...; it draws nothing
+                fits = _stacked_fits(fit, list(range(j, min(j + size, ncols))))
             key = {"column": j, "name": names[j]}
             try:
-                cov = _column_model(joint, j, n)
-                records.append({**key, **fit_record(config, lambda shape: block(), cov)})
+                records.append({**key, **fits[j % size](lambda shape: block())})
             except ZeroSignalError:
                 records.append({**key, "zero_signal": True})
             except SpecbetaError as err:

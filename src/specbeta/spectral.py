@@ -75,6 +75,10 @@ class CovarianceModel:
 
     Eigenvalues are sorted descending, paired with the eigenvector columns;
     ``tau_inv`` = mean(1/eigenvalues); ``n`` = sample count (0 if analytic).
+    The private kernels fit a stack of R models at once: there each array
+    field has a leading run axis of length R, and ``tau_inv`` and ``n`` are
+    (R,) arrays.  ``_row`` takes one model out of a stack and ``_stacked``
+    makes a model a stack of one.
     """
 
     sigma_xx: NDArray[np.float64]
@@ -106,28 +110,46 @@ class CovarianceModel:
         sxy = np.asarray(sigma_xy, dtype=np.float64).reshape(-1)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError(f"sigma_xx must be square, got shape {s.shape}")
-        d = s.shape[0]
-        if sxy.shape[0] != d:
+        if sxy.shape[0] != s.shape[0]:
             raise ValueError("sigma_xy length does not match sigma_xx")
-        s = 0.5 * s + 0.5 * s.T  # halved first, so that no finite sum overflows
-        lam, vec = np.linalg.eigh(s)
-        # eigh returns ascending order
-        lam = lam[::-1].copy()
-        vec = vec[:, ::-1].copy()
-        if lam[-1] <= RANK_EPS * lam[0]:
-            raise RankDeficientError(
-                f"smallest eigenvalue {lam[-1]:.3e} is below "
-                f"{RANK_EPS:.0e} x largest ({lam[0]:.3e})"
-            )
-        return cls(
-            sigma_xx=s,
-            sigma_xy=sxy,
-            eigenvalues=lam,
-            eigenvectors=vec,
-            tau_inv=float(np.mean(1.0 / lam)),
-            d=d,
-            n=n,
+        return _row(_from_matrices(s[None], sxy[None], np.array([n])), 0)
+
+
+def _from_matrices(
+    sigma_xx: NDArray[np.float64], sigma_xy: NDArray[np.float64], n: NDArray[np.int64]
+) -> CovarianceModel:
+    """``from_matrices`` of a stack: (R, d, d) matrices, (R, d) vectors and (R,) counts."""
+    # halved first, so that no finite sum overflows
+    s = 0.5 * sigma_xx + 0.5 * np.swapaxes(sigma_xx, -1, -2)
+    lam, vec = np.linalg.eigh(s)  # each slice bit for bit its own eigh
+    # eigh returns ascending order
+    lam = lam[:, ::-1].copy()
+    vec = vec[:, :, ::-1].copy()
+    low = np.flatnonzero(lam[:, -1] <= RANK_EPS * lam[:, 0])
+    if low.size:
+        top, bottom = lam[low[0], 0], lam[low[0], -1]
+        raise RankDeficientError(
+            f"smallest eigenvalue {bottom:.3e} is below {RANK_EPS:.0e} x largest ({top:.3e})"
         )
+    return CovarianceModel(s, sigma_xy, lam, vec, np.mean(1.0 / lam, axis=-1), s.shape[-1], n)
+
+
+def _row(cov: CovarianceModel, i: int) -> CovarianceModel:
+    """Model ``i`` of a stack."""
+    return CovarianceModel(cov.sigma_xx[i], cov.sigma_xy[i], cov.eigenvalues[i],
+                           cov.eigenvectors[i], float(cov.tau_inv[i]), cov.d, int(cov.n[i]))
+
+
+def _stacked(cov: CovarianceModel) -> CovarianceModel:
+    """A model as a stack of one."""
+    return CovarianceModel(cov.sigma_xx[None], cov.sigma_xy[None], cov.eigenvalues[None],
+                           cov.eigenvectors[None], np.array([cov.tau_inv]), cov.d,
+                           np.array([cov.n]))
+
+
+def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Row-wise dot products of two (..., d) stacks, each the BLAS dot of ``a_i.dot(b_i)``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def empirical_covariance(data: DataMatrix) -> CovarianceModel:
@@ -173,20 +195,35 @@ def covariance_from_moments(
     RankDeficientError
         If the covariance is numerically singular.
     """
-    d = sigma_xy.shape[0]
-    if n <= d:
-        raise TooFewSamplesError(f"need n > d, got n={n}, d={d}")
-    if not (np.isfinite(sigma_yy) and np.isfinite(sigma_xy).all() and np.isfinite(sigma_xx).all()):
+    moments = (sigma_xx[None], sigma_xy[None], np.array([sigma_yy]), np.array([n]))
+    return _row(_from_moments(*moments), 0)
+
+
+def _from_moments(
+    sigma_xx: NDArray[np.float64],
+    sigma_xy: NDArray[np.float64],
+    sigma_yy: NDArray[np.float64],
+    n: NDArray[np.int64],
+) -> CovarianceModel:
+    """``covariance_from_moments`` of a stack; it raises the first error that any model has."""
+    d = sigma_xy.shape[-1]
+    few = np.flatnonzero(n <= d)
+    if few.size:
+        raise TooFewSamplesError(f"need n > d, got n={n[few[0]]}, d={d}")
+    if not (np.isfinite(sigma_yy).all() and np.isfinite(sigma_xy).all()
+            and np.isfinite(sigma_xx).all()):
         raise NumericOverflowError("second moments overflow: the data are too large in scale")
     # sigma_xy is scaled by its largest entry before it is squared, tr sigma_xx
     # is summed in units of d and ZERO_SIGNAL_EPS is applied first, so that no
     # square, sum or product of finite moments overflows.
-    top = np.abs(sigma_xy).max()
-    norm = top * np.linalg.norm(sigma_xy / top) if top > 0.0 else 0.0
-    root_trace = np.sqrt(d) * np.sqrt(np.sum(np.diagonal(sigma_xx) / d))
-    if norm <= ZERO_SIGNAL_EPS * np.sqrt(sigma_yy) * root_trace:
-        sigma_xy = np.zeros(d)
-    return CovarianceModel.from_matrices(sigma_xx, sigma_xy, n=n)
+    top = np.abs(sigma_xy).max(axis=-1)
+    scaled = sigma_xy / np.where(top > 0.0, top, 1.0)[:, None]
+    norm = top * np.sqrt(_dot(scaled, scaled))
+    root_trace = np.sqrt(d) * np.sqrt(np.sum(np.diagonal(sigma_xx, 0, -2, -1) / d, axis=-1))
+    zero = norm <= ZERO_SIGNAL_EPS * np.sqrt(sigma_yy) * root_trace
+    if zero.any():
+        sigma_xy = np.where(zero[:, None], 0.0, sigma_xy)
+    return _from_matrices(sigma_xx, sigma_xy, n)
 
 
 def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
@@ -199,10 +236,15 @@ def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
     ZeroSignalError
         If the cross-covariance is exactly zero.
     """
-    if not np.any(cov.sigma_xy):
+    return _regression_vectors(_stacked(cov))[0]
+
+
+def _regression_vectors(cov: CovarianceModel) -> NDArray[np.float64]:
+    """``regression_vector`` of each model of a stack."""
+    if not cov.sigma_xy.any(axis=-1).all():
         raise ZeroSignalError("sigma_xy is zero; the target carries no signal")
-    w = cov.eigenvectors.T @ cov.sigma_xy
-    return cov.eigenvectors @ (w / cov.eigenvalues)
+    w = np.swapaxes(cov.eigenvectors, -1, -2) @ cov.sigma_xy[..., None]
+    return (cov.eigenvectors @ (w / cov.eigenvalues[..., None]))[..., 0]
 
 
 def unit_direction(v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -216,23 +258,34 @@ def unit_direction(v: NDArray[np.float64]) -> NDArray[np.float64]:
     ZeroSignalError
         On zero input.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    return _unit_directions(np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
+
+
+def _unit_directions(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``unit_direction`` of each row of an (R, d) stack."""
     with np.errstate(over="ignore"):  # an infinite norm is taken again below
-        norm = np.linalg.norm(v)
-    if not _SAFE_NORM <= norm < np.inf:
-        largest = np.max(np.abs(v), initial=0.0)
-        if largest == 0.0:
+        norm = np.sqrt(_dot(v, v))
+    rescale = ~((_SAFE_NORM <= norm) & (norm < np.inf))
+    if rescale.any():
+        largest = np.max(np.abs(v), axis=-1, initial=0.0)
+        if np.any(largest[rescale] == 0.0):
             raise ZeroSignalError("cannot normalize the zero vector")
-        v = v / largest
-        norm = np.linalg.norm(v)
-    return v / norm
+        v = np.where(rescale[:, None], v / np.where(rescale, largest, 1.0)[:, None], v)
+        norm = np.where(rescale, np.sqrt(_dot(v, v)), norm)
+    return v / norm[:, None]
 
 
 def direction_coords(cov: CovarianceModel) -> NDArray[np.float64]:
     """Eigenbasis coordinates u of the unit regression direction: all that the
     estimator and the test read from the data.  ZeroSignalError on zero sigma_xy.
     """
-    return cov.eigenvectors.T @ unit_direction(regression_vector(cov))
+    return _direction_coords(_stacked(cov))[0]
+
+
+def _direction_coords(cov: CovarianceModel) -> NDArray[np.float64]:
+    """``direction_coords`` of each model of a stack."""
+    unit = _unit_directions(_regression_vectors(cov))
+    return (np.swapaxes(cov.eigenvectors, -1, -2) @ unit[..., None])[..., 0]
 
 
 def _unit(u: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -31,7 +31,7 @@ from specbeta import (
     statistic_T,
     unit_direction,
 )
-from specbeta import estimator
+from specbeta import estimator, spectral
 from specbeta import test_nonconfounding as run_nonconfounding_test
 from specbeta.estimator import GRID_HI, GRID_LO, GRID_POINTS, REFINE_REL_TOL
 from specbeta.genmodel import GroundTruth, sample_covariance
@@ -135,13 +135,16 @@ def decimal_maximizer(theta, u, cov):
 
 
 def recorded_newton_steps(monkeypatch):
-    """A list that collects (theta, step) of every ``_newton`` call that follows."""
+    """A list that collects (theta, step) of every row of every ``_newton`` call that follows.
+
+    ``_newton`` takes a stack of thetas, one per fit; a single fit's calls hold one each.
+    """
     calls = []
     newton = estimator._newton
 
     def recorded(theta, *args):
         rising, step = newton(theta, *args)
-        calls.append((theta, step))
+        calls.extend(zip(theta.tolist(), step.tolist()))
         return rising, step
 
     monkeypatch.setattr(estimator, "_newton", recorded)
@@ -438,6 +441,58 @@ class TestEstimateTheta:
             theta = estimate_theta(unit_direction(coords), cov).theta_hat
             hits += 5.0 <= theta <= 20.0
         assert hits >= 180
+
+
+# Spectra and squared direction coordinates (in the spectrum's order) of d = 3
+# fits, each an edge of the theta search.
+EDGE_ROWS = {
+    "falls from 0": ([1.0, 4.0, 9.0], [0.0, 0.0, 1.0]),
+    "boundary": ([1.0, 4.0, 9.0], [1.0, 0.0, 0.0]),
+    "flat": ([2.0, 2.0, 2.0], [1.0, 4.0, 9.0]),
+    "higher mode at the larger theta": ([1e-3, 0.1, 1e3], [0.4, 0.6, 0.003]),
+    "higher mode at the smaller theta": ([1e3, 10.0, 0.01], [0.01, 0.5, 0.5]),
+    "l'' >= 0": ([1.0, 0.5, 1e-9], [0.05, 0.05, 0.9]),
+    "step leaves the bracket": ([1.0, 0.5, 1e-7], [0.2, 0.2, 0.6]),
+}
+
+
+class TestStackedEstimates:
+    def edge_fits(self, names):
+        """(stack, coordinates) of the EDGE_ROWS named, and each row fitted alone."""
+        covs = [cov_from_spectrum(EDGE_ROWS[name][0]) for name in names]
+        coords = [cov.eigenvectors.T @ unit_direction(np.sqrt(EDGE_ROWS[name][1]))
+                  for cov, name in zip(covs, names)]
+        stack = spectral._from_matrices(np.stack([np.diag(EDGE_ROWS[name][0]) for name in names]),
+                                        np.zeros((len(names), 3)), np.zeros(len(names), int))
+        return stack, np.stack(coords), [estimate_theta(u, cov) for u, cov in zip(coords, covs)]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_edge_rows_in_one_stack_match_their_single_fits(self, order):
+        names = list(EDGE_ROWS)[::order]
+        stack, coords, alone = self.edge_fits(names)
+        got = estimator._estimates(coords, stack)
+        for i, name in enumerate(names):
+            row = estimator.BetaEstimate(*(float(x[i]) for x in got[:3]), bool(got[3][i]))
+            assert row == alone[i], name
+        fits = dict(zip(names, alone))
+        assert fits["falls from 0"].theta_hat == fits["flat"].theta_hat == 0.0
+        assert fits["boundary"].boundary
+        interior = [fit for name, fit in fits.items() if name not in ("falls from 0", "flat")]
+        assert all(fit.theta_hat > 0.0 for fit in interior)
+        assert [fit.boundary for fit in interior] == [fit is fits["boundary"] for fit in interior]
+
+    @pytest.mark.parametrize("name, fallback", [("l'' >= 0", "curvature"),
+                                                ("step leaves the bracket", "outside")])
+    def test_edge_rows_take_their_fallback(self, monkeypatch, name, fallback):
+        # the rows of the stack above reach the midpoint fallback when fitted alone
+        calls = recorded_newton_steps(monkeypatch)
+        stack, coords, _ = self.edge_fits([name])
+        (lo, _), (hi, _), (theta, step) = calls[:3]  # the bracket's ends, then the first step
+        assert lo == 0.0 < theta < hi
+        if fallback == "curvature":
+            assert math.isnan(step)
+        else:
+            assert not lo < theta + step < hi
 
 
 class TestBetaFromTheta:

@@ -196,13 +196,13 @@ class TestSampleCovariance:
     @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
     def test_target_variance(self, monkeypatch, noise_sd):
         # sigma_yy is not stored in the model, but it sets the zero-signal scale
-        original, seen = genmodel.covariance_from_moments, []
+        original, seen = genmodel._from_moments, []
 
-        def keep(*args):
-            seen.append(args[2])
+        def keep(*args):  # the moments of a stack of one run
+            seen.append(args[2][0])
             return original(*args)
 
-        monkeypatch.setattr(genmodel, "covariance_from_moments", keep)
+        monkeypatch.setattr(genmodel, "_from_moments", keep)
         for seed in range(5):
             truth = sample_ground_truth(4, 6, np.random.default_rng(seed))
             y = generate_samples(truth, 50, noise_sd, np.random.default_rng(seed)).y

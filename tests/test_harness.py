@@ -31,6 +31,7 @@ from specbeta import (
     run,
 )
 from specbeta import DataMatrix, cdtest, empirical_covariance, estimator, genmodel, harness
+from specbeta import spectral
 from specbeta.errors import DataError, ZeroSignalError
 from specbeta.harness import run_rng, stable_json
 from specbeta.spectral import covariance_from_moments
@@ -832,9 +833,9 @@ class TestStudyDriver:
         with tracer.installed():
             for config in (*DRIVER_CONFIGS.values(), shuffle_config):
                 harness.run(config)
+        # a study fits its runs through private stacked kernels, which are not traced
         assert {
             "harness.study", "harness.read_numeric_csv", "genmodel.sample_ground_truth",
-            "genmodel.true_beta", "spectral.from_matrices", "estimator.estimate_confounding",
             "cdtest.test_nonconfounding", "cdtest.null_samples_sphere",
         } <= set(threads)
         assert {name: ids for name, ids in threads.items()
@@ -956,7 +957,7 @@ class TestStudyDriver:
             harness.run(config)
         elif ending == "aborts":
             fail_on_calls(monkeypatch, cdtest, "test_nonconfounding", range(100))
-            fail_on_calls(monkeypatch, estimator, "estimate_confounding", range(100))
+            fail_on_calls(monkeypatch, estimator, "_confounding_estimates", range(100))
             with pytest.raises(RuntimeError, match="planned runs failed"):
                 harness.run(config)
         else:
@@ -1042,13 +1043,117 @@ class TestStudyDriver:
             assert [list(r)[-1] for r in records] == ["error"] * 3 + ["zero_signal"]
         else:
             if ending == "raises in a fit":
-                fail_on_calls(monkeypatch, estimator, "estimate_confounding", {2},
+                # the stack of all 9 columns, then column 2 fitted alone
+                fail_on_calls(monkeypatch, estimator, "_confounding_estimates", {0, 3},
                               error=ArithmeticError)
             else:
                 fail_on_calls(monkeypatch, harness, "run_rng", {3}, error=ArithmeticError)
             with pytest.raises(ArithmeticError, match="^injected$"):
                 harness.run(shuffle_config)
         assert set(threading.enumerate()) == before
+
+
+def stack_sizes(monkeypatch, runs):
+    """Fit at most ``runs`` runs a stack; returns the list of the stack sizes fitted."""
+    original, sizes = genmodel._fitted_models, []
+
+    def recorded(truths, moments):
+        sizes.append(len(truths))
+        return original(truths, moments)
+
+    monkeypatch.setattr(harness, "STACK_RUNS", runs)
+    monkeypatch.setattr(genmodel, "_fitted_models", recorded)
+    return sizes
+
+
+def edge_model(kinds):
+    """A study model of d = 3, ell = 4: run i's model is made as ``kinds.get(i)`` names.
+
+    "model" fails in the model step; "rank" zeroes a row of M, so sigma_xx is
+    singular; "zero" zeroes a and c, so the target carries no signal;
+    "overflow" scales M so that M C M' overflows.
+    """
+    def model(rng, run):
+        truth = genmodel.sample_ground_truth(3, 4, rng)
+        m, a, c = truth.m, truth.a, truth.c
+        kind = kinds.get(run)
+        if kind == "model":
+            raise DegenerateModelError("injected")
+        if kind == "rank":
+            m = np.vstack([m[:2], np.zeros(4)])
+        elif kind == "zero":
+            a, c = np.zeros(3), np.zeros(4)
+        elif kind == "overflow":
+            m = 1e160 * m
+        return genmodel.GroundTruth(m, a, c), 50, 0.0
+
+    return model
+
+
+def serial_records(config, keys, model):
+    """``_run_study``'s result from a loop over the runs, each fitted alone by public calls."""
+    records, failures = [], 0
+    for key in keys:
+        rng = run_rng(config.seed, *key.values())
+        try:
+            truth, n, noise_sd = model(rng, **key)
+            cov, beta = genmodel.sample_covariance(truth, n, noise_sd, rng)
+            records.append({**key, **harness.fit_record(config, rng.standard_normal, cov, beta)})
+        except SpecbetaError as err:
+            failures += 1
+            if failures > 0.1 * len(keys):
+                raise RuntimeError(f"{failures} of {len(keys)} planned runs failed (> 10%)")
+            records.append({**key, "error": str(err)})
+    return records, failures
+
+
+class TestStacks:
+    """Runs fitted as one stack give, bit for bit, the records of runs fitted alone."""
+
+    @pytest.mark.parametrize("runs", [1, 3, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("study", sorted(DRIVER_CONFIGS))
+    def test_a_stack_changes_no_bits(self, monkeypatch, study, seed, runs):
+        config = dataclasses.replace(DRIVER_CONFIGS[study], seed=seed)
+        expected = stable_json(serial_study(config))
+        sizes = stack_sizes(monkeypatch, runs)
+        records = harness.run(config)["records"]
+        planned = len(records)
+        assert sizes == [min(runs, planned - k) for k in range(0, planned, runs)]
+        assert stable_json(records) == expected
+
+    @pytest.mark.parametrize("runs", [1, 3, 64])
+    @pytest.mark.parametrize("mode", ["simulate", "rejection_study"])
+    def test_fit_time_failures_next_to_good_runs(self, monkeypatch, mode, runs):
+        # 40 runs: four failures stay under the abort bound; a zero signal fails
+        # the stacked estimate of a simulation, and the test of a rejection study
+        kinds = {1: "rank", 2: "zero", 4: "overflow", 7: "model"}
+        config = ExperimentConfig(mode=mode, d=3, latent=4, n=50, runs=40, seed=3,
+                                  **({"null_count": 100} if mode == "rejection_study" else {}))
+        keys = [{"run": i} for i in range(config.runs)]
+        model = edge_model(kinds)
+        expected = serial_records(config, keys, model)
+        stack_sizes(monkeypatch, runs)
+        got = harness._run_study(config, keys, model)
+        assert stable_json(got) == stable_json(expected)
+        errors = {r["run"]: r["error"] for r in got[0] if "error" in r}
+        assert sorted(errors) == sorted(kinds) and got[1] == len(kinds)
+        assert errors[1].startswith("smallest eigenvalue")
+        assert errors[2] == "sigma_xy is zero; the target carries no signal"
+        assert errors[4] == "second moments overflow: the data are too large in scale"
+
+    @pytest.mark.parametrize("runs", [1, 3, 64])
+    def test_abort_by_fit_time_and_model_step_failures(self, monkeypatch, runs):
+        # 20 runs: the third failure, run 4's, aborts the study
+        config = ExperimentConfig(mode="simulate", d=3, latent=4, n=50, runs=20, seed=3)
+        keys = [{"run": i} for i in range(config.runs)]
+        model = edge_model({1: "rank", 3: "model", 4: "zero", 6: "overflow"})
+        with pytest.raises(RuntimeError) as serial:
+            serial_records(config, keys, model)
+        stack_sizes(monkeypatch, runs)
+        with pytest.raises(RuntimeError) as stacked:
+            harness._run_study(config, keys, model)
+        assert str(stacked.value) == str(serial.value) == "3 of 20 planned runs failed (> 10%)"
 
 
 def shuffle_target_analysis(tmp_path, matrix, **fields):
@@ -1100,16 +1205,19 @@ class TestShuffleTarget:
             if which == "random"
             else self.ZERO_SIGNAL
         )
-        models = []
+        stacks = []
 
         def keep(*args):
-            models.append(covariance_from_moments(*args))
-            return models[-1]
+            stacks.append(spectral._from_moments(*args))
+            return stacks[-1]
 
-        monkeypatch.setattr(harness, "covariance_from_moments", keep)
+        monkeypatch.setattr(harness, "_from_moments", keep)
         shuffle_target_analysis(tmp_path, m, null_count=100)
-        assert len(models) == m.shape[1]
-        for j, got in enumerate(models):
+        # every column fits in one stack; where it fails, each column is refitted alone
+        first = stacks[0]
+        assert len(first.n) == m.shape[1]
+        for j in range(m.shape[1]):
+            got = spectral._row(first, j)
             want = empirical_covariance(DataMatrix(np.delete(m, j, 1), m[:, j]))
             for field in ("sigma_xx", "sigma_xy", "eigenvalues"):
                 a, b = getattr(got, field), getattr(want, field)

@@ -224,8 +224,7 @@ def _estimates(u: NDArray[np.float64], cov: CovarianceModel) -> tuple[NDArray, .
         1.0 + np.sum(np.log1p(theta_hat[:, None] / lam), axis=-1))
     theta_hat, loglik = np.where(tie, 0.0, theta_hat), np.where(tie, 0.0, loglik)
     boundary = theta_hat >= grid[:, -1] * (1.0 - 1e-9)
-    beta_hat = cov.tau_inv * theta_hat / (cov.tau_inv * theta_hat + 1.0)
-    return theta_hat, beta_hat, loglik, boundary
+    return theta_hat, beta_from_theta(theta_hat, cov), loglik, boundary
 
 
 def _first(estimates: tuple[NDArray, ...]) -> BetaEstimate:
@@ -234,11 +233,14 @@ def _first(estimates: tuple[NDArray, ...]) -> BetaEstimate:
     return BetaEstimate(theta_hat, beta_hat, loglik, bool(boundary))
 
 
-def beta_from_theta(theta: float, cov: CovarianceModel) -> float:
+def beta_from_theta(
+    theta: float | NDArray[np.float64], cov: CovarianceModel
+) -> float | NDArray[np.float64]:
     """Map the scale ratio to confounding strength via the renormalized trace.
 
     beta = tau(sigma_xx^{-1}) * theta / (tau(sigma_xx^{-1}) * theta + 1);
-    0 at theta = 0, monotone increasing, always < 1 for finite theta.
+    0 at theta = 0, monotone increasing, always < 1 for finite theta.  On a
+    stack, ``theta`` holds one value per model.
     """
     _check_theta(theta)
     return cov.tau_inv * theta / (cov.tau_inv * theta + 1.0)

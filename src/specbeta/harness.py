@@ -60,13 +60,13 @@ DEFAULT_SAMPLE_SIZES = (20, 100, 1000, 10000)
 REJECTION_BINS = 10
 # A study aborts once more than this fraction of its planned runs has failed.
 MAX_FAILURE_FRACTION = 0.10
-# Runs, or shuffle-target columns, fitted as one stack: at most STACK_RUNS, and
-# at most STACK_ELEMENTS in the stack's (runs, theta grid, d) scan.  A stack
-# saves per-call overhead, which matters only at small d: 16 runs at d = 10,
-# 3 at d = 50, 1 at d = 100.  Larger stacks at large d measured slower (the
-# calling thread's fits come in blocks the worker cannot keep up with) and
-# held 4 MiB more.
-STACK_RUNS = 64
+# Runs, or shuffle-target columns, fitted as one stack: as many as keep each
+# stacked array within STACK_ELEMENTS, the largest being the (runs, theta
+# grid, d) scan or the runs' ell x ell latent Grams.  A stack saves per-call
+# overhead, which matters only at small d: 16 runs at d = 10, 3 at d = 50,
+# 1 at d = 100 or at ell >= 129.  Larger stacks at large d measured slower
+# (the calling thread's fits come in blocks the worker cannot keep up with)
+# and held 4 MiB more.
 STACK_ELEMENTS = 2**15
 
 
@@ -394,9 +394,9 @@ def _fit_records(config: ExperimentConfig, cov: CovarianceModel,
     return [functools.partial(record, i) for i in range(len(true_betas))]
 
 
-def _stack_size(d: int) -> int:
-    """How many fits of d predictors make one stack."""
-    return max(1, min(STACK_RUNS, STACK_ELEMENTS // ((estimator.GRID_POINTS + 1) * d)))
+def _stack_size(d: int, ell: int) -> int:
+    """How many fits of d predictors, each from an ell x ell Gram, make one stack."""
+    return max(1, STACK_ELEMENTS // max((estimator.GRID_POINTS + 1) * d, ell * ell))
 
 
 def _stacked_fits(fit: Callable[[list], list[Callable]], rows: list) -> list[Callable]:
@@ -565,7 +565,7 @@ def _run_study(
             except Exception:
                 settle_stack()
                 raise
-            if len(stack) == _stack_size(config.d):
+            if len(stack) == _stack_size(config.d, config.ell):
                 settle_stack()
         settle_stack()
     return records, failures
@@ -691,7 +691,7 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
         return _fit_records(config, cov, [None] * len(targets))
 
     records: list[dict] = []
-    size = _stack_size(ncols - 1)
+    size = _stack_size(ncols - 1, ncols - 1)  # its d x d covariances take the Grams' place
     with contextlib.closing(_drawn_ahead(range(ncols), lambda j: (j,), null_block)) as columns:
         for j, _, block in columns:
             if j % size == 0:  # the stack of columns j, j + 1, ...; it draws nothing

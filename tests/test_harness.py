@@ -812,31 +812,38 @@ class TestStudyDriver:
             sys.setswitchinterval(interval)
         assert {stable_json(r) for r in records} == {stable_json(serial_study(config))}
 
-    def test_traced_functions_stay_on_the_calling_thread(self, shuffle_config):
+    def test_traced_functions_stay_on_the_calling_thread(self, monkeypatch, shuffle_config):
         importlib.import_module("specbeta.cli")  # the tracer patches every traced module
         spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
         threads = collections.defaultdict(set)
 
+        def recorded(name, fn):
+            def called(*args, **kwargs):
+                threads[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return called
+
         class ThreadTracer(spans.Tracer):
             def wrap(self, name, fn, counter=None, amount=None):
-                traced = super().wrap(name, fn, counter, amount)
+                return recorded(name, super().wrap(name, fn, counter, amount))
 
-                def recorded(*args, **kwargs):
-                    threads[name].add(threading.get_ident())
-                    return traced(*args, **kwargs)
-
-                return recorded
+        # the fits run in private stacked kernels, which the tracer does not see
+        kernels = {"genmodel._fitted_models": (genmodel, "_fitted_models"),
+                   "spectral._from_moments": (harness, "_from_moments"),
+                   "estimator._confounding_estimates": (estimator, "_confounding_estimates")}
+        for name, (module, attr) in kernels.items():
+            monkeypatch.setattr(module, attr, recorded(name, getattr(module, attr)))
 
         tracer = ThreadTracer()
         with tracer.installed():
             for config in (*DRIVER_CONFIGS.values(), shuffle_config):
                 harness.run(config)
-        # a study fits its runs through private stacked kernels, which are not traced
         assert {
             "harness.study", "harness.read_numeric_csv", "genmodel.sample_ground_truth",
-            "cdtest.test_nonconfounding", "cdtest.null_samples_sphere",
+            "cdtest.test_nonconfounding", "cdtest.null_samples_sphere", *kernels,
         } <= set(threads)
         assert {name: ids for name, ids in threads.items()
                 if ids != {threading.get_ident()}} == {}
@@ -1053,15 +1060,17 @@ class TestStudyDriver:
         assert set(threading.enumerate()) == before
 
 
-def stack_sizes(monkeypatch, runs):
-    """Fit at most ``runs`` runs a stack; returns the list of the stack sizes fitted."""
+def stack_sizes(monkeypatch, runs=None):
+    """Fit ``runs`` runs a stack (by default, as many as the driver picks);
+    returns the list of the stack sizes fitted."""
     original, sizes = genmodel._fitted_models, []
 
     def recorded(truths, moments):
         sizes.append(len(truths))
         return original(truths, moments)
 
-    monkeypatch.setattr(harness, "STACK_RUNS", runs)
+    if runs is not None:
+        monkeypatch.setattr(harness, "_stack_size", lambda d, ell: runs)
     monkeypatch.setattr(genmodel, "_fitted_models", recorded)
     return sizes
 
@@ -1121,6 +1130,23 @@ class TestStacks:
         planned = len(records)
         assert sizes == [min(runs, planned - k) for k in range(0, planned, runs)]
         assert stable_json(records) == expected
+
+    @pytest.mark.parametrize(("d", "ell", "runs"), [(10, 12, 16), (100, 110, 1), (3, 180, 1),
+                                                    (3, 90, 4), (3, 3, 54), (1, 1, 163)])
+    def test_a_stack_bounds_its_theta_grid_and_its_grams(self, d, ell, runs):
+        assert harness._stack_size(d, ell) == runs
+        # neither the runs' (201, d) theta grids nor their Grams outgrow the
+        # bound, unless one run does alone
+        per_run = max((estimator.GRID_POINTS + 1) * d, ell * ell)
+        assert runs == 1 or runs * per_run <= harness.STACK_ELEMENTS < (runs + 1) * per_run
+
+    def test_a_wide_latent_fits_its_runs_one_by_one(self, monkeypatch):
+        # 180 x 180 Grams: one run a stack, where the theta grid alone would allow 54
+        config = ExperimentConfig(mode="simulate", d=3, latent=180, n=200, runs=5, seed=2)
+        expected = stable_json(serial_study(config))
+        sizes = stack_sizes(monkeypatch)
+        assert stable_json(harness.run(config)["records"]) == expected
+        assert sizes == [1] * 5
 
     @pytest.mark.parametrize("runs", [1, 3, 64])
     @pytest.mark.parametrize("mode", ["simulate", "rejection_study"])

@@ -15,21 +15,7 @@ from .cdtest import (
     statistic_T,
     test_nonconfounding,
 )
-from .errors import (
-    BadDimensionsError,
-    ConstantColumnError,
-    DataError,
-    DegenerateModelError,
-    MissingColumnError,
-    NonNumericError,
-    NumericOverflowError,
-    ParseError,
-    RankDeficientError,
-    SingularMatrixError,
-    SpecbetaError,
-    TooFewSamplesError,
-    ZeroSignalError,
-)
+from .errors import DataError, NumericError, SpecbetaError, ZeroSignalError
 from .estimator import (
     BetaEstimate,
     beta_from_theta,

@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the harness operations.  Each takes --output
 and --format plus the flags of the settings its operation reads; any other
 flag is a usage error.  Reports go to stdout as JSON unless --output is
-given.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
-141 (128 + SIGPIPE) when the reader of the report stops before its end.
+given.  Exit codes: 0 success, 1 usage error, 2 data error (``DataError``), 3
+numeric failure (``NumericError``), 141 (128 + SIGPIPE) when the reader of the
+report stops before its end.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import BadDimensionsError, DataError, SpecbetaError
+from .errors import DataError, SpecbetaError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,7 +104,7 @@ def _parse_config(argv: list[str] | None) -> tuple[harness.ExperimentConfig, Pat
         parser.error(f"--output {output}: {output.parent} is not a directory")
     try:
         return harness.ExperimentConfig(**fields), output
-    except (ValueError, BadDimensionsError) as err:
+    except ValueError as err:
         parser.error(str(err))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericOverflowError, SingularMatrixError
+from .errors import NumericError
 from .spectral import CovarianceModel, _direction_coords, _dot, _stacked, _unit
 
 # Likelihood maximization.  The scan grid spans [GRID_LO, GRID_HI] times the
@@ -73,7 +73,7 @@ def log_direction_density(
     ------
     ValueError
         If theta is negative or NaN, or ``u`` is not a unit vector.
-    NumericOverflowError
+    NumericError
         If theta / lambda_min is not finite.
     """
     t = np.asarray(theta, dtype=np.float64)
@@ -93,7 +93,7 @@ def _log_density(
     """
     r = 1.0 + t[..., None] / lam
     if not np.all(np.isfinite(r)):
-        raise NumericOverflowError("theta / lambda_min overflowed")
+        raise NumericError("theta / lambda_min overflowed")
     log_det = np.sum(np.log(r), axis=-1)
     val = -0.5 * (log_det + lam.shape[-1] * np.log(np.sum(u2 / r, axis=-1)))
     return np.where(t == 0.0, 0.0, val)
@@ -109,7 +109,7 @@ def direction_density(a_matrix: NDArray[np.float64], v: NDArray[np.float64]) -> 
     ------
     ValueError
         If A is not square or ``v`` is not a unit vector.
-    SingularMatrixError
+    NumericError
         If A has condition number >= 1e12.
     """
     v = _unit(v)
@@ -118,7 +118,7 @@ def direction_density(a_matrix: NDArray[np.float64], v: NDArray[np.float64]) -> 
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] == 0.0 or sv[0] / sv[-1] >= 1e12:
-        raise SingularMatrixError("matrix is singular or too ill-conditioned")
+        raise NumericError("matrix is singular or too ill-conditioned")
     d = a.shape[0]
     inv_v = np.linalg.solve(a, v)
     det = abs(float(np.linalg.det(a)))
@@ -249,7 +249,7 @@ def beta_from_theta(
 def estimate_confounding(cov: CovarianceModel) -> BetaEstimate:
     """Regression direction -> theta -> beta on a fitted covariance model.
 
-    Raises ZeroSignalError (no direction) or NumericOverflowError (theta).
+    Raises ZeroSignalError (no direction) or NumericError (theta).
     """
     return _first(_confounding_estimates(_stacked(cov)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadDimensionsError, DegenerateModelError, NumericOverflowError
+from .errors import DataError, NumericError
 from .spectral import CovarianceModel, DataMatrix, _dot, _from_moments, _row
 
 
@@ -38,9 +38,9 @@ class GroundTruth:
         c = np.asarray(self.c, dtype=np.float64).reshape(-1)
         d, ell = m.shape
         if ell < d:
-            raise BadDimensionsError(f"need ell >= d, got d={d}, ell={ell}")
+            raise DataError(f"need ell >= d, got d={d}, ell={ell}")
         if a.shape[0] != d or c.shape[0] != ell:
-            raise BadDimensionsError("a/c lengths do not match mixing matrix shape")
+            raise DataError("a/c lengths do not match mixing matrix shape")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
@@ -61,7 +61,7 @@ def sample_ground_truth(d: int, ell: int, rng: np.random.Generator) -> GroundTru
     the same state always produce the identical model.
     """
     if not (1 <= d <= ell):
-        raise BadDimensionsError(f"need ell >= d >= 1, got d={d}, ell={ell}")
+        raise DataError(f"need ell >= d >= 1, got d={d}, ell={ell}")
     m = rng.standard_normal((d, ell))
     sigma_a = float(rng.uniform(0.0, 1.0))
     sigma_c = float(rng.uniform(0.0, 1.0))
@@ -118,7 +118,7 @@ def _latent_moments(
 
     Raises
     ------
-    NumericOverflowError
+    NumericError
         If the noise moments are not finite, as with a noise_sd whose square
         overflows.
     """
@@ -131,7 +131,7 @@ def _latent_moments(
         e -= e.mean()
         ze, ee = (z @ e) / n, float(e @ e) / n
     if not (np.isfinite(ee) and np.isfinite(ze).all()):
-        raise NumericOverflowError(f"noise moments overflow at noise_sd={noise_sd:g}")
+        raise NumericError(f"noise moments overflow at noise_sd={noise_sd:g}")
     return gram, ze, ee, n
 
 
@@ -191,14 +191,14 @@ def true_beta(truth: GroundTruth) -> float:
 
     Raises
     ------
-    DegenerateModelError
+    NumericError
         If a = 0 and c = 0, or if M lacks full row rank (``_confounding_vector``).
     """
     if float(truth.a @ truth.a) == 0.0 and not np.any(truth.c != 0.0):
-        raise DegenerateModelError("a = 0 and c = 0: confounding strength undefined")
+        raise NumericError("a = 0 and c = 0: confounding strength undefined")
     beta = float(_true_betas(truth.m[None], truth.a[None], truth.c[None])[0])
     if np.isnan(beta):
-        raise DegenerateModelError("mixing matrix is not of full row rank")
+        raise NumericError("mixing matrix is not of full row rank")
     return beta
 
 
@@ -224,12 +224,12 @@ def _confounding_vector(
     this is R^-1 Q^T c.  No normal equations are formed, so the condition
     number is never squared: cond(R) = cond(M).
 
-    Raises DegenerateModelError where min |R_ii| <= 1e-10 max |R_ii| (a ratio
+    Raises NumericError where min |R_ii| <= 1e-10 max |R_ii| (a ratio
     >= 1/cond(M)): M lacks full row rank.  A study's covariance check is stricter.
     """
     mtc, full_rank = _confounding_vectors(m[None], c[None])
     if not full_rank[0]:
-        raise DegenerateModelError("mixing matrix is not of full row rank")
+        raise NumericError("mixing matrix is not of full row rank")
     return mtc[0]
 
 

@@ -23,16 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import cdtest, estimator, genmodel
-from .errors import (
-    BadDimensionsError,
-    ConstantColumnError,
-    DataError,
-    MissingColumnError,
-    NonNumericError,
-    ParseError,
-    SpecbetaError,
-    ZeroSignalError,
-)
+from .errors import DataError, SpecbetaError, ZeroSignalError
 from .spectral import CovarianceModel, _from_moments, _row, _stacked, covariance_from_moments
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads,
@@ -103,6 +94,9 @@ class ExperimentConfig:
                 raise ValueError(f"{self.mode} does not read {f.name}")
         if self.d < 1 or self.n < 1 or self.runs < 1:
             raise ValueError("counts must be positive")
+        # one predictor's direction is a sign: no orientation to Sigma_XX to measure
+        if self.d < 2:
+            raise ValueError(f"need d >= 2 predictors, got d={self.d}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.alpha < 1.0):
@@ -118,7 +112,7 @@ class ExperimentConfig:
             if name in reads and getattr(self, name) is None:
                 raise ValueError(f"{self.mode} needs {what}")
         if "latent" in reads and self.ell < self.d:
-            raise BadDimensionsError("latent dimension must be >= d when simulating")
+            raise ValueError("latent dimension must be >= d when simulating")
         if "n" in reads and self.n <= self.d:
             raise ValueError(f"need samples > d, got n={self.n}, d={self.d}")
         if "sample_sizes" in reads:
@@ -163,13 +157,11 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
 
     Raises
     ------
-    ParseError
-        On an empty file, ragged rows, non-UTF-8 bytes or a row the csv module cannot read,
-        such as a cell over ``csv.field_size_limit()`` (coordinates reported).
-    NonNumericError
-        On a non-numeric cell outside the header (location reported).
     DataError
-        On a NaN or infinite cell, such as ``nan`` or ``1e999`` (location reported).
+        On an empty file, ragged rows, non-UTF-8 bytes or a row the csv module cannot read,
+        such as a cell over ``csv.field_size_limit()`` (coordinates reported); on a
+        non-numeric cell outside the header, or a NaN or infinite cell, such as ``nan``
+        or ``1e999`` (location reported).
     """
     path = Path(path)
     try:
@@ -178,11 +170,11 @@ def read_numeric_csv(path: str | Path) -> tuple[NDArray[np.float64], list[str]]:
     except UnicodeDecodeError as err:
         with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
             row = next((n for n, s in enumerate(fh, 1) if re.search("[\udc80-\udcff]", s)), "?")
-        raise ParseError(f"{path}: row {row}: not UTF-8 ({err.reason})") from None
+        raise DataError(f"{path}: row {row}: not UTF-8 ({err.reason})") from None
     rows = _csv_rows(path, lines)
     first = next(rows, None)
     if first is None:
-        raise ParseError(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     ncols = len(first[1])
     if all(_is_number(cell) for cell in first[1]):
         names = [f"col{j}" for j in range(ncols)]
@@ -204,7 +196,7 @@ def _csv_rows(path: Path, lines: list[str]) -> Iterator[tuple[int, list[str]]]:
             if row:
                 yield reader.line_num, row
     except csv.Error as err:
-        raise ParseError(f"{path}: row {reader.line_num}: {err}") from None
+        raise DataError(f"{path}: row {reader.line_num}: {err}") from None
 
 
 # ASCII separators that loadtxt strips as whitespace but float() rejects.
@@ -237,13 +229,13 @@ def _convert_rows(
     data = []
     for line, row in rows:
         if len(row) != ncols:
-            raise ParseError(f"{path}: row {line} has {len(row)} cells, expected {ncols}")
+            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {ncols}")
         values = []
         for j, cell in enumerate(row):
             try:
                 values.append(float(cell))
             except ValueError:
-                raise NonNumericError(
+                raise DataError(
                     f"{path}: non-numeric cell {cell!r} at row {line}, column {j + 1}"
                 ) from None
             if not math.isfinite(values[-1]):
@@ -252,7 +244,7 @@ def _convert_rows(
                 )
         data.append(values)
     if not data:
-        raise ParseError(f"{path}: header but no data rows")
+        raise DataError(f"{path}: header but no data rows")
     return np.array(data, dtype=np.float64)
 
 
@@ -264,23 +256,29 @@ def _csv_covariance(
     ``target`` indexes ``config.target``, or is None for shuffle-target.
     ``normalize`` scales every column but the target: shuffle-target's whole
     matrix as parsed, and a row-major copy of estimate's predictors, since a
-    fancy-indexed copy's memory layout moves the last bits.  Of
-    several faults the first is raised: the file's, the target's or too few
-    columns, a column ``normalize`` finds constant, then n < 2 or d < 1.
+    fancy-indexed copy's memory layout moves the last bits.  Of several
+    faults the first is raised: the file's, the target's, fewer than 3
+    columns (a target and d >= 2 predictors), n < 2, then a constant column:
+    a predictor of estimate and test, or under ``normalize`` any column of
+    shuffle-target.  A constant target is left to its fit, which finds no signal.
     """
     matrix, names = read_numeric_csv(config.input_path)
     n, ncols = matrix.shape
     target = None if config.target is None else _target_index(config.target, names)
-    if target is None and ncols < 3:
-        raise BadDimensionsError("shuffle-target needs at least 3 columns")
+    if ncols < 3:
+        raise DataError(f"{config.mode.replace('_', '-')} needs at least 3 columns")
+    if n < 2:
+        raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={ncols - 1}")
+    if target is not None or config.normalize:
+        # all cells equal, though the rounded mean may leave a standard deviation above 0
+        constant = [j for j in np.flatnonzero(np.ptp(matrix, axis=0) == 0.0) if j != target]
+        if constant:
+            raise DataError(f"column {names[constant[0]]!r} has zero variance")
     if config.normalize and target is None:
-        matrix = normalize_columns(matrix, names)
+        matrix = normalize_columns(matrix)
     elif config.normalize:
         rest = np.delete(np.arange(ncols), target)
-        predictors = np.delete(matrix, target, axis=1)
-        matrix[:, rest] = normalize_columns(predictors, [names[j] for j in rest])
-    if n < 2 or ncols < 2:
-        raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={ncols - 1}")
+        matrix[:, rest] = normalize_columns(np.delete(matrix, target, axis=1))
     with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
         centered = matrix - matrix.mean(axis=0)
         joint = (centered.T @ centered) / n
@@ -304,15 +302,13 @@ def _target_index(target: str | int, names: list[str]) -> int:
     matches = [j for j, read in enumerate(reads) if read == target]
     if isinstance(target, int):
         if not (0 <= target < len(names)):
-            raise MissingColumnError(
-                f"target index {target} out of range (have {len(names)} columns)"
-            )
+            raise DataError(f"target index {target} out of range (have {len(names)} columns)")
         if set(matches) - {target}:
             raise DataError(f"target {target} is ambiguous: the index of column {target} "
                             f"and the name of columns {matches} (zero-based)")
         return target
     if not matches:
-        raise MissingColumnError(f"target column {target!r} not found in {names}")
+        raise DataError(f"target column {target!r} not found in {names}")
     if len(matches) > 1:
         raise DataError(f"target name {target!r} matches columns {matches} (zero-based)")
     return matches[0]
@@ -324,20 +320,13 @@ def _column_moments(joint: NDArray[np.float64], j: int) -> tuple[NDArray[np.floa
     return joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j]
 
 
-def normalize_columns(x: NDArray[np.float64], names: list[str]) -> NDArray[np.float64]:
-    """Scale each column to unit sample standard deviation.
+def normalize_columns(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Scale each column, none of them constant, to unit sample standard deviation.
 
-    A column whose cells are all equal is constant even where its computed
-    standard deviation is not exactly 0, as the rounded mean leaves noise.
     Each column is first divided by the power of two that brings its largest
     magnitude into [0.5, 1), which is exact, so the squares in ``std``
     neither overflow nor underflow at any finite scale.
     """
-    zero = np.flatnonzero(np.ptp(x, axis=0) == 0.0)
-    if zero.size:
-        raise ConstantColumnError(
-            f"column {names[zero[0]]!r} has zero variance; cannot normalize"
-        )
     x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=0))[1])
     return x / x.std(axis=0)
 

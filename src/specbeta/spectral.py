@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    NumericOverflowError,
-    RankDeficientError,
-    TooFewSamplesError,
-    ZeroSignalError,
-)
+from .errors import DataError, NumericError, ZeroSignalError
 
 # Relative eigenvalue threshold below which the covariance is treated as
 # rank deficient.  Below this the inverse-covariance terms of the likelihood
@@ -73,21 +68,24 @@ class DataMatrix:
 class CovarianceModel:
     """Predictor covariance, cross-covariance and the spectral decomposition.
 
-    Eigenvalues are sorted descending, paired with the eigenvector columns;
-    ``tau_inv`` = mean(1/eigenvalues); ``n`` = sample count (0 if analytic).
-    The private kernels fit a stack of R models at once: there each array
-    field has a leading run axis of length R, and ``tau_inv`` and ``n`` are
-    (R,) arrays.  ``_row`` takes one model out of a stack and ``_stacked``
-    makes a model a stack of one.
+    Eigenvalues are sorted descending, paired with the eigenvector columns,
+    which hold the whole of sigma_xx = V diag(lambda) V'; ``tau_inv`` =
+    mean(1/eigenvalues); ``n`` = sample count (0 if analytic).  The private
+    kernels fit a stack of R models at once: there each array field has a
+    leading run axis of length R, and ``tau_inv`` and ``n`` are (R,) arrays.
+    ``_row`` takes one model out of a stack and ``_stacked`` makes a model a
+    stack of one.
     """
 
-    sigma_xx: NDArray[np.float64]
     sigma_xy: NDArray[np.float64]
     eigenvalues: NDArray[np.float64]
     eigenvectors: NDArray[np.float64]
     tau_inv: float
-    d: int
     n: int = 0
+
+    @property
+    def d(self) -> int:
+        return self.eigenvalues.shape[-1]
 
     @classmethod
     def from_matrices(
@@ -103,7 +101,7 @@ class CovarianceModel:
 
         Raises
         ------
-        RankDeficientError
+        NumericError
             If the smallest eigenvalue is <= RANK_EPS times the largest.
         """
         s = np.asarray(sigma_xx, dtype=np.float64)
@@ -128,23 +126,22 @@ def _from_matrices(
     low = np.flatnonzero(lam[:, -1] <= RANK_EPS * lam[:, 0])
     if low.size:
         top, bottom = lam[low[0], 0], lam[low[0], -1]
-        raise RankDeficientError(
+        raise NumericError(
             f"smallest eigenvalue {bottom:.3e} is below {RANK_EPS:.0e} x largest ({top:.3e})"
         )
-    return CovarianceModel(s, sigma_xy, lam, vec, np.mean(1.0 / lam, axis=-1), s.shape[-1], n)
+    return CovarianceModel(sigma_xy, lam, vec, np.mean(1.0 / lam, axis=-1), n)
 
 
 def _row(cov: CovarianceModel, i: int) -> CovarianceModel:
     """Model ``i`` of a stack."""
-    return CovarianceModel(cov.sigma_xx[i], cov.sigma_xy[i], cov.eigenvalues[i],
-                           cov.eigenvectors[i], float(cov.tau_inv[i]), cov.d, int(cov.n[i]))
+    return CovarianceModel(cov.sigma_xy[i], cov.eigenvalues[i], cov.eigenvectors[i],
+                           float(cov.tau_inv[i]), int(cov.n[i]))
 
 
 def _stacked(cov: CovarianceModel) -> CovarianceModel:
     """A model as a stack of one."""
-    return CovarianceModel(cov.sigma_xx[None], cov.sigma_xy[None], cov.eigenvalues[None],
-                           cov.eigenvectors[None], np.array([cov.tau_inv]), cov.d,
-                           np.array([cov.n]))
+    return CovarianceModel(cov.sigma_xy[None], cov.eigenvalues[None], cov.eigenvectors[None],
+                           np.array([cov.tau_inv]), np.array([cov.n]))
 
 
 def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -159,12 +156,10 @@ def empirical_covariance(data: DataMatrix) -> CovarianceModel:
 
     Raises
     ------
-    TooFewSamplesError
+    DataError
         If n <= d.
-    NumericOverflowError
-        If a moment overflows.
-    RankDeficientError
-        If the empirical covariance is numerically singular.
+    NumericError
+        If a moment overflows, or the empirical covariance is numerically singular.
     """
     n = data.n
     with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
@@ -188,12 +183,10 @@ def covariance_from_moments(
 
     Raises
     ------
-    TooFewSamplesError
+    DataError
         If n <= d.
-    NumericOverflowError
-        If a moment is not finite.
-    RankDeficientError
-        If the covariance is numerically singular.
+    NumericError
+        If a moment is not finite, or the covariance is numerically singular.
     """
     moments = (sigma_xx[None], sigma_xy[None], np.array([sigma_yy]), np.array([n]))
     return _row(_from_moments(*moments), 0)
@@ -209,10 +202,10 @@ def _from_moments(
     d = sigma_xy.shape[-1]
     few = np.flatnonzero(n <= d)
     if few.size:
-        raise TooFewSamplesError(f"need n > d, got n={n[few[0]]}, d={d}")
+        raise DataError(f"need n > d, got n={n[few[0]]}, d={d}")
     if not (np.isfinite(sigma_yy).all() and np.isfinite(sigma_xy).all()
             and np.isfinite(sigma_xx).all()):
-        raise NumericOverflowError("second moments overflow: the data are too large in scale")
+        raise NumericError("second moments overflow: the data are too large in scale")
     # sigma_xy is scaled by its largest entry before it is squared, tr sigma_xx
     # is summed in units of d and ZERO_SIGNAL_EPS is applied first, so that no
     # square, sum or product of finite moments overflows.

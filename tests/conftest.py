@@ -16,6 +16,12 @@ def cov_from_spectrum(eigenvalues, sigma_xy=None, n=0):
     return CovarianceModel.from_matrices(np.diag(lam), sigma_xy, n=n)
 
 
+def sigma_xx(cov):
+    """The predictor covariance V diag(lambda) V' that ``cov``'s spectrum holds."""
+    vec = cov.eigenvectors
+    return (vec * cov.eigenvalues[..., None, :]) @ np.swapaxes(vec, -1, -2)
+
+
 def factorial_cov(seed):
     """Fitted model of a 2^3 factorial design repeated 4 times and y = x . [1, 2, 3] + N(0, 1).
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specbeta import SPHERE_MONTE_CARLO, harness
+from specbeta import SPHERE_MONTE_CARLO, errors, harness
 from specbeta.cli import EXIT_USAGE, _build_parser, main
 
 from test_reports import CASES, DATA
@@ -189,15 +189,26 @@ class TestEstimate:
         assert err == ("specbeta: data error: target 2 is ambiguous: the index of column 2 "
                        "and the name of columns [1] (zero-based)\n")
 
-    def test_normalize_predictor_constant_up_to_rounding(self, capsys, constant_csv):
-        # without --normalize the constant predictor makes sigma_xx singular
-        code, _, err = run(capsys, ["estimate", "--input", constant_csv, "--target", "y"])
-        assert code == 3
-        code, out, err = run(
-            capsys, ["estimate", "--input", constant_csv, "--target", "y", "--normalize"]
-        )
+    @pytest.mark.parametrize("command", [["estimate"], ["test", "--null-samples", "100"]])
+    @pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["raw", "normalize"])
+    def test_predictor_constant_up_to_rounding(self, capsys, constant_csv, command, flags):
+        # a constant predictor is a fault of the data, with or without --normalize,
+        # not the singular sigma_xx it would make
+        argv = [*command, "--input", constant_csv, "--target", "y", *flags]
+        code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == "specbeta: data error: column 'c' has zero variance; cannot normalize\n"
+        assert err == "specbeta: data error: column 'c' has zero variance\n"
+
+    @pytest.mark.parametrize("command", [["estimate"], ["test", "--null-samples", "100"]])
+    @pytest.mark.parametrize("text", ["a,y\n1,2\n2,5\n3,4\n4,9\n", "y\n1\n2\n5\n"],
+                             ids=["d=1", "d=0"])
+    def test_fewer_than_two_predictors_is_data_error(self, capsys, tmp_path, command, text):
+        # with one predictor the regression direction is a sign, and beta_hat would be 0
+        p = tmp_path / "narrow.csv"
+        p.write_text(text)
+        code, out, err = run(capsys, [*command, "--input", str(p), "--target", "y"])
+        assert (code, out) == (2, "")
+        assert err == f"specbeta: data error: {command[0]} needs at least 3 columns\n"
 
     def test_constant_target_is_data_error(self, capsys, tmp_path):
         # a target without signal is a property of the data, not a numeric failure
@@ -251,6 +262,34 @@ class TestEstimate:
         p.write_text("\n".join(rows) + "\n")
         code, _, _ = run(capsys, ["estimate", "--input", str(p), "--target", "y"])
         assert code == 3
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code, prefix", [
+        (errors.DataError, 2, "data error"),
+        (errors.ZeroSignalError, 2, "data error"),
+        (ValueError, 2, "data error"),
+        (errors.NumericError, 3, "numeric failure"),
+        (errors.SpecbetaError, 3, "numeric failure"),
+        (RuntimeError, 3, "numeric failure"),
+    ])
+    def test_each_error_class_has_its_exit_code(self, capsys, monkeypatch, error, code, prefix):
+        def fail(config):
+            raise error("injected")
+
+        monkeypatch.setattr(harness, "run", fail)
+        argv = ["simulate", "--dim", "3", "--samples", "50", "--runs", "2"]
+        assert run(capsys, argv) == (code, "", f"specbeta: {prefix}: injected\n")
+
+    def test_one_class_per_exit_code(self):
+        defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+        assert defined == {"SpecbetaError", "DataError", "ZeroSignalError", "NumericError"}
+        for name in ("TooFewSamplesError", "RankDeficientError", "NumericOverflowError",
+                     "SingularMatrixError", "BadDimensionsError", "DegenerateModelError",
+                     "ParseError", "NonNumericError", "MissingColumnError",
+                     "ConstantColumnError"):
+            with pytest.raises(ImportError):
+                exec(f"from specbeta import {name}", {})
 
 
 class TestUsageErrors:
@@ -313,6 +352,17 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "rejections", "overfit"])
+    def test_one_predictor_is_usage_error(self, capsys, monkeypatch, command):
+        # with d = 1 the sphere is two points: no orientation relative to sigma_xx to measure
+        monkeypatch.setattr(harness, "run", lambda config: pytest.fail("the run started"))
+        samples = "--sample-sizes" if command == "overfit" else "--samples"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dim", "1", "--runs", "3", samples, "50"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and err.endswith(": need d >= 2 predictors, got d=1\n")
 
     @pytest.mark.parametrize("command", ["simulate", "rejections", "overfit", "test",
                                          "shuffle-target"])
@@ -673,7 +723,7 @@ class TestShuffleTarget:
     def test_normalize_column_constant_up_to_rounding(self, capsys, constant_csv):
         code, out, err = run(capsys, ["shuffle-target", "--input", constant_csv, "--normalize"])
         assert (code, out) == (2, "")
-        assert err == "specbeta: data error: column 'c' has zero variance; cannot normalize\n"
+        assert err == "specbeta: data error: column 'c' has zero variance\n"
 
     def test_non_finite_cell_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "nan.csv"

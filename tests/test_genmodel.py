@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbeta import (
-    BadDimensionsError,
-    DegenerateModelError,
+    DataError,
     GroundTruth,
-    NumericOverflowError,
-    TooFewSamplesError,
+    NumericError,
     empirical_covariance,
     generate_samples,
     genmodel,
@@ -27,7 +25,7 @@ from specbeta import (
 )
 from specbeta.genmodel import _confounding_vector, sample_causal_truth
 
-from conftest import cov_from_spectrum
+from conftest import cov_from_spectrum, sigma_xx
 
 
 class TestGroundTruth:
@@ -40,7 +38,7 @@ class TestGroundTruth:
         assert t.d == 3 and t.ell == 5
 
     def test_rejects_wide_mixing(self, rng):
-        with pytest.raises(BadDimensionsError):
+        with pytest.raises(DataError, match=r"^need ell >= d, got d=5, ell=3$"):
             GroundTruth(
                 m=rng.standard_normal((5, 3)),
                 a=np.zeros(5),
@@ -49,7 +47,7 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize("a_len, c_len", [(2, 5), (3, 4), (4, 6)])
     def test_rejects_mismatched_coefficient_lengths(self, rng, a_len, c_len):
-        with pytest.raises(BadDimensionsError, match="a/c lengths"):
+        with pytest.raises(DataError, match="^a/c lengths do not match mixing matrix shape$"):
             GroundTruth(
                 m=rng.standard_normal((3, 5)),
                 a=np.zeros(a_len),
@@ -59,7 +57,7 @@ class TestGroundTruth:
     def test_rejects_rank_deficient_mixing(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         truth = GroundTruth(m=m, a=np.ones(2), c=np.ones(2))
-        with pytest.raises(DegenerateModelError, match="not of full row rank"):
+        with pytest.raises(NumericError, match="^mixing matrix is not of full row rank$"):
             true_beta(truth)
 
 
@@ -85,7 +83,7 @@ class TestSampleGroundTruth:
         assert abs(np.mean(vals) - 0.5) < 0.03
 
     def test_bad_dimensions(self):
-        with pytest.raises(BadDimensionsError):
+        with pytest.raises(DataError, match=r"^need ell >= d >= 1, got d=5, ell=3$"):
             sample_ground_truth(5, 3, np.random.default_rng(0))
 
 
@@ -95,7 +93,7 @@ class TestGenerateSamples:
         ds = generate_samples(t, 50, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(ds.y, np.zeros(50))
         # true_beta is undefined; the fitted model of the same draws records NaN
-        with pytest.raises(DegenerateModelError):
+        with pytest.raises(NumericError, match="^a = 0 and c = 0: confounding strength undefined$"):
             true_beta(t)
         assert math.isnan(sample_covariance(t, 50, 0.0, np.random.default_rng(0))[1])
 
@@ -145,12 +143,13 @@ class TestSampleCovariance:
         ref_next = g.standard_normal()
         try:
             ref_beta = true_beta(truth)
-        except DegenerateModelError:  # a = c = 0, recorded as NaN
+        except NumericError as err:  # a = c = 0, recorded as NaN
+            assert str(err) == "a = 0 and c = 0: confounding strength undefined"
             ref_beta = math.nan
         g = np.random.default_rng(seed)
         cov, beta = sample_covariance(truth, n, noise_sd, g)
-        for field in ("sigma_xx", "sigma_xy", "eigenvalues"):
-            a, b = getattr(cov, field), getattr(ref, field)
+        for a, b in ((sigma_xx(cov), sigma_xx(ref)), (cov.sigma_xy, ref.sigma_xy),
+                     (cov.eigenvalues, ref.eigenvalues)):
             # 1e-13 relative to the largest entry
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b), initial=0.0)
         assert np.all(cov.sigma_xy == 0.0) == np.all(ref.sigma_xy == 0.0)
@@ -218,22 +217,26 @@ class TestSampleCovariance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with ThreadPoolExecutor(max_workers=1) as other:
-                with pytest.raises(NumericOverflowError, match="noise moments overflow"):
+                with pytest.raises(NumericError, match="^noise moments overflow at noise_sd="):
                     if thread == "this":
                         sample_covariance(t, 50, noise_sd, np.random.default_rng(0))
                     else:
                         other.submit(sample_covariance, t, 50, noise_sd, np.random.default_rng(0)).result()
 
     @pytest.mark.parametrize(
-        "n, noise_sd, error",
-        [(4, 0.0, TooFewSamplesError), (3, 1.0, TooFewSamplesError), (1, 0.0, ValueError),
-         (10, -0.5, ValueError), (10, math.nan, ValueError), (10, math.inf, ValueError)],
+        "n, noise_sd, error, message",
+        [(4, 0.0, DataError, "^need n > d, got n=4, d=4$"),
+         (3, 1.0, DataError, "^need n > d, got n=3, d=4$"),
+         (1, 0.0, ValueError, "^need n >= 2, got n=1$"),
+         (10, -0.5, ValueError, "^noise_sd must be finite"),
+         (10, math.nan, ValueError, "^noise_sd must be finite"),
+         (10, math.inf, ValueError, "^noise_sd must be finite")],
     )
-    def test_same_errors(self, n, noise_sd, error):
+    def test_same_errors(self, n, noise_sd, error, message):
         t = sample_ground_truth(4, 6, np.random.default_rng(0))
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             empirical_covariance(generate_samples(t, n, noise_sd, np.random.default_rng(0)))
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             sample_covariance(t, n, noise_sd, np.random.default_rng(0))
 
 
@@ -260,7 +263,7 @@ class TestTrueBeta:
 
     def test_degenerate(self):
         t = GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2))
-        with pytest.raises(DegenerateModelError):
+        with pytest.raises(NumericError, match="^a = 0 and c = 0: confounding strength undefined$"):
             true_beta(t)
 
     @settings(max_examples=30, deadline=None)

@@ -18,13 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbeta import (
-    BadDimensionsError,
-    ConstantColumnError,
-    DegenerateModelError,
     ExperimentConfig,
-    MissingColumnError,
-    NonNumericError,
-    ParseError,
+    NumericError,
     SpecbetaError,
     emit_report,
     read_numeric_csv,
@@ -35,6 +30,8 @@ from specbeta import spectral
 from specbeta.errors import DataError, ZeroSignalError
 from specbeta.harness import run_rng, stable_json
 from specbeta.spectral import covariance_from_moments
+
+from conftest import sigma_xx
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,40 +70,40 @@ class TestReadNumericCsv:
 
     def test_empty_file(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match=": empty file$"):
             read_numeric_csv(p)
 
     def test_header_only(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,b\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match=": header but no data rows$"):
             read_numeric_csv(p)
 
     def test_ragged_row_reports_position(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3\n")
-        with pytest.raises(ParseError, match="row 3"):
+        with pytest.raises(DataError, match=": row 3 has 1 cells, expected 2$"):
             read_numeric_csv(p)
 
     def test_text_cell_reports_position(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "1,2\n3,oops\n")
-        with pytest.raises(NonNumericError, match="row 2.*column 2"):
+        with pytest.raises(DataError, match=": non-numeric cell 'oops' at row 2, column 2$"):
             read_numeric_csv(p)
 
     # rows are numbered by their line in the file, skipped blank lines included
     def test_text_cell_position_counts_blank_lines(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n\n\n3,x\n")
-        with pytest.raises(NonNumericError, match="row 5, column 2"):
+        with pytest.raises(DataError, match=": non-numeric cell 'x' at row 5, column 2$"):
             read_numeric_csv(p)
 
     def test_ragged_row_position_counts_blank_lines(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "\na,b\n1,2\n\n3\n")
-        with pytest.raises(ParseError, match="row 5 has 1 cells"):
+        with pytest.raises(DataError, match=": row 5 has 1 cells, expected 2$"):
             read_numeric_csv(p)
 
     # a cell over csv.field_size_limit() (131,072 characters by default)
     def test_oversized_data_cell_is_parse_error(self, tmp_path):
         big = '"' + "1" * 140_001 + '"'
         p = write_csv(tmp_path / "f.csv", f"a,b\n1,2\n\n{big},3\n")
-        with pytest.raises(ParseError, match="row 4: field larger than field limit"):
+        with pytest.raises(DataError, match=r": row 4: field larger than field limit \(131072\)$"):
             read_numeric_csv(p)
 
     # quoted and padded cells leave np.loadtxt to the row loop; both name the same
@@ -132,7 +129,7 @@ class TestReadNumericCsv:
 
     def test_oversized_header_cell_is_parse_error(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "\na," + "b" * 140_001 + "\n1,2\n")
-        with pytest.raises(ParseError, match="row 2: field larger than field limit"):
+        with pytest.raises(DataError, match=r": row 2: field larger than field limit \(131072\)$"):
             read_numeric_csv(p)
 
 
@@ -290,7 +287,7 @@ class TestFitCsvTarget:
 
     def test_missing_name(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3,4\n")
-        with pytest.raises(MissingColumnError):
+        with pytest.raises(DataError, match=r"^target column 'zz' not found in \['a', 'b'\]$"):
             fitted_moments(p, "zz")
 
     def test_ambiguous_name(self, tmp_path, rng):
@@ -303,7 +300,7 @@ class TestFitCsvTarget:
 
     def test_index_out_of_range(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "1,2\n3,4\n")
-        with pytest.raises(MissingColumnError):
+        with pytest.raises(DataError, match=r"^target index 5 out of range \(have 2 columns\)$"):
             fitted_moments(p, 5)
 
     def test_normalize_unit_variance(self, tmp_path, rng):
@@ -316,7 +313,7 @@ class TestFitCsvTarget:
 
     def test_normalize_constant_column(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "1,5,1\n2,5,0\n3,5,1\n")
-        with pytest.raises(ConstantColumnError):
+        with pytest.raises(DataError, match="^column 'col1' has zero variance$"):
             fitted_moments(p, 2, normalize=True)
 
     def test_normalize_column_constant_up_to_rounding(self, tmp_path, rng):
@@ -324,7 +321,7 @@ class TestFitCsvTarget:
         rows = np.column_stack([rng.standard_normal((5000, 2)), np.full(5000, 0.1)])
         assert rows[:, 2].std() > 0.0
         p = matrix_csv(tmp_path / "f.csv", rows, "a,b,c")
-        with pytest.raises(ConstantColumnError, match="^column 'c' has zero variance"):
+        with pytest.raises(DataError, match="^column 'c' has zero variance$"):
             fitted_moments(p, "a", normalize=True)
         # a constant target is no predictor to normalize: it has no signal to fit
         config = ExperimentConfig(mode="estimate", input_path=p, target="c", normalize=True)
@@ -333,8 +330,8 @@ class TestFitCsvTarget:
         # the other columns are divided by their standard deviation, as before
         normalized = []
 
-        def normalize(x, names):
-            normalized.append(harness_normalize(x, names))
+        def normalize(x):
+            normalized.append(harness_normalize(x))
             return normalized[-1]
 
         harness_normalize = harness.normalize_columns
@@ -387,7 +384,7 @@ class TestExperimentConfig:
             ExperimentConfig(alpha=1.5)
 
     def test_rejects_latent_below_d_when_simulating(self):
-        with pytest.raises(BadDimensionsError):
+        with pytest.raises(ValueError, match="^latent dimension must be >= d when simulating$"):
             ExperimentConfig(mode="simulate", d=5, latent=3)
 
     def test_latent_defaults_to_d(self):
@@ -399,7 +396,7 @@ class TestExperimentConfig:
             ExperimentConfig(method="mixed_chi2")
 
     def test_rejects_latent_below_d_in_rejection_study(self):
-        with pytest.raises(BadDimensionsError):
+        with pytest.raises(ValueError, match="^latent dimension must be >= d when simulating$"):
             ExperimentConfig(mode="rejection_study", d=10, latent=5)
 
     @pytest.mark.parametrize("mode", ["simulate", "rejection_study"])
@@ -592,7 +589,7 @@ class TestStudies:
         fields, draw, key = FAILING_STUDIES[study]
 
         def fail(*args):
-            raise DegenerateModelError("injected")
+            raise NumericError("injected")
 
         monkeypatch.setattr(genmodel, draw, fail)
         cfg = ExperimentConfig(d=5, runs=5, seed=0, **fields)
@@ -609,7 +606,7 @@ class TestStudies:
         def fail_first(*args):
             calls.append(args)
             if len(calls) == 1:
-                raise DegenerateModelError("injected")
+                raise NumericError("injected")
             return original(*args)
 
         monkeypatch.setattr(genmodel, draw, fail_first)
@@ -673,7 +670,7 @@ DRIVER_CONFIGS = {
 }
 
 
-def fail_on_calls(monkeypatch, module, name, calls, error=DegenerateModelError):
+def fail_on_calls(monkeypatch, module, name, calls, error=NumericError):
     """Make the listed calls (0-based, in call order) of ``module.name`` raise."""
     original, count = getattr(module, name), []
 
@@ -882,7 +879,7 @@ class TestStudyDriver:
         def fail_for_runs(truth, *args):
             if truth.m[0, 0] in failing_m00:
                 failed_on.append(threading.get_ident())
-                raise DegenerateModelError("injected")
+                raise NumericError("injected")
             return original(truth, *args)
 
         monkeypatch.setattr(genmodel, "_latent_moments", fail_for_runs)
@@ -934,7 +931,7 @@ class TestStudyDriver:
         assert records[3] == {"run": 3, "error": "noise moments overflow at noise_sd=1e+200"}
         assert [r for r in records if "error" in r] == [records[3]]
 
-    @pytest.mark.parametrize("error", [DegenerateModelError, ArithmeticError])
+    @pytest.mark.parametrize("error", [NumericError, ArithmeticError])
     def test_queued_steps_are_cancelled_when_a_study_ends_early(self, monkeypatch, error):
         # run 0 fails in its model step, so the study ends at once: 1 of 4 runs
         # aborts it, an ArithmeticError escapes.  The worker may be in run 1's
@@ -1087,7 +1084,7 @@ def edge_model(kinds):
         m, a, c = truth.m, truth.a, truth.c
         kind = kinds.get(run)
         if kind == "model":
-            raise DegenerateModelError("injected")
+            raise NumericError("injected")
         if kind == "rank":
             m = np.vstack([m[:2], np.zeros(4)])
         elif kind == "zero":
@@ -1201,7 +1198,7 @@ class TestShuffleTarget:
         assert records[4]["beta_hat"] == 0.0
 
     def test_requires_three_columns(self, tmp_path):
-        with pytest.raises(BadDimensionsError):
+        with pytest.raises(DataError, match="^shuffle-target needs at least 3 columns$"):
             shuffle_target_analysis(tmp_path, np.ones((10, 2)))
 
     def test_zero_signal_flagged(self, tmp_path):
@@ -1245,8 +1242,8 @@ class TestShuffleTarget:
         for j in range(m.shape[1]):
             got = spectral._row(first, j)
             want = empirical_covariance(DataMatrix(np.delete(m, j, 1), m[:, j]))
-            for field in ("sigma_xx", "sigma_xy", "eigenvalues"):
-                a, b = getattr(got, field), getattr(want, field)
+            for a, b in ((sigma_xx(got), sigma_xx(want)), (got.sigma_xy, want.sigma_xy),
+                         (got.eigenvalues, want.eigenvalues)):
                 # 1e-12 relative to the largest entry
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b), initial=0.0)
             assert np.all(got.sigma_xy == 0.0) == np.all(want.sigma_xy == 0.0)

@@ -8,6 +8,8 @@ a one-parameter family of direction densities on the sphere, and tests the
 null hypothesis of no confounding with a Monte-Carlo spectral statistic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cdtest import (
     SPHERE_MONTE_CARLO,
     TestResult,
@@ -53,4 +55,5 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -107,14 +107,15 @@ def sample_covariance(
 
 def _latent_moments(
     truth: GroundTruth, n: int, noise_sd: float, g: np.random.Generator
-) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, float, int]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], float, int]:
     """The draws of ``sample_covariance`` reduced to (C, Zc Ec/n, Ec'Ec/n, n).
 
-    The noise terms are (None, 0.0) when noise_sd = 0.  Nearly all of its time
-    is spent in the draw and the Gram product, which release the GIL, and it
-    calls nothing but numpy, so a study may run it on a worker thread or on
-    the calling thread.  numpy's error state is per thread, so the overflow
-    check below holds on either.
+    With noise_sd = 0 no noise is drawn and the noise moments are exact
+    zeros, ``np.zeros(ell)`` and 0.0, which leave every moment they are
+    added to as it is.  Nearly all of its time is spent in the draw and the
+    Gram product, which release the GIL, and it calls nothing but numpy, so
+    a study may run it on a worker thread or on the calling thread.  numpy's
+    error state is per thread, so the overflow check below holds on either.
 
     Raises
     ------
@@ -127,7 +128,7 @@ def _latent_moments(
         z -= z.mean(axis=1, keepdims=True)
         gram = (z @ z.T) / n
         if e is None:
-            return gram, None, 0.0, n
+            return gram, np.zeros(truth.ell), 0.0, n
         e -= e.mean()
         ze, ee = (z @ e) / n, float(e @ e) / n
     if not (np.isfinite(ee) and np.isfinite(ze).all()):
@@ -137,7 +138,7 @@ def _latent_moments(
 
 def _fitted_models(
     truths: list[GroundTruth],
-    moments: list[tuple[NDArray[np.float64], NDArray[np.float64] | None, float, int]],
+    moments: list[tuple[NDArray[np.float64], NDArray[np.float64], float, int]],
 ) -> tuple[CovarianceModel, NDArray[np.float64]]:
     """The stacked fitted models and true betas of runs' models and ``_latent_moments``.
 
@@ -149,22 +150,15 @@ def _fitted_models(
     m = np.stack([truth.m for truth in truths])
     a = np.stack([truth.a for truth in truths])
     c = np.stack([truth.c for truth in truths])
-    gram = np.stack([moment[0] for moment in moments])
-    noisy = [i for i, moment in enumerate(moments) if moment[1] is not None]
+    gram, ze, ee, n = (np.stack(column) for column in zip(*moments))
     mt = np.swapaxes(m, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _from_moments
         b = (mt @ a[..., None])[..., 0] + c  # M'a + c
         gb = gram @ b[..., None]
-        sigma_xy = (m @ gb)[..., 0]
-        sigma_yy = _dot(b, gb[..., 0])
-        if noisy:
-            ze = np.stack([moments[i][1] for i in noisy])
-            ee = np.array([moments[i][2] for i in noisy])
-            sigma_xy[noisy] += (m[noisy] @ ze[..., None])[..., 0]
-            sigma_yy[noisy] += 2.0 * _dot(b[noisy], ze) + ee
+        sigma_xy = (m @ gb)[..., 0] + (m @ ze[..., None])[..., 0]
+        sigma_yy = _dot(b, gb[..., 0]) + (2.0 * _dot(b, ze) + ee)
         sigma_xx = (m @ gram) @ mt
-    cov = _from_moments(sigma_xx, sigma_xy, sigma_yy, np.array([moment[3] for moment in moments]))
-    return cov, _true_betas(m, a, c)
+    return _from_moments(sigma_xx, sigma_xy, sigma_yy, n), _true_betas(m, a, c)
 
 
 def _draw_sources(

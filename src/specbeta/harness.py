@@ -253,14 +253,14 @@ def _csv_covariance(
 ) -> tuple[NDArray[np.float64], int, list[str], int | None]:
     """``(joint, n, names, target)``: the 1/n centered covariance of the CSV's columns.
 
-    ``target`` indexes ``config.target``, or is None for shuffle-target.
-    ``normalize`` scales every column but the target: shuffle-target's whole
-    matrix as parsed, and a row-major copy of estimate's predictors, since a
-    fancy-indexed copy's memory layout moves the last bits.  Of several
+    ``target`` indexes ``config.target``, or is None for shuffle-target.  The
+    predictors, the columns some fit reads as predictors, are every column
+    but the target (for shuffle-target, every column).  A constant predictor
+    is a data error, and ``normalize`` scales the predictors in a row-major
+    copy, since a copy's memory layout moves the last bits.  Of several
     faults the first is raised: the file's, the target's, fewer than 3
-    columns (a target and d >= 2 predictors), n < 2, then a constant column:
-    a predictor of estimate and test, or under ``normalize`` any column of
-    shuffle-target.  A constant target is left to its fit, which finds no signal.
+    columns (a target and d >= 2 predictors), n < 2, then a constant
+    predictor.  A constant target is left to its fit, which finds no signal.
     """
     matrix, names = read_numeric_csv(config.input_path)
     n, ncols = matrix.shape
@@ -268,17 +268,15 @@ def _csv_covariance(
     if ncols < 3:
         raise DataError(f"{config.mode.replace('_', '-')} needs at least 3 columns")
     if n < 2:
-        raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={ncols - 1}")
-    if target is not None or config.normalize:
-        # all cells equal, though the rounded mean may leave a standard deviation above 0
-        constant = [j for j in np.flatnonzero(np.ptp(matrix, axis=0) == 0.0) if j != target]
-        if constant:
-            raise DataError(f"column {names[constant[0]]!r} has zero variance")
-    if config.normalize and target is None:
-        matrix = normalize_columns(matrix)
-    elif config.normalize:
-        rest = np.delete(np.arange(ncols), target)
-        matrix[:, rest] = normalize_columns(np.delete(matrix, target, axis=1))
+        raise DataError(f"need n >= 2 rows, got n={n}")
+    predictors = [j for j in range(ncols) if j != target]
+    # all cells equal, though the rounded mean may leave a standard deviation above 0
+    spread = np.ptp(matrix, axis=0)
+    constant = [names[j] for j in predictors if spread[j] == 0.0]
+    if constant:
+        raise DataError(f"column {constant[0]!r} has zero variance")
+    if config.normalize:
+        matrix[:, predictors] = normalize_columns(np.ascontiguousarray(matrix[:, predictors]))
     with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
         centered = matrix - matrix.mean(axis=0)
         joint = (centered.T @ centered) / n

@@ -69,23 +69,26 @@ class CovarianceModel:
     """Predictor covariance, cross-covariance and the spectral decomposition.
 
     Eigenvalues are sorted descending, paired with the eigenvector columns,
-    which hold the whole of sigma_xx = V diag(lambda) V'; ``tau_inv`` =
-    mean(1/eigenvalues); ``n`` = sample count (0 if analytic).  The private
-    kernels fit a stack of R models at once: there each array field has a
-    leading run axis of length R, and ``tau_inv`` and ``n`` are (R,) arrays.
-    ``_row`` takes one model out of a stack and ``_stacked`` makes a model a
-    stack of one.
+    which hold the whole of sigma_xx = V diag(lambda) V'; ``n`` = sample
+    count (0 if analytic).  The private kernels fit a stack of R models at
+    once: there each array field has a leading run axis of length R, and
+    ``n`` and ``tau_inv`` are (R,) arrays.  ``_row`` takes one model out of
+    a stack and ``_stacked`` makes a model a stack of one.
     """
 
     sigma_xy: NDArray[np.float64]
     eigenvalues: NDArray[np.float64]
     eigenvectors: NDArray[np.float64]
-    tau_inv: float
     n: int = 0
 
     @property
     def d(self) -> int:
         return self.eigenvalues.shape[-1]
+
+    @property
+    def tau_inv(self) -> float | NDArray[np.float64]:
+        """mean(1/eigenvalues): a float, or one per model of a stack."""
+        return np.mean(1.0 / self.eigenvalues, axis=-1)
 
     @classmethod
     def from_matrices(
@@ -129,19 +132,19 @@ def _from_matrices(
         raise NumericError(
             f"smallest eigenvalue {bottom:.3e} is below {RANK_EPS:.0e} x largest ({top:.3e})"
         )
-    return CovarianceModel(sigma_xy, lam, vec, np.mean(1.0 / lam, axis=-1), n)
+    return CovarianceModel(sigma_xy, lam, vec, n)
 
 
 def _row(cov: CovarianceModel, i: int) -> CovarianceModel:
     """Model ``i`` of a stack."""
     return CovarianceModel(cov.sigma_xy[i], cov.eigenvalues[i], cov.eigenvectors[i],
-                           float(cov.tau_inv[i]), int(cov.n[i]))
+                           int(cov.n[i]))
 
 
 def _stacked(cov: CovarianceModel) -> CovarianceModel:
     """A model as a stack of one."""
     return CovarianceModel(cov.sigma_xy[None], cov.eigenvalues[None], cov.eigenvectors[None],
-                           np.array([cov.tau_inv]), np.array([cov.n]))
+                           np.array([cov.n]))
 
 
 def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:

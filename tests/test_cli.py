@@ -759,9 +759,19 @@ class TestShuffleTarget:
     def test_single_row_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "one.csv"
         p.write_text("a,b,c,d\n1,2,3,4\n")
-        code, _, err = run(capsys, ["shuffle-target", "--input", str(p)])
-        assert code == 2
-        assert "need n >= 2 and d >= 1, got n=1, d=3" in err
+        code, out, err = run(capsys, ["shuffle-target", "--input", str(p)])
+        assert (code, out) == (2, "")
+        assert err == "specbeta: data error: need n >= 2 rows, got n=1\n"
+
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+    def test_constant_column_is_data_error(self, capsys, tmp_path, normalize):
+        p = tmp_path / "constant.csv"
+        g = np.random.default_rng(4)
+        np.savetxt(p, np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)]),
+                   delimiter=",", header="a,b,c,k", comments="")
+        code, out, err = run(capsys, ["shuffle-target", "--input", str(p), *normalize])
+        assert (code, out) == (2, "")
+        assert err == "specbeta: data error: column 'k' has zero variance\n"
 
     def test_overflowing_column_leaves_error_records(self, capsys, scaled_csv):
         # every column's moments include the overflowing target's

@@ -21,6 +21,7 @@ from specbeta import (
     sample_aprime_def2,
     sample_covariance,
     sample_ground_truth,
+    spectral,
     true_beta,
 )
 from specbeta.genmodel import _confounding_vector, sample_causal_truth
@@ -191,6 +192,30 @@ class TestSampleCovariance:
             assert math.isnan(beta)
         else:
             assert beta == {"a": 1.0, "c": 0.0}[zero]
+
+    def test_noise_free_moments_are_exact_zeros(self):
+        # and no noise is drawn: the generator is left where the source draw leaves it
+        truth = sample_ground_truth(4, 6, np.random.default_rng(0))
+        g, ref = np.random.default_rng(1), np.random.default_rng(1)
+        _, ze, ee, n = genmodel._latent_moments(truth, 50, 0.0, g)
+        genmodel._draw_sources(truth, 50, 0.0, ref)
+        assert ze.tobytes() == np.zeros(6).tobytes()
+        assert np.float64(ee).tobytes() == np.float64(0.0).tobytes() and n == 50
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    def test_a_mixed_stack_gives_each_run_its_single_fit(self):
+        noise = [0.0, 0.7, 0.0, 1.5, 0.3, 0.0]
+        truths = [sample_ground_truth(4, 6, np.random.default_rng(i)) for i in range(len(noise))]
+        moments = [genmodel._latent_moments(truth, 50, sd, np.random.default_rng(i))
+                   for i, (truth, sd) in enumerate(zip(truths, noise))]
+        cov, betas = genmodel._fitted_models(truths, moments)
+        for i, (truth, sd) in enumerate(zip(truths, noise)):
+            alone, beta = sample_covariance(truth, 50, sd, np.random.default_rng(i))
+            row = spectral._row(cov, i)
+            for field in ("sigma_xy", "eigenvalues", "eigenvectors", "tau_inv", "n"):
+                got, want = (np.asarray(getattr(c, field)) for c in (row, alone))
+                assert got.tobytes() == want.tobytes()
+            assert betas[i].tobytes() == np.float64(beta).tobytes()
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
     def test_target_variance(self, monkeypatch, noise_sd):

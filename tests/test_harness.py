@@ -535,13 +535,10 @@ class TestStudies:
         assert run(config)["config"] == dataclasses.asdict(config)
 
     def test_shuffle_zero_signal_and_error_record_fields(self, tmp_path):
-        # the constant column has no signal, and makes every other column's predictors singular
-        g = np.random.default_rng(4)
-        matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
-        records, _ = shuffle_target_analysis(tmp_path, matrix, null_count=100)
-        assert [list(r) for r in records] == (
-            [["column", "name", "error"]] * 3 + [["column", "name", "zero_signal"]]
-        )
+        duplicated, _ = shuffle_target_analysis(tmp_path, DUPLICATED, null_count=100)
+        assert [list(r) for r in duplicated[1:3]] == [["column", "name", "error"]] * 2
+        zero, _ = shuffle_target_analysis(tmp_path, TestShuffleTarget.ZERO_SIGNAL, null_count=100)
+        assert [list(r) for r in zero] == [["column", "name", "zero_signal"]] * 3
 
     def test_rejection_study_nested_levels(self):
         cfg = ExperimentConfig(
@@ -1040,11 +1037,11 @@ class TestStudyDriver:
         if ending == "returns":
             harness.run(shuffle_config)
         elif ending == "flags":
-            # the constant column has no signal, and makes every other column's predictors singular
-            g = np.random.default_rng(4)
-            matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
-            records, _ = shuffle_target_analysis(tmp_path, matrix, null_count=100)
-            assert [list(r)[-1] for r in records] == ["error"] * 3 + ["zero_signal"]
+            records, _ = shuffle_target_analysis(tmp_path, DUPLICATED, null_count=100)
+            assert [list(r)[-1] for r in records] == ["p_value", "error", "error", "p_value"]
+            records, _ = shuffle_target_analysis(tmp_path, TestShuffleTarget.ZERO_SIGNAL,
+                                                 null_count=100)
+            assert [list(r)[-1] for r in records] == ["zero_signal"] * 3
         else:
             if ending == "raises in a fit":
                 # the stack of all 9 columns, then column 2 fitted alone
@@ -1179,6 +1176,10 @@ class TestStacks:
         assert str(stacked.value) == str(serial.value) == "3 of 20 planned runs failed (> 10%)"
 
 
+# Column 3 repeats column 0, so the predictors of columns 1 and 2 are singular.
+DUPLICATED = np.random.default_rng(4).standard_normal((300, 3))[:, [0, 1, 2, 0]]
+
+
 def shuffle_target_analysis(tmp_path, matrix, **fields):
     """harness.shuffle_target_analysis of ``matrix``, written to a headerless CSV."""
     path = matrix_csv(tmp_path / "matrix.csv", matrix)
@@ -1205,11 +1206,13 @@ class TestShuffleTarget:
         records, _ = shuffle_target_analysis(tmp_path, self.ZERO_SIGNAL, null_count=100)
         assert all(rec.get("zero_signal") for rec in records)
 
-    def test_constant_column_flagged_as_zero_signal(self, tmp_path):
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_constant_column_is_a_data_error(self, tmp_path, normalize):
+        # column 3 is a predictor of every other column's fit
         g = np.random.default_rng(4)
         matrix = np.column_stack([g.standard_normal((300, 3)), np.full(300, 0.1)])
-        records, _ = shuffle_target_analysis(tmp_path, matrix, null_count=100)
-        assert records[3] == {"column": 3, "name": "col3", "zero_signal": True}
+        with pytest.raises(DataError, match="^column 'col3' has zero variance$"):
+            shuffle_target_analysis(tmp_path, matrix, normalize=normalize, null_count=100)
 
     ZERO_SIGNAL = np.array(
         [

@@ -67,6 +67,8 @@ def test_each_row_of_a_stack_is_its_single_fit(stack, zero_at):
     for i in rows:
         for field in ("sigma_xy", "eigenvalues", "eigenvectors", "tau_inv", "n"):
             assert getattr(cov, field)[i].tobytes() == getattr(alone[i], field)[0].tobytes()
+        # the mean of the row's own spectrum, as its R = 1 model reads it
+        assert cov.tau_inv[i].tobytes() == spectral._row(alone[i], 0).tau_inv.tobytes()
     coords = spectral._direction_coords(cov)
     estimates = estimator._estimates(coords, cov)
     for i in rows:

@@ -40,9 +40,9 @@ def statistic_T(u: NDArray[np.float64], cov: CovarianceModel) -> float:
 
     Zero in expectation for a uniformly random direction; positive when the
     direction overpopulates small-eigenvalue eigenspaces.  A ``u`` that is
-    not a unit vector is a ValueError.
+    not a unit vector of the model's length is a ValueError.
     """
-    u = _unit(u)
+    u = _unit(u, cov.eigenvalues.shape)
     return float((np.sum(u * u / cov.eigenvalues) - cov.tau_inv) / np.sqrt(cov.d))
 
 

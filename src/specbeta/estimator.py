@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NumericError
-from .spectral import CovarianceModel, _direction_coords, _dot, _stacked, _unit
+from .spectral import CovarianceModel, _dot, _unit, direction_coords
 
 # Likelihood maximization.  The scan grid spans [GRID_LO, GRID_HI] times the
 # median eigenvalue, which makes it covariant under global rescaling of the
@@ -39,13 +39,14 @@ class BetaEstimate:
     """Output of the confounding-strength estimator.
 
     ``beta_hat`` is ``beta_from_theta(theta_hat, cov)`` exactly as stored;
-    ``loglik`` is the log density at ``theta_hat``.
+    ``loglik`` is the log density at ``theta_hat``.  Of a stack of R models
+    each field is an (R,) array, one estimate per model.
     """
 
-    theta_hat: float
-    beta_hat: float
-    loglik: float
-    boundary: bool
+    theta_hat: float | NDArray[np.float64]
+    beta_hat: float | NDArray[np.float64]
+    loglik: float | NDArray[np.float64]
+    boundary: bool | NDArray[np.bool_]
 
 
 def _check_theta(*thetas: float | NDArray[np.float64]) -> None:
@@ -72,13 +73,14 @@ def log_direction_density(
     Raises
     ------
     ValueError
-        If theta is negative or NaN, or ``u`` is not a unit vector.
+        If theta is negative or NaN, or ``u`` is not a unit vector of the
+        model's shape.
     NumericError
         If theta / lambda_min is not finite.
     """
     t = np.asarray(theta, dtype=np.float64)
     _check_theta(t)
-    u = _unit(u)
+    u = _unit(u, cov.eigenvalues.shape)
     val = _log_density(t, u * u, cov.eigenvalues)
     return float(val) if val.ndim == 0 else val
 
@@ -108,14 +110,14 @@ def direction_density(a_matrix: NDArray[np.float64], v: NDArray[np.float64]) -> 
     Raises
     ------
     ValueError
-        If A is not square or ``v`` is not a unit vector.
+        If A is not square or ``v`` is not a unit vector of its length.
     NumericError
         If A has condition number >= 1e12.
     """
-    v = _unit(v)
     a = np.asarray(a_matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    v = _unit(v, a.shape[:1])
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] == 0.0 or sv[0] / sv[-1] >= 1e12:
         raise NumericError("matrix is singular or too ill-conditioned")
@@ -173,20 +175,16 @@ def estimate_theta(u: NDArray[np.float64], cov: CovarianceModel) -> BetaEstimate
     the rounding of the two terms the log-density cancels, is a tie with
     theta = 0, so a flat likelihood (an isotropic spectrum) gives exactly 0.
     ``boundary`` is set when the maximum sits at the upper end of the scan
-    range.  A ``u`` that is not a unit vector is a ValueError.
+    range.  A ``u`` that is not a unit vector of the model's shape is a
+    ValueError.
+
+    Of a stack, ``u`` holds a row per model.  Every row scores its own grid
+    in one (R, 201, d) array and is refined by Newton steps while its
+    bracket is open, so each row gets, bit for bit, the result it gets alone.
     """
-    return _first(_estimates(_unit(u)[None], _stacked(cov)))
-
-
-def _estimates(u: NDArray[np.float64], cov: CovarianceModel) -> tuple[NDArray, ...]:
-    """``estimate_theta`` of each row of the (R, d) unit coordinates ``u`` on its model
-    of the stack ``cov``, as (theta_hat, beta_hat, loglik, boundary) arrays.
-
-    Every row scores its own grid in one (R, 201, d) array and is refined by
-    Newton steps while its bracket is open, so each row gets, bit for bit,
-    the result it gets alone.
-    """
-    lam = cov.eigenvalues
+    shape = cov.eigenvalues.shape
+    u = _unit(u, shape).reshape(-1, shape[-1])
+    lam = cov.eigenvalues.reshape(u.shape)
     rows = np.arange(len(u))
     lam_med = np.median(lam, axis=-1)
     grid = np.concatenate(
@@ -224,13 +222,9 @@ def _estimates(u: NDArray[np.float64], cov: CovarianceModel) -> tuple[NDArray, .
         1.0 + np.sum(np.log1p(theta_hat[:, None] / lam), axis=-1))
     theta_hat, loglik = np.where(tie, 0.0, theta_hat), np.where(tie, 0.0, loglik)
     boundary = theta_hat >= grid[:, -1] * (1.0 - 1e-9)
-    return theta_hat, beta_from_theta(theta_hat, cov), loglik, boundary
-
-
-def _first(estimates: tuple[NDArray, ...]) -> BetaEstimate:
-    """The first row of ``_estimates``' arrays."""
-    theta_hat, beta_hat, loglik, boundary = (float(x[0]) for x in estimates)
-    return BetaEstimate(theta_hat, beta_hat, loglik, bool(boundary))
+    theta_hat, loglik, boundary = (x.reshape(shape[:-1]) for x in (theta_hat, loglik, boundary))
+    est = (theta_hat, beta_from_theta(theta_hat, cov), loglik, boundary)
+    return BetaEstimate(*(est if boundary.ndim else (x.item() for x in est)))
 
 
 def beta_from_theta(
@@ -247,16 +241,12 @@ def beta_from_theta(
 
 
 def estimate_confounding(cov: CovarianceModel) -> BetaEstimate:
-    """Regression direction -> theta -> beta on a fitted covariance model.
+    """Regression direction -> theta -> beta on a fitted covariance model, or
+    on each model of a stack.
 
     Raises ZeroSignalError (no direction) or NumericError (theta).
     """
-    return _first(_confounding_estimates(_stacked(cov)))
-
-
-def _confounding_estimates(cov: CovarianceModel) -> tuple[NDArray, ...]:
-    """``estimate_confounding`` of each model of a stack, as ``_estimates`` gives it."""
-    return _estimates(_direction_coords(cov), cov)
+    return estimate_theta(direction_coords(cov), cov)
 
 
 def concentrated_loglik(theta: float, theta_prime: float, cov: CovarianceModel) -> float:

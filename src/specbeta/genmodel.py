@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DataError, NumericError
-from .spectral import CovarianceModel, DataMatrix, _dot, _from_moments, _row
+from .spectral import CovarianceModel, DataMatrix, _dot, covariance_from_moments
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,9 @@ def sample_covariance(
     This agrees with ``empirical_covariance(generate_samples(...))`` up to
     rounding, not bit for bit.  Errors are those of that path.
     """
-    cov, beta = _fitted_models([truth], [_latent_moments(truth, n, noise_sd, rng)])
-    return _row(cov, 0), float(beta[0])
+    moments = _latent_moments(truth, n, noise_sd, rng)
+    cov, beta = _fitted_models(truth.m, truth.a, truth.c, *moments)
+    return cov, float(beta)
 
 
 def _latent_moments(
@@ -137,28 +138,27 @@ def _latent_moments(
 
 
 def _fitted_models(
-    truths: list[GroundTruth],
-    moments: list[tuple[NDArray[np.float64], NDArray[np.float64], float, int]],
-) -> tuple[CovarianceModel, NDArray[np.float64]]:
-    """The stacked fitted models and true betas of runs' models and ``_latent_moments``.
+    m: NDArray[np.float64], a: NDArray[np.float64], c: NDArray[np.float64],
+    gram: NDArray[np.float64], ze: NDArray[np.float64], ee: float | NDArray[np.float64],
+    n: int | NDArray[np.int64],
+) -> tuple[CovarianceModel, float | NDArray[np.float64]]:
+    """The fitted model and true beta of a model ``(m, a, c)`` and its
+    ``_latent_moments`` ``(gram, ze, ee, n)``; of a stack of runs, given as
+    those arrays with a leading run axis, the stacked models and true betas.
 
     One matmul chain forms every run's moments and one stacked ``eigh``
     their models; each run gets, bit for bit, what it gets alone.  The true
     beta is NaN where ``true_beta`` raises.  Raises the first error of
     ``covariance_from_moments`` that any run has.
     """
-    m = np.stack([truth.m for truth in truths])
-    a = np.stack([truth.a for truth in truths])
-    c = np.stack([truth.c for truth in truths])
-    gram, ze, ee, n = (np.stack(column) for column in zip(*moments))
     mt = np.swapaxes(m, -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by _from_moments
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
         b = (mt @ a[..., None])[..., 0] + c  # M'a + c
         gb = gram @ b[..., None]
         sigma_xy = (m @ gb)[..., 0] + (m @ ze[..., None])[..., 0]
         sigma_yy = _dot(b, gb[..., 0]) + (2.0 * _dot(b, ze) + ee)
         sigma_xx = (m @ gram) @ mt
-    return _from_moments(sigma_xx, sigma_xy, sigma_yy, n), _true_betas(m, a, c)
+    return covariance_from_moments(sigma_xx, sigma_xy, sigma_yy, n), _true_betas(m, a, c)
 
 
 def _draw_sources(
@@ -186,11 +186,11 @@ def true_beta(truth: GroundTruth) -> float:
     Raises
     ------
     NumericError
-        If a = 0 and c = 0, or if M lacks full row rank (``_confounding_vector``).
+        If a = 0 and c = 0, or if M lacks full row rank (``_confounding_vectors``).
     """
     if float(truth.a @ truth.a) == 0.0 and not np.any(truth.c != 0.0):
         raise NumericError("a = 0 and c = 0: confounding strength undefined")
-    beta = float(_true_betas(truth.m[None], truth.a[None], truth.c[None])[0])
+    beta = float(_true_betas(truth.m, truth.a, truth.c))
     if np.isnan(beta):
         raise NumericError("mixing matrix is not of full row rank")
     return beta
@@ -199,7 +199,7 @@ def true_beta(truth: GroundTruth) -> float:
 def _true_betas(
     m: NDArray[np.float64], a: NDArray[np.float64], c: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """``true_beta`` of each model of a stack, or NaN where it raises."""
+    """``true_beta`` of a model, or of each model of a stack, or NaN where it raises."""
     a2 = _dot(a, a)
     c_any = np.any(c != 0.0, axis=-1)
     mtc, full_rank = _confounding_vectors(m, c)
@@ -209,41 +209,29 @@ def _true_betas(
     return np.where((a2 == 0.0) & ~c_any | c_any & (a2 != 0.0) & ~full_rank, np.nan, beta)
 
 
-def _confounding_vector(
-    m: NDArray[np.float64], c: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """M^+T c for a d x ell mixing matrix M of full row rank.
-
-    For such M, M^+T = (M M^T)^-1 M, and with the reduced QR M^T = Q R
-    this is R^-1 Q^T c.  No normal equations are formed, so the condition
-    number is never squared: cond(R) = cond(M).
-
-    Raises NumericError where min |R_ii| <= 1e-10 max |R_ii| (a ratio
-    >= 1/cond(M)): M lacks full row rank.  A study's covariance check is stricter.
-    """
-    mtc, full_rank = _confounding_vectors(m[None], c[None])
-    if not full_rank[0]:
-        raise NumericError("mixing matrix is not of full row rank")
-    return mtc[0]
-
-
 def _confounding_vectors(
     m: NDArray[np.float64], c: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """``_confounding_vector`` of each (M, c) of a stack, and whether M has full row rank.
+    """M^+T c of a d x ell mixing matrix M, or of each (M, c) of a stack, and
+    whether M has full row rank.
 
-    A row without it holds no answer, and raises nothing.
+    For M of full row rank, M^+T = (M M^T)^-1 M, and with the reduced QR
+    M^T = Q R this is R^-1 Q^T c.  No normal equations are formed, so the
+    condition number is never squared: cond(R) = cond(M).  M lacks full row
+    rank where min |R_ii| <= 1e-10 max |R_ii| (a ratio >= 1/cond(M)); a
+    study's covariance check is stricter.  Such a row holds no answer, and
+    raises nothing.
     """
     d = m.shape[-2]
     # The triangular factor of [M^T c] is [[R, Q^T c], [0, *]], so one
     # factorization gives both and Q is never formed.
     r = np.linalg.qr(np.concatenate([np.swapaxes(m, -1, -2), c[..., None]], axis=-1), mode="r")
-    pivots = np.abs(np.diagonal(r, 0, -2, -1)[:, :d])
+    pivots = np.abs(np.diagonal(r, 0, -2, -1)[..., :d])
     full_rank = pivots.min(axis=-1) > 1e-10 * pivots.max(axis=-1)
-    square = r[:, :d, :d]
+    square = r[..., :d, :d]
     if not full_rank.all():  # solved against I instead, so that solve cannot fail
-        square = np.where(full_rank[:, None, None], square, np.eye(d))
-    return np.linalg.solve(square, r[:, :d, d:])[..., 0], full_rank
+        square = np.where(full_rank[..., None, None], square, np.eye(d))
+    return np.linalg.solve(square, r[..., :d, d:])[..., 0], full_rank
 
 
 def sample_aprime_def1(
@@ -256,11 +244,15 @@ def sample_aprime_def1(
 
     a ~ N(0, sigma_a^2 I) and c ~ N(0, sigma_c^2 I) are drawn, in that order,
     for the fixed d x ell mixing matrix ``m``.  M^+T c is computed as
-    R^-1 Q^T c from one reduced QR of M^T, as in ``true_beta``.
+    R^-1 Q^T c from one reduced QR of M^T, as in ``true_beta``; NumericError
+    where M lacks full row rank.
     """
     a = sigma_a * rng.standard_normal(m.shape[0])
     c = sigma_c * rng.standard_normal(m.shape[1])
-    return a + _confounding_vector(m, c)
+    mtc, full_rank = _confounding_vectors(m, c)
+    if not full_rank:
+        raise NumericError("mixing matrix is not of full row rank")
+    return a + mtc
 
 
 def sample_aprime_def2(

@@ -24,10 +24,10 @@ from numpy.typing import NDArray
 
 from . import cdtest, estimator, genmodel
 from .errors import DataError, SpecbetaError, ZeroSignalError
-from .spectral import CovarianceModel, _from_moments, _row, _stacked, covariance_from_moments
+from .spectral import CovarianceModel, _row, covariance_from_moments
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads,
-# the fields fit_record gives each of its records, in report order).  Every
+# the fields fit_records gives each of its records, in report order).  Every
 # mode also reads fmt, the format its report is written in.
 OPERATIONS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
     "estimate": ("fit_csv_target", ("input_path", "target", "normalize"),
@@ -340,33 +340,25 @@ def run(config: ExperimentConfig) -> dict:
     return {"config": asdict(config), "records": records, "summary": summary}
 
 
-def fit_record(config: ExperimentConfig, normals: Callable[..., NDArray[np.float64]],
-               cov: CovarianceModel, true_beta: float | None = None) -> dict:
-    """The record fields OPERATIONS lists for ``config.mode``, in order, of one fit.
+def fit_records(config: ExperimentConfig, cov: CovarianceModel,
+                true_betas: list[float | None]) -> list[Callable[..., dict]]:
+    """The record of each model of a stack, as a function of its ``normals``:
+    the fields OPERATIONS lists for ``config.mode``, in order.
 
-    The estimate runs where the record holds beta_hat, then the test where
-    it holds p_value, on ``normals((null_count, d))``, a block of standard
-    normals: a run generator's ``standard_normal``, or a block drawn ahead.
-    ``true_beta`` is the known strength of a study's model.  It is the
-    one-fit call of ``_fit_records``, which fits a stack.
-    """
-    return _fit_records(config, _stacked(cov), [true_beta])[0](normals)
-
-
-def _fit_records(config: ExperimentConfig, cov: CovarianceModel,
-                 true_betas: list[float | None]) -> list[Callable[..., dict]]:
-    """``fit_record`` of each model of a stack, as a function of its ``normals``.
-
-    The estimates of the whole stack are made here, and it raises if any
-    model's does.  A model's test runs, and draws its normals, only when its
-    function is called, so a study draws each run's null block in run order.
+    The estimates of the whole stack are made here, where the record holds
+    beta_hat, and it raises if any model's does.  A model's test runs where
+    the record holds p_value, on ``normals((null_count, d))``, a block of
+    standard normals: a run generator's ``standard_normal``, or a block
+    drawn ahead.  It runs, and draws its normals, only when the model's
+    function is called, so a study draws each run's null block in run
+    order.  ``true_betas`` are the known strengths of a study's models.
     """
     names = OPERATIONS[config.mode][2]
     columns = {"true_beta": true_betas, "tau_inv": cov.tau_inv.tolist(), "n": cov.n.tolist()}
     if "beta_hat" in names:
-        theta_hat, beta_hat, _, boundary = estimator._confounding_estimates(cov)
-        columns.update(beta_hat=beta_hat.tolist(), theta_hat=theta_hat.tolist(),
-                       boundary=boundary.tolist())
+        est = estimator.estimate_confounding(cov)
+        columns.update(beta_hat=est.beta_hat.tolist(), theta_hat=est.theta_hat.tolist(),
+                       boundary=est.boundary.tolist())
 
     def record(i: int, normals: Callable[..., NDArray[np.float64]]) -> dict:
         values = {key: column[i] for key, column in columns.items()}
@@ -407,11 +399,18 @@ def _stacked_fits(fit: Callable[[list], list[Callable]], rows: list) -> list[Cal
         return [raised]
 
 
+def _column_fits(config: ExperimentConfig, joint: NDArray[np.float64], n: int,
+                 targets: list[int]) -> list[Callable[..., dict]]:
+    """``fit_records`` of the stack of CSV columns ``targets``, each the target of the others."""
+    moments = [np.stack(m) for m in zip(*(_column_moments(joint, j) for j in targets))]
+    cov = covariance_from_moments(*moments, np.full(len(targets), n))
+    return fit_records(config, cov, [None] * len(targets))
+
+
 def fit_csv_target(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Fit the CSV target named by ``config``: its estimate or its test, by mode."""
     joint, n, _, target = _csv_covariance(config)
-    cov = covariance_from_moments(*_column_moments(joint, target), n)
-    record = fit_record(config, run_rng(config.seed).standard_normal, cov)
+    record = _column_fits(config, joint, n, [target])[0](run_rng(config.seed).standard_normal)
     return [record], {key: record[key] for key in ("beta_hat", "p_value") if key in record}
 
 
@@ -493,8 +492,8 @@ def _run_study(
     2. the latent moments of ``genmodel.sample_covariance(truth, n,
        noise_sd, rng)`` are drawn;
     3. the rest of ``sample_covariance`` gives ``(cov, beta)``, and the
-       run's record is ``{**key, **fit_record(config, rng.standard_normal,
-       cov, beta)}``.
+       run's record is ``key`` followed by its ``fit_records`` record on
+       ``rng.standard_normal``.
 
     Steps 1 and 3 run on the calling thread; ``_drawn_ahead`` starts runs
     with step 1 and makes their step 2 on its worker, or on the calling
@@ -510,15 +509,15 @@ def _run_study(
     """
     records: list[dict] = []
     failures = 0
-    stack: list[tuple] = []  # (key, rng, truth, moments) of the runs drawn since the last fit
+    stack: list[tuple] = []  # (key, rng, inputs of _fitted_models) of the runs not yet fit
 
     def start(key: dict) -> tuple:
         rng = run_rng(config.seed, *key.values())
         return (*model(rng, **key), rng)
 
     def fit(runs: list[tuple]) -> list[Callable]:
-        cov, betas = genmodel._fitted_models(*zip(*runs))
-        return _fit_records(config, cov, betas.tolist())
+        cov, betas = genmodel._fitted_models(*map(np.stack, zip(*runs)))
+        return fit_records(config, cov, betas.tolist())
 
     def failed(key: dict, err: SpecbetaError) -> None:
         nonlocal failures
@@ -531,8 +530,8 @@ def _run_study(
         records.append({**key, "error": str(err)})
 
     def settle_stack() -> None:
-        fits = _stacked_fits(fit, [(truth, moments) for _, _, truth, moments in stack])
-        for (key, rng, *_), fitted in zip(stack, fits):
+        fits = _stacked_fits(fit, [row for *_, row in stack])
+        for (key, rng, _), fitted in zip(stack, fits):
             try:
                 records.append({**key, **fitted(rng.standard_normal)})
             except SpecbetaError as err:
@@ -545,7 +544,7 @@ def _run_study(
         for key, started, drawn in runs:
             try:
                 truth, *_, rng = started()
-                stack.append((key, rng, truth, drawn()))
+                stack.append((key, rng, (truth.m, truth.a, truth.c, *drawn())))
             except SpecbetaError as err:
                 settle_stack()
                 failed(key, err)
@@ -672,11 +671,7 @@ def shuffle_target_analysis(config: ExperimentConfig) -> tuple[list[dict], dict]
     def null_block(j: int) -> NDArray[np.float64]:
         return run_rng(config.seed, j).standard_normal((config.null_count, ncols - 1))
 
-    def fit(targets: list[int]) -> list[Callable]:
-        moments = [np.stack(m) for m in zip(*(_column_moments(joint, j) for j in targets))]
-        cov = _from_moments(*moments, np.full(len(targets), n))
-        return _fit_records(config, cov, [None] * len(targets))
-
+    fit = functools.partial(_column_fits, config, joint, n)
     records: list[dict] = []
     size = _stack_size(ncols - 1, ncols - 1)  # its d x d covariances take the Grams' place
     with contextlib.closing(_drawn_ahead(range(ncols), lambda j: (j,), null_block)) as columns:

@@ -70,16 +70,17 @@ class CovarianceModel:
 
     Eigenvalues are sorted descending, paired with the eigenvector columns,
     which hold the whole of sigma_xx = V diag(lambda) V'; ``n`` = sample
-    count (0 if analytic).  The private kernels fit a stack of R models at
-    once: there each array field has a leading run axis of length R, and
-    ``n`` and ``tau_inv`` are (R,) arrays.  ``_row`` takes one model out of
-    a stack and ``_stacked`` makes a model a stack of one.
+    count (0 if analytic).  A model may also be a stack of R models, fitted
+    at once: each array field then has a leading run axis of length R, and
+    ``n`` and ``tau_inv`` are (R,) arrays.  Every fit function takes either,
+    and gives each model of a stack, bit for bit, what it gives that model
+    alone; ``_row`` takes one model out of a stack.
     """
 
     sigma_xy: NDArray[np.float64]
     eigenvalues: NDArray[np.float64]
     eigenvectors: NDArray[np.float64]
-    n: int = 0
+    n: int | NDArray[np.int64] = 0
 
     @property
     def d(self) -> int:
@@ -95,9 +96,10 @@ class CovarianceModel:
         cls,
         sigma_xx: NDArray[np.float64],
         sigma_xy: NDArray[np.float64],
-        n: int = 0,
+        n: int | NDArray[np.int64] = 0,
     ) -> "CovarianceModel":
-        """Build the model from a covariance matrix and cross-covariance vector.
+        """Build the model from a covariance matrix and cross-covariance vector,
+        or a stack from (R, d, d) matrices, (R, d) vectors and (R,) counts.
 
         The matrix is symmetrized as (S + S^T)/2 before the self-adjoint
         eigendecomposition, which guards against round-off asymmetry.
@@ -105,46 +107,35 @@ class CovarianceModel:
         Raises
         ------
         NumericError
-            If the smallest eigenvalue is <= RANK_EPS times the largest.
+            If the smallest eigenvalue is <= RANK_EPS times the largest, in
+            the first model of a stack where it is.
         """
         s = np.asarray(sigma_xx, dtype=np.float64)
-        sxy = np.asarray(sigma_xy, dtype=np.float64).reshape(-1)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        sxy = np.asarray(sigma_xy, dtype=np.float64)
+        if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
             raise ValueError(f"sigma_xx must be square, got shape {s.shape}")
-        if sxy.shape[0] != s.shape[0]:
+        if sxy.shape != s.shape[:-1]:
             raise ValueError("sigma_xy length does not match sigma_xx")
-        return _row(_from_matrices(s[None], sxy[None], np.array([n])), 0)
-
-
-def _from_matrices(
-    sigma_xx: NDArray[np.float64], sigma_xy: NDArray[np.float64], n: NDArray[np.int64]
-) -> CovarianceModel:
-    """``from_matrices`` of a stack: (R, d, d) matrices, (R, d) vectors and (R,) counts."""
-    # halved first, so that no finite sum overflows
-    s = 0.5 * sigma_xx + 0.5 * np.swapaxes(sigma_xx, -1, -2)
-    lam, vec = np.linalg.eigh(s)  # each slice bit for bit its own eigh
-    # eigh returns ascending order
-    lam = lam[:, ::-1].copy()
-    vec = vec[:, :, ::-1].copy()
-    low = np.flatnonzero(lam[:, -1] <= RANK_EPS * lam[:, 0])
-    if low.size:
-        top, bottom = lam[low[0], 0], lam[low[0], -1]
-        raise NumericError(
-            f"smallest eigenvalue {bottom:.3e} is below {RANK_EPS:.0e} x largest ({top:.3e})"
-        )
-    return CovarianceModel(sigma_xy, lam, vec, n)
+        # halved first, so that no finite sum overflows
+        s = 0.5 * s + 0.5 * np.swapaxes(s, -1, -2)
+        lam, vec = np.linalg.eigh(s)  # each slice bit for bit its own eigh
+        # eigh returns ascending order
+        lam = lam[..., ::-1].copy()
+        vec = vec[..., ::-1].copy()
+        rows = lam.reshape(-1, lam.shape[-1])
+        low = np.flatnonzero(rows[:, -1] <= RANK_EPS * rows[:, 0])
+        if low.size:
+            top, bottom = rows[low[0], 0], rows[low[0], -1]
+            raise NumericError(
+                f"smallest eigenvalue {bottom:.3e} is below {RANK_EPS:.0e} x largest ({top:.3e})"
+            )
+        return cls(sxy, lam, vec, n)
 
 
 def _row(cov: CovarianceModel, i: int) -> CovarianceModel:
     """Model ``i`` of a stack."""
     return CovarianceModel(cov.sigma_xy[i], cov.eigenvalues[i], cov.eigenvectors[i],
                            int(cov.n[i]))
-
-
-def _stacked(cov: CovarianceModel) -> CovarianceModel:
-    """A model as a stack of one."""
-    return CovarianceModel(cov.sigma_xy[None], cov.eigenvalues[None], cov.eigenvectors[None],
-                           np.array([cov.n]))
 
 
 def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -175,10 +166,12 @@ def empirical_covariance(data: DataMatrix) -> CovarianceModel:
 def covariance_from_moments(
     sigma_xx: NDArray[np.float64],
     sigma_xy: NDArray[np.float64],
-    sigma_yy: float,
-    n: int,
+    sigma_yy: float | NDArray[np.float64],
+    n: int | NDArray[np.int64],
 ) -> CovarianceModel:
-    """Model from the centered second moments of n samples, normalized by 1/n.
+    """Model from the centered second moments of n samples, normalized by 1/n,
+    or a stack from (R, d, d), (R, d), (R,) and (R,) moments, which raises
+    the first error that any of its models has.
 
     A cross-covariance of norm <= ZERO_SIGNAL_EPS * sqrt(sigma_yy * tr sigma_xx)
     is stored as exact zeros: the target is constant up to rounding.  Both
@@ -191,21 +184,10 @@ def covariance_from_moments(
     NumericError
         If a moment is not finite, or the covariance is numerically singular.
     """
-    moments = (sigma_xx[None], sigma_xy[None], np.array([sigma_yy]), np.array([n]))
-    return _row(_from_moments(*moments), 0)
-
-
-def _from_moments(
-    sigma_xx: NDArray[np.float64],
-    sigma_xy: NDArray[np.float64],
-    sigma_yy: NDArray[np.float64],
-    n: NDArray[np.int64],
-) -> CovarianceModel:
-    """``covariance_from_moments`` of a stack; it raises the first error that any model has."""
     d = sigma_xy.shape[-1]
     few = np.flatnonzero(n <= d)
     if few.size:
-        raise DataError(f"need n > d, got n={n[few[0]]}, d={d}")
+        raise DataError(f"need n > d, got n={np.ravel(n)[few[0]]}, d={d}")
     if not (np.isfinite(sigma_yy).all() and np.isfinite(sigma_xy).all()
             and np.isfinite(sigma_xx).all()):
         raise NumericError("second moments overflow: the data are too large in scale")
@@ -213,30 +195,26 @@ def _from_moments(
     # is summed in units of d and ZERO_SIGNAL_EPS is applied first, so that no
     # square, sum or product of finite moments overflows.
     top = np.abs(sigma_xy).max(axis=-1)
-    scaled = sigma_xy / np.where(top > 0.0, top, 1.0)[:, None]
+    scaled = sigma_xy / np.where(top > 0.0, top, 1.0)[..., None]
     norm = top * np.sqrt(_dot(scaled, scaled))
     root_trace = np.sqrt(d) * np.sqrt(np.sum(np.diagonal(sigma_xx, 0, -2, -1) / d, axis=-1))
     zero = norm <= ZERO_SIGNAL_EPS * np.sqrt(sigma_yy) * root_trace
     if zero.any():
-        sigma_xy = np.where(zero[:, None], 0.0, sigma_xy)
-    return _from_matrices(sigma_xx, sigma_xy, n)
+        sigma_xy = np.where(zero[..., None], 0.0, sigma_xy)
+    return CovarianceModel.from_matrices(sigma_xx, sigma_xy, n)
 
 
 def regression_vector(cov: CovarianceModel) -> NDArray[np.float64]:
-    """Population least-squares coefficients sigma_xx^{-1} sigma_xy.
+    """Population least-squares coefficients sigma_xx^{-1} sigma_xy, one row
+    per model of a stack.
 
     Solved in the stored eigenbasis rather than by inverting the raw matrix.
 
     Raises
     ------
     ZeroSignalError
-        If the cross-covariance is exactly zero.
+        If the cross-covariance of any model is exactly zero.
     """
-    return _regression_vectors(_stacked(cov))[0]
-
-
-def _regression_vectors(cov: CovarianceModel) -> NDArray[np.float64]:
-    """``regression_vector`` of each model of a stack."""
     if not cov.sigma_xy.any(axis=-1).all():
         raise ZeroSignalError("sigma_xy is zero; the target carries no signal")
     w = np.swapaxes(cov.eigenvectors, -1, -2) @ cov.sigma_xy[..., None]
@@ -244,7 +222,7 @@ def _regression_vectors(cov: CovarianceModel) -> NDArray[np.float64]:
 
 
 def unit_direction(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``v`` divided by its norm.
+    """``v`` divided by its norm, or each row of a (..., d) stack by its own.
 
     The norm squares the entries, so where that over- or underflows, ``v`` is
     first divided by its largest entry in absolute value.
@@ -252,41 +230,37 @@ def unit_direction(v: NDArray[np.float64]) -> NDArray[np.float64]:
     Raises
     ------
     ZeroSignalError
-        On zero input.
+        On a zero vector.
     """
-    return _unit_directions(np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
-
-
-def _unit_directions(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``unit_direction`` of each row of an (R, d) stack."""
+    v = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):  # an infinite norm is taken again below
         norm = np.sqrt(_dot(v, v))
     rescale = ~((_SAFE_NORM <= norm) & (norm < np.inf))
     if rescale.any():
         largest = np.max(np.abs(v), axis=-1, initial=0.0)
-        if np.any(largest[rescale] == 0.0):
+        if np.any(rescale & (largest == 0.0)):
             raise ZeroSignalError("cannot normalize the zero vector")
-        v = np.where(rescale[:, None], v / np.where(rescale, largest, 1.0)[:, None], v)
+        v = np.where(rescale[..., None], v / np.where(rescale, largest, 1.0)[..., None], v)
         norm = np.where(rescale, np.sqrt(_dot(v, v)), norm)
-    return v / norm[:, None]
+    return v / norm[..., None]
 
 
 def direction_coords(cov: CovarianceModel) -> NDArray[np.float64]:
-    """Eigenbasis coordinates u of the unit regression direction: all that the
-    estimator and the test read from the data.  ZeroSignalError on zero sigma_xy.
+    """Eigenbasis coordinates u of the unit regression direction, one row per
+    model of a stack: all that the estimator and the test read from the data.
+    ZeroSignalError on zero sigma_xy.
     """
-    return _direction_coords(_stacked(cov))[0]
-
-
-def _direction_coords(cov: CovarianceModel) -> NDArray[np.float64]:
-    """``direction_coords`` of each model of a stack."""
-    unit = _unit_directions(_regression_vectors(cov))
+    unit = unit_direction(regression_vector(cov))
     return (np.swapaxes(cov.eigenvectors, -1, -2) @ unit[..., None])[..., 0]
 
 
-def _unit(u: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``u`` as a 1-D float array; ValueError unless its length is 1 to within 1e-12."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
+def _unit(u: NDArray[np.float64], shape: tuple[int, ...]) -> NDArray[np.float64]:
+    """``u`` as a float array; ValueError unless it has ``shape``, that of its
+    model's eigenvalues, and each of its rows is of length 1 to within 1e-12.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != shape:
+        raise ValueError(f"direction of shape {u.shape} does not match its model's {shape}")
+    if not np.all(np.abs(np.sqrt(_dot(u, u)) - 1.0) <= 1e-12):
         raise ValueError("direction is not unit length")
     return u

@@ -1,5 +1,6 @@
 """Direction density, likelihood maximization and concentration diagnostics."""
 
+import dataclasses
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -29,7 +30,7 @@ from specbeta import (
     statistic_T,
     unit_direction,
 )
-from specbeta import estimator, spectral
+from specbeta import estimator
 from specbeta import test_nonconfounding as run_nonconfounding_test
 from specbeta.estimator import GRID_HI, GRID_LO, GRID_POINTS, REFINE_REL_TOL
 from specbeta.genmodel import GroundTruth, sample_covariance
@@ -460,15 +461,16 @@ class TestStackedEstimates:
         covs = [cov_from_spectrum(EDGE_ROWS[name][0]) for name in names]
         coords = [cov.eigenvectors.T @ unit_direction(np.sqrt(EDGE_ROWS[name][1]))
                   for cov, name in zip(covs, names)]
-        stack = spectral._from_matrices(np.stack([np.diag(EDGE_ROWS[name][0]) for name in names]),
-                                        np.zeros((len(names), 3)), np.zeros(len(names), int))
+        stack = CovarianceModel.from_matrices(
+            np.stack([np.diag(EDGE_ROWS[name][0]) for name in names]),
+            np.zeros((len(names), 3)), np.zeros(len(names), int))
         return stack, np.stack(coords), [estimate_theta(u, cov) for u, cov in zip(coords, covs)]
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_edge_rows_in_one_stack_match_their_single_fits(self, order):
         names = list(EDGE_ROWS)[::order]
         stack, coords, alone = self.edge_fits(names)
-        got = estimator._estimates(coords, stack)
+        got = dataclasses.astuple(estimate_theta(coords, stack))
         for i, name in enumerate(names):
             row = estimator.BetaEstimate(*(float(x[i]) for x in got[:3]), bool(got[3][i]))
             assert row == alone[i], name
@@ -692,6 +694,40 @@ class TestUnitCheck:
     def test_rejects_non_unit(self, call, vector):
         with pytest.raises(ValueError, match="not unit length"):
             call(np.array(vector))
+
+    @pytest.mark.parametrize("length", [1, 4])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u, cov: log_direction_density(1.0, u, cov),
+            estimate_theta,
+            statistic_T,
+        ],
+        ids=["log_direction_density", "estimate_theta", "statistic_T"],
+    )
+    def test_rejects_a_direction_of_another_length(self, call, length):
+        # a unit vector of length 1 or d + 1 does not broadcast against d = 3
+        cov = cov_from_spectrum([1.0, 2.0, 4.0])
+        u = np.eye(length)[0]
+        with pytest.raises(ValueError, match=rf"^direction of shape \({length},\) does not "
+                                             r"match its model's \(3,\)$"):
+            call(u, cov)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 4), (3,), (1, 3), (3, 3)])
+    @pytest.mark.parametrize(
+        "call",
+        [lambda u, cov: log_direction_density(1.0, u, cov), estimate_theta],
+        ids=["log_direction_density", "estimate_theta"],
+    )
+    def test_a_stack_rejects_directions_of_another_shape(self, call, shape):
+        # a stack of two models of d = 3 takes a (2, 3) array of directions
+        stack = CovarianceModel.from_matrices(np.stack([np.diag([1.0, 2.0, 4.0])] * 2),
+                                              np.ones((2, 3)), np.array([10, 10]))
+        u = np.zeros(shape)
+        u[..., 0] = 1.0
+        call(np.eye(3)[:2], stack)
+        with pytest.raises(ValueError, match=r"does not match its model's \(2, 3\)$"):
+            call(u, stack)
 
 
 class TestIllConditioning:

@@ -24,7 +24,7 @@ from specbeta import (
     spectral,
     true_beta,
 )
-from specbeta.genmodel import _confounding_vector, sample_causal_truth
+from specbeta.genmodel import _confounding_vectors, sample_causal_truth
 
 from conftest import cov_from_spectrum, sigma_xx
 
@@ -208,7 +208,8 @@ class TestSampleCovariance:
         truths = [sample_ground_truth(4, 6, np.random.default_rng(i)) for i in range(len(noise))]
         moments = [genmodel._latent_moments(truth, 50, sd, np.random.default_rng(i))
                    for i, (truth, sd) in enumerate(zip(truths, noise))]
-        cov, betas = genmodel._fitted_models(truths, moments)
+        cov, betas = genmodel._fitted_models(*map(np.stack, zip(
+            *((truth.m, truth.a, truth.c, *moment) for truth, moment in zip(truths, moments)))))
         for i, (truth, sd) in enumerate(zip(truths, noise)):
             alone, beta = sample_covariance(truth, 50, sd, np.random.default_rng(i))
             row = spectral._row(cov, i)
@@ -220,13 +221,13 @@ class TestSampleCovariance:
     @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
     def test_target_variance(self, monkeypatch, noise_sd):
         # sigma_yy is not stored in the model, but it sets the zero-signal scale
-        original, seen = genmodel._from_moments, []
+        original, seen = genmodel.covariance_from_moments, []
 
-        def keep(*args):  # the moments of a stack of one run
-            seen.append(args[2][0])
+        def keep(*args):  # the moments of one run
+            seen.append(args[2])
             return original(*args)
 
-        monkeypatch.setattr(genmodel, "_from_moments", keep)
+        monkeypatch.setattr(genmodel, "covariance_from_moments", keep)
         for seed in range(5):
             truth = sample_ground_truth(4, 6, np.random.default_rng(seed))
             y = generate_samples(truth, 50, noise_sd, np.random.default_rng(seed)).y
@@ -307,7 +308,7 @@ class TestTrueBeta:
 
 
 class TestConfoundingVector:
-    # condition numbers up to 10^9.5, inside _confounding_vector's 1e-10 rank bound
+    # condition numbers up to 10^9.5, inside _confounding_vectors' 1e-10 rank bound
     @pytest.mark.parametrize("log_cond", [8.0, 9.5])
     def test_matches_svd_formula_when_ill_conditioned(self, rng, log_cond):
         d, ell = 6, 8
@@ -317,7 +318,8 @@ class TestConfoundingVector:
         m = u @ np.diag(s) @ v.T
         c = rng.standard_normal(ell)
         exact = u @ ((v.T @ c) / s)
-        got = _confounding_vector(m, c)
+        got, full_rank = _confounding_vectors(m, c)
+        assert full_rank
         err = np.linalg.norm(got - exact) / np.linalg.norm(exact)
         assert err <= 1e-13 * 10.0**log_cond
 

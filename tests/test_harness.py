@@ -246,7 +246,7 @@ def fitted_moments(path, target, normalize=False):
     with pytest.MonkeyPatch.context() as monkeypatch, pytest.raises(Taken):
         monkeypatch.setattr(harness, "covariance_from_moments", take)
         harness.fit_csv_target(config)
-    return moments[0]
+    return tuple(moment[0] for moment in moments[0])  # the target's moments, a stack of one
 
 
 def assert_moments(moments, matrix, j):
@@ -615,6 +615,20 @@ class TestStudies:
         assert stable_json(errors) == stable_json([{**key, "error": "injected"}])  # key order too
 
 
+def serial_fit(config, rng, cov, beta):
+    """A study run's record fields, after its key, of its fitted model by public calls."""
+    if config.mode == "simulate":
+        est = estimator.estimate_confounding(cov)
+        return {"true_beta": beta, "beta_hat": est.beta_hat,
+                "theta_hat": est.theta_hat, "boundary": est.boundary}
+    normals = rng.standard_normal((config.null_count, cov.d))
+    res = cdtest.test_nonconfounding(cov, normals)
+    fit = {"p_value": res.p_value}
+    if config.mode == "rejection_study":
+        fit = {"true_beta": beta, "t_observed": res.t_observed, **fit}
+    return fit
+
+
 def serial_study(config):
     """Records of a seeded study from a plain loop over public calls, run by run.
 
@@ -636,17 +650,7 @@ def serial_study(config):
                 truth = genmodel.sample_ground_truth(config.d, config.ell, rng)
                 n, noise_sd = config.n, config.noise_sd or 0.0
             cov, beta = genmodel.sample_covariance(truth, n, noise_sd, rng)
-            if config.mode == "simulate":
-                est = estimator.estimate_confounding(cov)
-                fit = {"true_beta": beta, "beta_hat": est.beta_hat,
-                       "theta_hat": est.theta_hat, "boundary": est.boundary}
-            else:
-                normals = rng.standard_normal((config.null_count, cov.d))
-                res = cdtest.test_nonconfounding(cov, normals)
-                fit = {"p_value": res.p_value}
-                if config.mode == "rejection_study":
-                    fit = {"true_beta": beta, "t_observed": res.t_observed, **fit}
-            records.append({**key, **fit})
+            records.append({**key, **serial_fit(config, rng, cov, beta)})
         except SpecbetaError as err:
             failures += 1
             if failures > 0.1 * len(keys):
@@ -824,10 +828,10 @@ class TestStudyDriver:
             def wrap(self, name, fn, counter=None, amount=None):
                 return recorded(name, super().wrap(name, fn, counter, amount))
 
-        # the fits run in private stacked kernels, which the tracer does not see
+        # the stacked fits: models and true betas, covariances, estimates
         kernels = {"genmodel._fitted_models": (genmodel, "_fitted_models"),
-                   "spectral._from_moments": (harness, "_from_moments"),
-                   "estimator._confounding_estimates": (estimator, "_confounding_estimates")}
+                   "spectral.covariance_from_moments": (harness, "covariance_from_moments"),
+                   "estimator.estimate_confounding": (estimator, "estimate_confounding")}
         for name, (module, attr) in kernels.items():
             monkeypatch.setattr(module, attr, recorded(name, getattr(module, attr)))
 
@@ -958,7 +962,7 @@ class TestStudyDriver:
             harness.run(config)
         elif ending == "aborts":
             fail_on_calls(monkeypatch, cdtest, "test_nonconfounding", range(100))
-            fail_on_calls(monkeypatch, estimator, "_confounding_estimates", range(100))
+            fail_on_calls(monkeypatch, estimator, "estimate_confounding", range(100))
             with pytest.raises(RuntimeError, match="planned runs failed"):
                 harness.run(config)
         else:
@@ -1045,7 +1049,7 @@ class TestStudyDriver:
         else:
             if ending == "raises in a fit":
                 # the stack of all 9 columns, then column 2 fitted alone
-                fail_on_calls(monkeypatch, estimator, "_confounding_estimates", {0, 3},
+                fail_on_calls(monkeypatch, estimator, "estimate_confounding", {0, 3},
                               error=ArithmeticError)
             else:
                 fail_on_calls(monkeypatch, harness, "run_rng", {3}, error=ArithmeticError)
@@ -1059,9 +1063,9 @@ def stack_sizes(monkeypatch, runs=None):
     returns the list of the stack sizes fitted."""
     original, sizes = genmodel._fitted_models, []
 
-    def recorded(truths, moments):
-        sizes.append(len(truths))
-        return original(truths, moments)
+    def recorded(m, *args):
+        sizes.append(len(m))
+        return original(m, *args)
 
     if runs is not None:
         monkeypatch.setattr(harness, "_stack_size", lambda d, ell: runs)
@@ -1101,7 +1105,7 @@ def serial_records(config, keys, model):
         try:
             truth, n, noise_sd = model(rng, **key)
             cov, beta = genmodel.sample_covariance(truth, n, noise_sd, rng)
-            records.append({**key, **harness.fit_record(config, rng.standard_normal, cov, beta)})
+            records.append({**key, **serial_fit(config, rng, cov, beta)})
         except SpecbetaError as err:
             failures += 1
             if failures > 0.1 * len(keys):
@@ -1234,10 +1238,10 @@ class TestShuffleTarget:
         stacks = []
 
         def keep(*args):
-            stacks.append(spectral._from_moments(*args))
+            stacks.append(spectral.covariance_from_moments(*args))
             return stacks[-1]
 
-        monkeypatch.setattr(harness, "_from_moments", keep)
+        monkeypatch.setattr(harness, "covariance_from_moments", keep)
         shuffle_target_analysis(tmp_path, m, null_count=100)
         # every column fits in one stack; where it fails, each column is refitted alone
         first = stacks[0]

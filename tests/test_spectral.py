@@ -243,11 +243,14 @@ class TestUnitDirection:
         assert np.abs(coords[0] - coords[1]).max() > 0.1
 
     def test_rejects_non_unit(self):
-        # the private check behind every function that takes a direction
-        np.testing.assert_array_equal(_unit([[0.6], [0.8]]), [0.6, 0.8])
+        # the private check behind every function that takes a direction; a
+        # 2-D direction is a stack, so a column vector is not a direction of d = 2
+        np.testing.assert_array_equal(_unit([0.6, 0.8], (2,)), [0.6, 0.8])
+        with pytest.raises(ValueError, match=r"^direction of shape \(2, 1\) does not match"):
+            _unit([[0.6], [0.8]], (2,))
         for bad in ([1.0, 1.0], [0.6, 0.8 + 1e-9], [np.nan, 0.0]):
             with pytest.raises(ValueError):
-                _unit(np.array(bad))
+                _unit(np.array(bad), (2,))
 
 
 class TestEquivariance:

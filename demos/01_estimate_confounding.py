@@ -23,8 +23,8 @@ def main():
     for seed in range(8):
         g = np.random.default_rng(seed)  # one generator draws the model, then its samples
         truth = sample_ground_truth(d=10, ell=10, rng=g)
-        data = generate_samples(truth, n=10000, noise_sd=0.0, rng=g)
-        est = estimate_confounding(empirical_covariance(data))
+        cov = empirical_covariance(*generate_samples(truth, n=10000, noise_sd=0.0, rng=g))
+        est = estimate_confounding(cov)
         flag = "  (boundary)" if est.boundary else ""
         print(f"{true_beta(truth):9.3f}  {est.beta_hat:14.3f}  {est.theta_hat:9.4g}{flag}")
 
@@ -36,8 +36,8 @@ def main():
     causal = GroundTruth(m=truth.m, a=truth.a, c=np.zeros(10))
     confounded = GroundTruth(m=truth.m, a=np.zeros(10), c=truth.c)
     for label, t in [("purely causal", causal), ("purely confounded", confounded)]:
-        data = generate_samples(t, n=10000, noise_sd=0.0, rng=rng)
-        est = estimate_confounding(empirical_covariance(data))
+        cov = empirical_covariance(*generate_samples(t, n=10000, noise_sd=0.0, rng=rng))
+        est = estimate_confounding(cov)
         print(f"{label:>18}: beta_hat = {est.beta_hat:.3f}")
 
 

@@ -46,7 +46,6 @@ from .harness import (
 )
 from .spectral import (
     CovarianceModel,
-    DataMatrix,
     direction_coords,
     empirical_covariance,
     regression_vector,

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DataError, NumericError
-from .spectral import CovarianceModel, DataMatrix, _dot, covariance_from_moments
+from .spectral import CovarianceModel, _dot, covariance_from_moments
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ def sample_ground_truth(d: int, ell: int, rng: np.random.Generator) -> GroundTru
 
 def generate_samples(
     truth: GroundTruth, n: int, noise_sd: float, rng: np.random.Generator
-) -> DataMatrix:
-    """Sample (X, Y) from the structural equations X = MZ, Y = a'X + c'Z + E.
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``(x, y)``: n samples of the structural equations X = MZ, Y = a'X + c'Z + E,
+    as an (n, d) array and an (n,) array, the arguments of ``empirical_covariance``.
 
     ``noise_sd`` = 0 reproduces the noise-free structural model; a positive
     value adds independent N(0, noise_sd^2) observation noise on Y.
@@ -83,7 +84,7 @@ def generate_samples(
     y = x @ truth.a + z.T @ truth.c
     if e is not None:
         y = y + e
-    return DataMatrix(x=x, y=y)
+    return x, y
 
 
 def sample_covariance(
@@ -98,7 +99,7 @@ def sample_covariance(
         sigma_xx = M C M',  sigma_xy = M C b + M Zc Ec/n,
         sigma_yy = b'C b + 2 b'Zc Ec/n + Ec'Ec/n.
 
-    This agrees with ``empirical_covariance(generate_samples(...))`` up to
+    This agrees with ``empirical_covariance(*generate_samples(...))`` up to
     rounding, not bit for bit.  Errors are those of that path.
     """
     moments = _latent_moments(truth, n, noise_sd, rng)
@@ -271,8 +272,10 @@ def sample_aprime_def2(
     return cov.eigenvectors @ (scale * (cov.eigenvectors.T @ b))
 
 
-def overfit_dataset(d: int, n: int, rng: np.random.Generator) -> DataMatrix:
-    """Independent predictor/target samples, where regression overfits.
+def overfit_dataset(
+    d: int, n: int, rng: np.random.Generator
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``(x, y)``: independent predictor/target samples, where regression overfits.
 
     ``generate_samples`` of a model with a = c = 0 and unit noise: X = MZ for a
     random square M, and Y is N(0,1) noise independent of X.  There is no

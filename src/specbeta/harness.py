@@ -24,7 +24,8 @@ from numpy.typing import NDArray
 
 from . import cdtest, estimator, genmodel
 from .errors import DataError, SpecbetaError, ZeroSignalError
-from .spectral import CovarianceModel, _row, covariance_from_moments
+from .spectral import (CovarianceModel, _column_moments, _joint_covariance, _row,
+                       covariance_from_moments)
 
 # Mode: (its operation in this module, the ExperimentConfig fields it reads,
 # the fields fit_records gives each of its records, in report order).  Every
@@ -277,10 +278,7 @@ def _csv_covariance(
         raise DataError(f"column {constant[0]!r} has zero variance")
     if config.normalize:
         matrix[:, predictors] = normalize_columns(np.ascontiguousarray(matrix[:, predictors]))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
-        centered = matrix - matrix.mean(axis=0)
-        joint = (centered.T @ centered) / n
-    return joint, n, names, target
+    return _joint_covariance(matrix), n, names, target
 
 
 def parse_target(text: str) -> str | int:
@@ -310,12 +308,6 @@ def _target_index(target: str | int, names: list[str]) -> int:
     if len(matches) > 1:
         raise DataError(f"target name {target!r} matches columns {matches} (zero-based)")
     return matches[0]
-
-
-def _column_moments(joint: NDArray[np.float64], j: int) -> tuple[NDArray[np.float64], ...]:
-    """(sigma_xx, sigma_xy, sigma_yy) of column j as the target of the others, from ``joint``."""
-    rest = np.delete(np.arange(len(joint)), j)
-    return joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j]
 
 
 def normalize_columns(x: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -2,7 +2,9 @@
 
 Turns raw (X, y) samples into the sufficient statistic used everywhere else:
 the predictor covariance, its eigendecomposition, the cross-covariance and
-the regression direction.
+the regression direction.  Samples are centered and multiplied in one place,
+``_joint_covariance``; the library's ``empirical_covariance(x, y)`` and the
+CSV commands both take a target's moments from its block.
 """
 
 from __future__ import annotations
@@ -21,47 +23,6 @@ RANK_EPS = 1e-10
 ZERO_SIGNAL_EPS = 1e-12  # relative cross-covariance norm of a signal-free target
 # Below this norm a vector's squares may have lost digits to underflow.
 _SAFE_NORM = np.sqrt(np.finfo(np.float64).tiny)
-
-
-@dataclass(frozen=True)
-class DataMatrix:
-    """Raw observational input: n samples of a d-dimensional predictor and a scalar target.
-
-    Parameters
-    ----------
-    x : ndarray, shape (n, d)
-        Predictor samples, one row per sample.
-    y : ndarray, shape (n,)
-        Target samples.
-    """
-
-    x: NDArray[np.float64]
-    y: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError(f"x must be 2-D, got shape {x.shape}")
-        if y.ndim != 1:
-            raise ValueError(f"y must be 1-D, got shape {y.shape}")
-        n, d = x.shape
-        if n < 2 or d < 1:
-            raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
-        if y.shape[0] != n:
-            raise ValueError(f"x has {n} rows but y has {y.shape[0]} entries")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise ValueError("non-finite entries in data")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -143,24 +104,58 @@ def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def empirical_covariance(data: DataMatrix) -> CovarianceModel:
-    """Column-mean-centered empirical covariances, normalized by 1/n.
+def empirical_covariance(x: NDArray[np.float64], y: NDArray[np.float64]) -> CovarianceModel:
+    """Column-mean-centered empirical covariances of n samples (x, y), normalized by 1/n.
 
-    The model, and its zero-signal rule, come from covariance_from_moments.
+    ``x`` is (n, d), one row per sample, and ``y`` is (n,).  The moments are
+    the blocks of the joint covariance of ``x`` with ``y`` as its last
+    column, as a CSV command forms them; the model, and its zero-signal
+    rule, come from covariance_from_moments.
 
     Raises
     ------
+    ValueError
+        If the arrays are not (n, d) and (n,) with n >= 2 and d >= 1, or hold
+        a non-finite entry.
     DataError
         If n <= d.
     NumericError
         If a moment overflows, or the empirical covariance is numerically singular.
     """
-    n = data.n
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-D, got shape {x.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-D, got shape {y.shape}")
+    n, d = x.shape
+    if n < 2 or d < 1:
+        raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    if y.shape[0] != n:
+        raise ValueError(f"x has {n} rows but y has {y.shape[0]} entries")
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        raise ValueError("non-finite entries in data")
+    joint = _joint_covariance(np.column_stack([x, y]))
+    return covariance_from_moments(*_column_moments(joint, d), n)
+
+
+def _joint_covariance(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The 1/n centered covariance of the k columns of an (n, k) matrix.
+
+    The one place where (X, y) samples are centered and multiplied.  The
+    Gram's last bits depend on the column order, so a target's moments are
+    the same from two callers only where it has the same place among the
+    columns.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # checked by covariance_from_moments
-        xc = data.x - data.x.mean(axis=0)
-        yc = data.y - data.y.mean()
-        moments = (xc.T @ xc) / n, (xc.T @ yc) / n, yc @ yc / n
-    return covariance_from_moments(*moments, n)
+        centered = matrix - matrix.mean(axis=0)
+        return (centered.T @ centered) / len(matrix)
+
+
+def _column_moments(joint: NDArray[np.float64], j: int) -> tuple[NDArray[np.float64], ...]:
+    """(sigma_xx, sigma_xy, sigma_yy) of column j as the target of the others, from ``joint``."""
+    rest = np.delete(np.arange(len(joint)), j)
+    return joint[np.ix_(rest, rest)], joint[rest, j], joint[j, j]
 
 
 def covariance_from_moments(

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from specbeta import CovarianceModel, DataMatrix, empirical_covariance
+from specbeta import CovarianceModel, empirical_covariance
 
 
 def cov_from_spectrum(eigenvalues, sigma_xy=None, n=0):
@@ -30,7 +30,7 @@ def factorial_cov(seed):
     """
     x = np.tile(list(itertools.product([-1.0, 1.0], repeat=3)), (4, 1))
     y = x @ np.array([1.0, 2.0, 3.0]) + np.random.default_rng(seed).standard_normal(32)
-    return empirical_covariance(DataMatrix(x, y))
+    return empirical_covariance(x, y)
 
 
 def eigvec_coords(cov, eigenvalue):

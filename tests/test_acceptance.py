@@ -18,7 +18,6 @@ from scipy.linalg import helmert
 
 from specbeta import (
     CovarianceModel,
-    DataMatrix,
     ExperimentConfig,
     GroundTruth,
     NumericError,
@@ -187,8 +186,8 @@ def test_c06_overfit_pvalues_small_n_and_uniform_large_n():
     independent = []
     for i in range(500):
         g = run_rng(0, 20, i)
-        ds = overfit_dataset(10, 20, g)
-        cov = empirical_covariance(ds)
+        x, y = overfit_dataset(10, 20, g)
+        cov = empirical_covariance(x, y)
         res = run_nonconfounding_test(cov, g.standard_normal((1000, cov.d)))
         independent.append(res.p_value)
     assert np.mean(np.asarray(independent) <= cfg.alpha) > 0.5
@@ -203,9 +202,9 @@ def test_c07_test_level_calibration():
         seed += 1
         t = sample_ground_truth(10, 10, g)
         t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10))
-        ds = generate_samples(t, 10000, 0.0, g)
+        x, y = generate_samples(t, 10000, 0.0, g)
         try:
-            cov = empirical_covariance(ds)
+            cov = empirical_covariance(x, y)
             res = run_nonconfounding_test(cov, g.standard_normal((1000, cov.d)))
             pvals.append(res.p_value)
         except NumericError as err:
@@ -224,17 +223,13 @@ def test_c08_invariance_under_scaling_and_rotation():
     for seed in range(50):
         g = np.random.default_rng(seed)
         t = sample_ground_truth(5, 5, g)
-        ds = generate_samples(t, 800, 0.0, g)
-        base = estimate_confounding(empirical_covariance(ds)).beta_hat
+        x, y = generate_samples(t, 800, 0.0, g)
+        base = estimate_confounding(empirical_covariance(x, y)).beta_hat
         c = float(g.uniform(0.1, 10.0))
         q, r = np.linalg.qr(g.standard_normal((5, 5)))
         u = q * np.sign(np.diag(r))
-        scaled = estimate_confounding(
-            empirical_covariance(DataMatrix(x=c * ds.x, y=ds.y))
-        ).beta_hat
-        rotated = estimate_confounding(
-            empirical_covariance(DataMatrix(x=ds.x @ u.T, y=ds.y))
-        ).beta_hat
+        scaled = estimate_confounding(empirical_covariance(c * x, y)).beta_hat
+        rotated = estimate_confounding(empirical_covariance(x @ u.T, y)).beta_hat
         assert abs(scaled - base) <= 1e-6
         assert abs(rotated - base) <= 1e-6
 
@@ -275,11 +270,11 @@ def test_c10_overfitting_equals_pure_confounding():
     g_reg = np.empty(5000)
     g_conf = np.empty(5000)
     for seed in range(5000):
-        ds = overfit_dataset(d, n, np.random.default_rng(seed))
-        cov = empirical_covariance(ds)
+        x, y = overfit_dataset(d, n, np.random.default_rng(seed))
+        cov = empirical_covariance(x, y)
         ahat = regression_vector(cov)
         g_reg[seed] = quadratic_form(unit_direction(ahat), cov)
-        m = (v_helmert @ ds.x).T / math.sqrt(n)
+        m = (v_helmert @ x).T / math.sqrt(n)
         aprime = sample_aprime_def1(m, 0.0, 1.0, np.random.default_rng((seed, 1)))
         g_conf[seed] = quadratic_form(unit_direction(aprime), cov)
     assert stats.ks_2samp(g_reg, g_conf).pvalue > 0.01
@@ -309,5 +304,5 @@ def test_c11_real_data_checks():
         assert beta_hat(wine, "quality", normalize=True) <= 0.05
         matrix, names = read_numeric_csv(wine)
         x = matrix[:, [j for j, nm in enumerate(names) if nm not in ("quality", "alcohol")]]
-        reduced = DataMatrix(x=x / x.std(axis=0), y=matrix[:, names.index("quality")])
-        assert 0.5 <= estimate_confounding(empirical_covariance(reduced)).beta_hat <= 0.75
+        reduced = empirical_covariance(x / x.std(axis=0), matrix[:, names.index("quality")])
+        assert 0.5 <= estimate_confounding(reduced).beta_hat <= 0.75

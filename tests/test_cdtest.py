@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from specbeta import (
     CovarianceModel,
-    DataMatrix,
     ZeroSignalError,
     empirical_covariance,
     generate_samples,
@@ -129,7 +128,7 @@ class TestNullSamplers:
 class TestNonconfoundingTest:
     def test_deterministic(self):
         t = sample_ground_truth(5, 5, np.random.default_rng(3))
-        cov = empirical_covariance(generate_samples(t, 2000, 0.0, np.random.default_rng(3)))
+        cov = empirical_covariance(*generate_samples(t, 2000, 0.0, np.random.default_rng(3)))
         r1 = run_nonconfounding_test(cov, np.random.default_rng(42).standard_normal((1000, cov.d)))
         r2 = run_nonconfounding_test(cov, np.random.default_rng(42).standard_normal((1000, cov.d)))
         assert r1.t_observed == r2.t_observed
@@ -142,7 +141,7 @@ class TestNonconfoundingTest:
 
     def test_p_value_formula_and_range(self):
         t = sample_ground_truth(6, 6, np.random.default_rng(1))
-        cov = empirical_covariance(generate_samples(t, 3000, 0.0, np.random.default_rng(1)))
+        cov = empirical_covariance(*generate_samples(t, 3000, 0.0, np.random.default_rng(1)))
         res = run_nonconfounding_test(cov, np.random.default_rng(0).standard_normal((500, cov.d)))
         null = null_samples_sphere(cov, np.random.default_rng(0).standard_normal((500, cov.d)))
         recomputed = (1 + int(np.sum(null >= res.t_observed))) / 501
@@ -169,7 +168,7 @@ class TestNonconfoundingTest:
             g = np.random.default_rng(seed)
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c)
-            cov = empirical_covariance(generate_samples(t, 10000, 0.0, g))
+            cov = empirical_covariance(*generate_samples(t, 10000, 0.0, g))
             res = run_nonconfounding_test(cov, g.standard_normal((1000, cov.d)))
             rejections += res.p_value < 0.05
         # observed rate is about 0.75 over these seeds; a clear majority
@@ -181,12 +180,12 @@ class TestNonconfoundingTest:
         )
         y = np.array([1.0, -1.0, -1.0, 1.0])
         with pytest.raises(ZeroSignalError):
-            run_nonconfounding_test(empirical_covariance(DataMatrix(x=x, y=y)),
+            run_nonconfounding_test(empirical_covariance(x, y),
                                     np.random.default_rng(0).standard_normal((200, 2)))
 
     @pytest.mark.parametrize("value", [0.1, 1e5 / 3])
     def test_constant_target_is_zero_signal(self, rng, value):
-        data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
+        x, y = rng.standard_normal((300, 3)), np.full(300, value)
         with pytest.raises(ZeroSignalError):
-            run_nonconfounding_test(empirical_covariance(data),
+            run_nonconfounding_test(empirical_covariance(x, y),
                                     np.random.default_rng(0).standard_normal((200, 3)))

@@ -12,8 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specbeta import SPHERE_MONTE_CARLO, errors, harness
+from specbeta import (SPHERE_MONTE_CARLO, empirical_covariance, errors, estimate_confounding,
+                      harness, spectral)
+from specbeta import test_nonconfounding as run_nonconfounding_test
 from specbeta.cli import EXIT_USAGE, _build_parser, main
+
+from conftest import sigma_xx
 
 from test_reports import CASES, DATA
 
@@ -576,6 +580,63 @@ class TestTest:
             assert (code, err) == (0, "")
             p_values.append(json.loads(out)["summary"]["p_value"])
         assert p_values[1] == p_values[0]
+
+
+class TestLibraryFitIsTheCliFit:
+    """``empirical_covariance(x, y)`` fits the samples as estimate and test fit their CSV."""
+
+    @staticmethod
+    def write(tmp_path, seed, position):
+        """(path, x, y): random samples, d = 2-39 and n <= 3000, written with 17
+        digits, so that the CSV holds them exactly, the target y at ``position``."""
+        g = np.random.default_rng(seed)
+        d = int(g.integers(2, 40))
+        n = int(g.integers(d + 2, 3001))
+        x = g.standard_normal((n, d)) * g.uniform(0.1, 10.0, d) + g.uniform(-5.0, 5.0, d)
+        y = x @ g.standard_normal(d) + g.uniform(0.1, 3.0) * g.standard_normal(n) + 2.0
+        j = {"first": 0, "middle": d // 2, "last": d}[position]
+        matrix = np.insert(x, j, y, axis=1)
+        names = [f"x{k}" for k in range(d)]
+        names.insert(j, "y")
+        path = tmp_path / f"samples_{seed}_{position}.csv"
+        np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=",".join(names),
+                   comments="")
+        return str(path), x, y
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_library_fit_is_the_cli_fit(self, capsys, monkeypatch, tmp_path, seed, position):
+        path, x, y = self.write(tmp_path, seed, position)
+        fitted = []
+
+        def keep(*args):
+            fitted.append(spectral.covariance_from_moments(*args))
+            return fitted[-1]
+
+        monkeypatch.setattr(harness, "covariance_from_moments", keep)
+        args = ["--input", path, "--target", "y"]
+        code, out, _ = run(capsys, ["estimate", *args])
+        assert code == 0
+        got, cov = spectral._row(fitted[0], 0), empirical_covariance(x, y)
+        for a, b in ((sigma_xx(got), sigma_xx(cov)), (got.sigma_xy, cov.sigma_xy),
+                     (got.eigenvalues, cov.eigenvalues)):
+            # 1e-13 relative to the largest entry
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b), initial=0.0)
+        assert np.all(got.sigma_xy == 0.0) == np.all(cov.sigma_xy == 0.0)
+        assert (got.n, got.d) == (cov.n, cov.d)
+        if position != "last":
+            return  # the joint Gram's last bits move with the column order
+        # the target where empirical_covariance puts it: the records are the library's, bit for bit
+        est = estimate_confounding(cov)
+        assert json.loads(out)["records"] == [
+            {"beta_hat": est.beta_hat, "theta_hat": est.theta_hat, "tau_inv": cov.tau_inv,
+             "boundary": est.boundary, "d": cov.d, "n": cov.n}]
+        res = run_nonconfounding_test(cov, harness.run_rng(seed).standard_normal((500, cov.d)))
+        code, out, _ = run(capsys, ["test", *args, "--seed", str(seed), "--null-samples", "500"])
+        assert code == 0
+        assert json.loads(out)["records"] == [
+            {"t_observed": res.t_observed, "p_value": res.p_value, "null_count": 500,
+             "reject_at_alpha": res.p_value <= 0.05}]
 
 
 class TestSimulationCommands:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from specbeta import (
     CovarianceModel,
-    DataMatrix,
     ExperimentConfig,
     NumericError,
     ZeroSignalError,
@@ -527,8 +526,8 @@ class TestEstimateConfounding:
             g = np.random.default_rng(seed)
             t = sample_ground_truth(10, 10, g)
             t = GroundTruth(m=t.m, a=t.a, c=np.zeros(10))
-            ds = generate_samples(t, 10000, 0.0, g)
-            hits += estimate_confounding(empirical_covariance(ds)).beta_hat < 0.2
+            x, y = generate_samples(t, 10000, 0.0, g)
+            hits += estimate_confounding(empirical_covariance(x, y)).beta_hat < 0.2
         assert hits >= 80
 
     def test_purely_confounded_estimates_high(self):
@@ -539,14 +538,14 @@ class TestEstimateConfounding:
             t = GroundTruth(m=t.m, a=np.zeros(10), c=t.c)
             if not np.any(t.c):
                 continue
-            ds = generate_samples(t, 10000, 0.0, g)
-            hits += estimate_confounding(empirical_covariance(ds)).beta_hat > 0.75
+            x, y = generate_samples(t, 10000, 0.0, g)
+            hits += estimate_confounding(empirical_covariance(x, y)).beta_hat > 0.75
         assert hits >= 80
 
     def test_beta_theta_identity_as_stored(self, rng):
         t = sample_ground_truth(5, 5, np.random.default_rng(2))
-        ds = generate_samples(t, 2000, 0.0, np.random.default_rng(2))
-        cov = empirical_covariance(ds)
+        x, y = generate_samples(t, 2000, 0.0, np.random.default_rng(2))
+        cov = empirical_covariance(x, y)
         est = estimate_confounding(cov)
         assert est.beta_hat == cov.tau_inv * est.theta_hat / (
             cov.tau_inv * est.theta_hat + 1.0
@@ -555,9 +554,9 @@ class TestEstimateConfounding:
 
     @pytest.mark.parametrize("value", [0.1, 1e5 / 3])
     def test_constant_target_is_zero_signal(self, rng, value):
-        data = DataMatrix(x=rng.standard_normal((300, 3)), y=np.full(300, value))
+        x, y = rng.standard_normal((300, 3)), np.full(300, value)
         with pytest.raises(ZeroSignalError):
-            estimate_confounding(empirical_covariance(data))
+            estimate_confounding(empirical_covariance(x, y))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orthogonal_design_gives_zero(self, seed):
@@ -634,16 +633,12 @@ class TestInvariance:
         for seed in range(10):
             g = np.random.default_rng(seed)
             t = sample_ground_truth(5, 5, g)
-            ds = generate_samples(t, 1500, 0.0, g)
-            base = estimate_confounding(empirical_covariance(ds)).beta_hat
+            x, y = generate_samples(t, 1500, 0.0, g)
+            base = estimate_confounding(empirical_covariance(x, y)).beta_hat
             c = float(g.uniform(0.1, 10.0))
-            scaled = estimate_confounding(
-                empirical_covariance(DataMatrix(x=c * ds.x, y=ds.y))
-            ).beta_hat
+            scaled = estimate_confounding(empirical_covariance(c * x, y)).beta_hat
             u = random_orthogonal(5, g)
-            rotated = estimate_confounding(
-                empirical_covariance(DataMatrix(x=ds.x @ u.T, y=ds.y))
-            ).beta_hat
+            rotated = estimate_confounding(empirical_covariance(x @ u.T, y)).beta_hat
             assert abs(scaled - base) <= 1e-6
             assert abs(rotated - base) <= 1e-6
 

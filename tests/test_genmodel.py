@@ -91,8 +91,8 @@ class TestSampleGroundTruth:
 class TestGenerateSamples:
     def test_degenerate_truth_gives_zero_target(self):
         t = GroundTruth(m=np.eye(2), a=np.zeros(2), c=np.zeros(2))
-        ds = generate_samples(t, 50, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(ds.y, np.zeros(50))
+        _, y = generate_samples(t, 50, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(y, np.zeros(50))
         # true_beta is undefined; the fitted model of the same draws records NaN
         with pytest.raises(NumericError, match="^a = 0 and c = 0: confounding strength undefined$"):
             true_beta(t)
@@ -100,17 +100,17 @@ class TestGenerateSamples:
 
     def test_pure_causal_structural_equation(self):
         t = GroundTruth(m=np.eye(2), a=np.array([1.0, 0.0]), c=np.zeros(2))
-        ds = generate_samples(t, 100, 0.0, np.random.default_rng(3))
-        np.testing.assert_array_equal(ds.y, ds.x[:, 0])
+        x, y = generate_samples(t, 100, 0.0, np.random.default_rng(3))
+        np.testing.assert_array_equal(y, x[:, 0])
         assert true_beta(t) == 0.0
 
     def test_covariance_concentrates_on_mixing(self):
         # d = ell = 10, n = 10000, fixed seed: empirical covariance lands
         # within Frobenius distance 2 of M M^T (relative error under 10%)
         t = sample_ground_truth(10, 10, np.random.default_rng(11))
-        ds = generate_samples(t, 10000, 0.0, np.random.default_rng(11))
-        xc = ds.x - ds.x.mean(axis=0)
-        emp = xc.T @ xc / ds.n
+        x, _ = generate_samples(t, 10000, 0.0, np.random.default_rng(11))
+        xc = x - x.mean(axis=0)
+        emp = xc.T @ xc / len(x)
         target = t.m @ t.m.T
         dist = np.linalg.norm(emp - target)
         assert dist < 2.0
@@ -118,10 +118,10 @@ class TestGenerateSamples:
 
     def test_deterministic(self):
         t = sample_ground_truth(4, 6, np.random.default_rng(5))
-        d1 = generate_samples(t, 30, 0.0, np.random.default_rng(9))
-        d2 = generate_samples(t, 30, 0.0, np.random.default_rng(9))
-        np.testing.assert_array_equal(d1.x, d2.x)
-        np.testing.assert_array_equal(d1.y, d2.y)
+        x1, y1 = generate_samples(t, 30, 0.0, np.random.default_rng(9))
+        x2, y2 = generate_samples(t, 30, 0.0, np.random.default_rng(9))
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(y1, y2)
 
     def test_rejects_tiny_n(self):
         t = sample_ground_truth(2, 2, np.random.default_rng(0))
@@ -135,12 +135,12 @@ class TestGenerateSamples:
 
 
 class TestSampleCovariance:
-    """The moments fit against empirical_covariance(generate_samples(...))."""
+    """The moments fit against empirical_covariance(*generate_samples(...))."""
 
     @staticmethod
     def assert_agree(truth, n, noise_sd, seed):
         g = np.random.default_rng(seed)
-        ref = empirical_covariance(generate_samples(truth, n, noise_sd, g))
+        ref = empirical_covariance(*generate_samples(truth, n, noise_sd, g))
         ref_next = g.standard_normal()
         try:
             ref_beta = true_beta(truth)
@@ -230,7 +230,7 @@ class TestSampleCovariance:
         monkeypatch.setattr(genmodel, "covariance_from_moments", keep)
         for seed in range(5):
             truth = sample_ground_truth(4, 6, np.random.default_rng(seed))
-            y = generate_samples(truth, 50, noise_sd, np.random.default_rng(seed)).y
+            _, y = generate_samples(truth, 50, noise_sd, np.random.default_rng(seed))
             sample_covariance(truth, 50, noise_sd, np.random.default_rng(seed))
             assert seen[-1] == pytest.approx(np.var(y), rel=1e-13, abs=0)
 
@@ -261,7 +261,7 @@ class TestSampleCovariance:
     def test_same_errors(self, n, noise_sd, error, message):
         t = sample_ground_truth(4, 6, np.random.default_rng(0))
         with pytest.raises(error, match=message):
-            empirical_covariance(generate_samples(t, n, noise_sd, np.random.default_rng(0)))
+            empirical_covariance(*generate_samples(t, n, noise_sd, np.random.default_rng(0)))
         with pytest.raises(error, match=message):
             sample_covariance(t, n, noise_sd, np.random.default_rng(0))
 
@@ -370,34 +370,34 @@ class TestOverfitDataset:
     def test_target_uncorrelated_on_average(self):
         corrs = []
         for s in range(200):
-            ds = overfit_dataset(3, 50, np.random.default_rng(s))
+            x, y = overfit_dataset(3, 50, np.random.default_rng(s))
             for j in range(3):
-                corrs.append(np.corrcoef(ds.x[:, j], ds.y)[0, 1])
+                corrs.append(np.corrcoef(x[:, j], y)[0, 1])
         assert abs(np.mean(corrs)) < 0.02
 
     def test_no_structural_confounding(self):
         # X = M Z, and Y is a draw of its own after M and Z: it depends on nothing in X
-        ds = overfit_dataset(4, 30, np.random.default_rng(7))
+        x, y = overfit_dataset(4, 30, np.random.default_rng(7))
         g = np.random.default_rng(7)
         m, z = g.standard_normal((4, 4)), g.standard_normal((4, 30))
-        np.testing.assert_array_equal(ds.x, (m @ z).T)
-        np.testing.assert_array_equal(ds.y, g.standard_normal(30))
+        np.testing.assert_array_equal(x, (m @ z).T)
+        np.testing.assert_array_equal(y, g.standard_normal(30))
 
     @pytest.mark.parametrize("d, n, seed", [(1, 3, 0), (4, 30, 7), (10, 200, 11)])
     def test_is_generate_samples_of_a_signal_free_model(self, d, n, seed):
         # the mixing matrix is the first draw, then generate_samples continues the generator
-        ds = overfit_dataset(d, n, np.random.default_rng(seed))
+        x, y = overfit_dataset(d, n, np.random.default_rng(seed))
         g = np.random.default_rng(seed)
         truth = GroundTruth(m=g.standard_normal((d, d)), a=np.zeros(d), c=np.zeros(d))
-        want = generate_samples(truth, n, 1.0, g)
-        assert ds.x.tobytes() == want.x.tobytes()
-        assert ds.y.tobytes() == want.y.tobytes()
+        want_x, want_y = generate_samples(truth, n, 1.0, g)
+        assert x.tobytes() == want_x.tobytes()
+        assert y.tobytes() == want_y.tobytes()
 
     def test_deterministic(self):
-        d1 = overfit_dataset(4, 30, np.random.default_rng(5))
-        d2 = overfit_dataset(4, 30, np.random.default_rng(5))
-        np.testing.assert_array_equal(d1.x, d2.x)
-        np.testing.assert_array_equal(d1.y, d2.y)
+        x1, y1 = overfit_dataset(4, 30, np.random.default_rng(5))
+        x2, y2 = overfit_dataset(4, 30, np.random.default_rng(5))
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(y1, y2)
 
 
 class TestSampleCausalTruth:
@@ -407,6 +407,6 @@ class TestSampleCausalTruth:
 
     def test_noiseless_target_is_linear(self):
         truth = sample_causal_truth(5, np.random.default_rng(1))
-        ds = generate_samples(truth, 100, 0.0, np.random.default_rng(1))
+        x, y = generate_samples(truth, 100, 0.0, np.random.default_rng(1))
         assert true_beta(truth) == 0.0
-        np.testing.assert_allclose(ds.y, ds.x @ truth.a, rtol=1e-12)
+        np.testing.assert_allclose(y, x @ truth.a, rtol=1e-12)

@@ -25,7 +25,7 @@ from specbeta import (
     read_numeric_csv,
     run,
 )
-from specbeta import DataMatrix, cdtest, empirical_covariance, estimator, genmodel, harness
+from specbeta import cdtest, empirical_covariance, estimator, genmodel, harness
 from specbeta import spectral
 from specbeta.errors import DataError, ZeroSignalError
 from specbeta.harness import run_rng, stable_json
@@ -1248,7 +1248,7 @@ class TestShuffleTarget:
         assert len(first.n) == m.shape[1]
         for j in range(m.shape[1]):
             got = spectral._row(first, j)
-            want = empirical_covariance(DataMatrix(np.delete(m, j, 1), m[:, j]))
+            want = empirical_covariance(np.delete(m, j, 1), m[:, j])
             for a, b in ((sigma_xx(got), sigma_xx(want)), (got.sigma_xy, want.sigma_xy),
                          (got.eigenvalues, want.eigenvalues)):
                 # 1e-12 relative to the largest entry

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from specbeta import (
     CovarianceModel,
     DataError,
-    DataMatrix,
     NumericError,
     ZeroSignalError,
     direction_coords,
@@ -23,28 +22,28 @@ from specbeta.spectral import _unit, covariance_from_moments
 from conftest import cov_from_spectrum, random_orthogonal, sigma_xx
 
 
-class TestDataMatrix:
-    def test_shape_properties(self):
-        data = DataMatrix(x=np.ones((5, 3)), y=np.zeros(5))
-        assert data.n == 5 and data.d == 3
+class TestEmpiricalCovarianceInput:
+    def test_shape_properties(self, rng):
+        cov = empirical_covariance(rng.standard_normal((5, 3)), np.zeros(5))
+        assert cov.n == 5 and cov.d == 3
 
     def test_rejects_nan(self):
         x = np.ones((4, 2))
         x[1, 0] = np.nan
-        with pytest.raises(ValueError):
-            DataMatrix(x=x, y=np.zeros(4))
+        with pytest.raises(ValueError, match="^non-finite entries in data$"):
+            empirical_covariance(x, np.zeros(4))
 
     def test_rejects_inf_target(self):
-        with pytest.raises(ValueError):
-            DataMatrix(x=np.ones((4, 2)), y=np.array([0.0, 1.0, np.inf, 2.0]))
+        with pytest.raises(ValueError, match="^non-finite entries in data$"):
+            empirical_covariance(np.ones((4, 2)), np.array([0.0, 1.0, np.inf, 2.0]))
 
     def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            DataMatrix(x=np.ones((1, 2)), y=np.zeros(1))
+        with pytest.raises(ValueError, match=r"^need n >= 2 and d >= 1, got n=1, d=2$"):
+            empirical_covariance(np.ones((1, 2)), np.zeros(1))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DataMatrix(x=np.ones((4, 2)), y=np.zeros(3))
+        with pytest.raises(ValueError, match="^x has 4 rows but y has 3 entries$"):
+            empirical_covariance(np.ones((4, 2)), np.zeros(3))
 
     @pytest.mark.parametrize(
         "x, y, message",
@@ -56,41 +55,39 @@ class TestDataMatrix:
     )
     def test_rejects_wrong_number_of_axes(self, x, y, message):
         with pytest.raises(ValueError, match=message):
-            DataMatrix(x=x, y=y)
+            empirical_covariance(x, y)
 
 
 class TestEmpiricalCovariance:
     def test_two_point_example(self):
-        data = DataMatrix(x=np.array([[1.0], [-1.0]]), y=np.array([1.0, -1.0]))
-        cov = empirical_covariance(data)
+        cov = empirical_covariance(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
         np.testing.assert_allclose(sigma_xx(cov), [[1.0]])
         np.testing.assert_allclose(cov.sigma_xy, [1.0])
 
     def test_law_of_large_numbers(self, rng):
         x = rng.standard_normal((100000, 3))
-        data = DataMatrix(x=x, y=rng.standard_normal(100000))
-        cov = empirical_covariance(data)
+        cov = empirical_covariance(x, rng.standard_normal(100000))
         assert np.max(np.abs(sigma_xx(cov) - np.eye(3))) < 0.05
 
     def test_too_few_samples(self, rng):
-        data = DataMatrix(x=rng.standard_normal((5, 10)), y=np.zeros(5))
+        x = rng.standard_normal((5, 10))
         with pytest.raises(DataError, match="^need n > d, got n=5, d=10$"):
-            empirical_covariance(data)
+            empirical_covariance(x, np.zeros(5))
 
     def test_rank_deficient_duplicate_column(self, rng):
         col = rng.standard_normal((50, 1))
-        data = DataMatrix(x=np.hstack([col, col]), y=rng.standard_normal(50))
+        x, y = np.hstack([col, col]), rng.standard_normal(50)
         with pytest.raises(NumericError, match=r"^smallest eigenvalue .* is below 1e-10 x largest"):
-            empirical_covariance(data)
+            empirical_covariance(x, y)
 
     def test_records_sample_count(self, rng):
-        data = DataMatrix(x=rng.standard_normal((40, 3)), y=rng.standard_normal(40))
-        assert empirical_covariance(data).n == 40
+        x, y = rng.standard_normal((40, 3)), rng.standard_normal(40)
+        assert empirical_covariance(x, y).n == 40
 
     @pytest.mark.parametrize("value", [0.1, 1e5 / 3, -7.3e-8])
     def test_constant_target_has_exactly_zero_cross_covariance(self, rng, value):
         x = rng.standard_normal((300, 4)) * np.array([1.0, 30.0, 0.03, 5.0])
-        cov = empirical_covariance(DataMatrix(x=x, y=np.full(300, value)))
+        cov = empirical_covariance(x, np.full(300, value))
         assert np.all(cov.sigma_xy == 0.0)
         with pytest.raises(ZeroSignalError):
             regression_vector(cov)
@@ -99,12 +96,10 @@ class TestEmpiricalCovariance:
     def test_weak_or_offset_signal_is_kept(self, rng, n):
         x = rng.standard_normal((n, 3))
         for y in (rng.standard_normal(n), 1e6 + 1e-3 * rng.standard_normal(n)):
-            assert np.all(empirical_covariance(DataMatrix(x=x, y=y)).sigma_xy != 0.0)
+            assert np.all(empirical_covariance(x, y).sigma_xy != 0.0)
 
     def test_tau_inv_is_mean_inverse_eigenvalue(self, rng):
-        cov = empirical_covariance(
-            DataMatrix(x=rng.standard_normal((200, 5)), y=rng.standard_normal(200))
-        )
+        cov = empirical_covariance(rng.standard_normal((200, 5)), rng.standard_normal(200))
         assert cov.tau_inv == float(np.mean(1.0 / cov.eigenvalues))
 
 
@@ -138,7 +133,7 @@ class TestCovarianceFromMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="^second moments overflow"):
-                empirical_covariance(DataMatrix(x=x, y=y))
+                empirical_covariance(x, y)
 
 
 class TestCovarianceModel:
@@ -197,7 +192,7 @@ class TestRegressionVector:
         n, d = 200, 8
         x = rng.standard_normal((n, d))
         y = x @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
-        cov = empirical_covariance(DataMatrix(x=x, y=y))
+        cov = empirical_covariance(x, y)
         xc = x - x.mean(axis=0)
         yc = y - y.mean()
         brute = np.linalg.lstsq(xc, yc, rcond=None)[0]
@@ -262,8 +257,8 @@ class TestEquivariance:
         x = g.standard_normal((n, d))
         y = x @ g.standard_normal(d)
         u = random_orthogonal(d, g)
-        cov = empirical_covariance(DataMatrix(x=x, y=y))
-        cov_rot = empirical_covariance(DataMatrix(x=x @ u.T, y=y))
+        cov = empirical_covariance(x, y)
+        cov_rot = empirical_covariance(x @ u.T, y)
         scale = np.linalg.norm(sigma_xx(cov))
         assert np.linalg.norm(sigma_xx(cov_rot) - u @ sigma_xx(cov) @ u.T) <= 1e-10 * scale
         a = regression_vector(cov)
@@ -280,8 +275,8 @@ class TestEquivariance:
         n, d = 120, 4
         x = g.standard_normal((n, d))
         y = x @ g.standard_normal(d)
-        cov = empirical_covariance(DataMatrix(x=x, y=y))
-        cov_s = empirical_covariance(DataMatrix(x=c * x, y=y))
+        cov = empirical_covariance(x, y)
+        cov_s = empirical_covariance(c * x, y)
         # each rebuilt from its spectrum, to rounding of the largest eigenvalue
         np.testing.assert_allclose(sigma_xx(cov_s), c**2 * sigma_xx(cov), rtol=1e-10,
                                    atol=1e-13 * c**2 * cov.eigenvalues[0])
